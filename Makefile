@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-verbose examples fast-test test-obs test-robustness test-fdir test-overload test-perf test-parallel test-cdma-perf test-scenarios test-dtn all
+.PHONY: install test bench bench-verbose examples fast-test test-obs test-robustness test-fdir test-overload test-perf test-cdma-perf test-scenarios test-dtn bench-e2e-smoke all
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -19,7 +19,7 @@ test-obs:  ## observability layer: metrics, tracing, golden traces, fault inject
 test-robustness:  ## fault-tolerance layer: retry, TC/TM transactions, watchdog, chaos sweeps
 	$(PYTHON) -m pytest tests/robustness/
 
-test-fdir:  ## traffic-plane FDIR: health monitors, recovery ladder, degraded modes, traffic chaos
+test-fdir:  ## traffic-plane FDIR: health monitors, recovery ladder, degraded modes, FDIR scenario sweep
 	$(PYTHON) -m pytest -m fdir tests/
 
 test-overload:  ## demand-plane overload control: admission, backpressure, deadlines, brownout, surge chaos
@@ -27,9 +27,6 @@ test-overload:  ## demand-plane overload control: admission, backpressure, deadl
 
 test-perf:  ## batched burst-processing throughput baseline (prints bursts/sec tables)
 	$(PYTHON) -m pytest benchmarks/bench_perf_burst_batch.py -s
-
-test-parallel:  ## carrier-parallel uplink engine: executor equivalence suite + serial-vs-threads speedup gate
-	$(PYTHON) -m pytest -m parallel tests/ benchmarks/bench_perf_uplink_parallel.py -s
 
 test-cdma-perf:  ## batched CDMA return-link engine: equivalence suite + bursts/sec speedup gates
 	$(PYTHON) -m pytest -m perf tests/dsp/test_cdma_batch_equivalence.py benchmarks/bench_perf_cdma_batch.py -s
@@ -39,6 +36,9 @@ test-scenarios:  ## mission-scenario conformance: golden corpus, differential or
 
 test-dtn:  ## disruption-tolerant ground segment: contact plans, store-and-forward, resumable transfers, outage chaos
 	$(PYTHON) -m pytest -m dtn tests/
+
+bench-e2e-smoke:  ## end-to-end benchmark harness smoke tests (short runs of every workload)
+	$(PYTHON) -m pytest benchmarks/e2e/test_e2e_smoke.py -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -1,10 +1,11 @@
 """C13 -- traffic-plane FDIR: detection latency + recovery time per fault class.
 
-Times the traffic-plane chaos sweep (every default scenario, one seed)
-over the live 3-carrier regenerative chain and prints the per-fault-class
-FDIR table: frames from fault onset to first alarm/action (detection
-latency), frames to clean delivery at the expected width (recovery
-time), the ladder actions taken, and the delivery rate.
+Times the FDIR scenario sweep (:func:`repro.scenarios.fdir_sweep`, every
+mission at seed 0) over the live 3-carrier regenerative chain and prints
+the per-fault-class FDIR table: frames from fault onset to the first
+standing alarm (detection latency), frames to clean delivery at the
+expected width (recovery time), the FDIR actions taken, and the
+delivery rate.
 
 Run with ``REPRO_OBS=1`` and the stack's ``fdir_*`` counters --
 ``fdir.health.trips``, ``fdir.arbiter.actions_*``,
@@ -15,42 +16,45 @@ and recovered autonomously.
 """
 
 from conftest import print_table
-from repro.robustness.fdir.chaos import (
-    TrafficChaosCampaign,
-    default_traffic_scenarios,
-    violations,
+from repro.scenarios import (
+    catalog_by_name,
+    fdir_sweep,
+    result_violations,
+    run_scenario,
 )
+
+
+def _recovery(result):
+    """Frames from onset to the first frame of the clean tail."""
+    onset = result.spec.fault_onset
+    ok = result.frame_ok_history
+    bad = [f for f, good in enumerate(ok) if not good]
+    if onset is None or not bad or bad[-1] + 1 >= len(ok):
+        return None
+    return bad[-1] + 1 - onset
 
 
 def test_fdir_detection_and_recovery(benchmark):
     def run():
-        campaign = TrafficChaosCampaign()
-        campaign.run(seeds=[0])
-        return campaign
+        return [run_scenario(spec) for spec in fdir_sweep([0])]
 
-    campaign = benchmark.pedantic(run, rounds=1, iterations=1)
-    by_name = {s.name: s for s in campaign.scenarios}
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []
-    for o in campaign.outcomes:
-        sc = by_name[o.scenario]
-        onset = sc.fault_start
-        detect = o.detection_latency
-        recover = (
-            o.recovery_frame - onset
-            if (onset is not None and o.recovery_frame is not None)
-            else None
-        )
-        kinds = sorted({a[2] for a in o.actions} | {k for k, _, _ in o.policy_events})
+    for r in results:
+        m = r.metrics
+        detect = r.detection_latency
+        recover = _recovery(r)
+        kinds = sorted(set(m["actions"]) | set(m["policy_events"]))
         rows.append(
             [
-                o.scenario,
-                o.frames,
+                r.name,
+                r.spec.frames,
                 "-" if detect is None else detect,
                 "-" if recover is None else recover,
                 ",".join(kinds) or "-",
-                f"{o.delivery_rate:.2f}",
-                o.final_active,
-                len(violations(o, sc)),
+                f"{m['delivered'] / m['attempted']:.2f}",
+                m["final_active"],
+                len(result_violations(r)),
             ]
         )
     print_table(
@@ -68,40 +72,33 @@ def test_fdir_detection_and_recovery(benchmark):
         rows,
     )
     # every fault class: detected, recovered, zero invariant violations
-    assert all(o.completed for o in campaign.outcomes)
-    assert campaign.all_violations() == []
-    faulted = [
-        o
-        for o in campaign.outcomes
-        if by_name[o.scenario].fault_start is not None
-    ]
+    assert all(r.completed for r in results)
+    assert [v for r in results for v in result_violations(r)] == []
+    faulted = [r for r in results if r.spec.fault_onset is not None]
     assert faulted and all(
-        o.detection_latency is not None for o in faulted
+        r.detection_latency is not None for r in faulted
     ), "every injected fault must be detected"
     # detection is prompt: step faults are caught within 6 frames of
     # onset; the fade ramp grows from zero dB at onset, so its "latency"
     # is dominated by how long the fade takes to matter, not by the
     # monitors -- allow the ramp time
-    for o in faulted:
-        bound = 12 if o.scenario == "fade-ramp" else 6
-        assert o.detection_latency <= bound, (o.scenario, o.detection_latency)
+    for r in faulted:
+        bound = 12 if r.spec.fades else 6
+        assert r.detection_latency <= bound, (r.name, r.detection_latency)
 
 
 def test_fdir_steady_state_overhead(benchmark):
     """The fault-free control: monitoring the live chain is cheap and
     delivers everything."""
-    scenarios = [s for s in default_traffic_scenarios() if s.name == "nominal"]
-
-    def run():
-        campaign = TrafficChaosCampaign(scenarios)
-        campaign.run(seeds=[0])
-        return campaign.outcomes[0]
-
-    outcome = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(
-        f"nominal: {outcome.delivered}/{outcome.attempted} blocks delivered, "
-        f"{len(outcome.actions)} FDIR actions, "
-        f"{sum(outcome.trips_per_carrier.values())} alarms"
+    spec = catalog_by_name()["nominal"]
+    result = benchmark.pedantic(
+        lambda: run_scenario(spec), rounds=1, iterations=1
     )
-    assert outcome.delivered == outcome.attempted
-    assert not outcome.actions
+    m = result.metrics
+    print(
+        f"nominal: {m['delivered']}/{m['attempted']} blocks delivered, "
+        f"{sum(m['actions'].values())} FDIR actions, "
+        f"{sum(m['alarm_trips'].values())} alarms"
+    )
+    assert m["delivered"] == m["attempted"]
+    assert not m["actions"]

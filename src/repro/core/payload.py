@@ -24,7 +24,6 @@ from ..dsp.beamforming import Dbfn
 from ..dsp.demux import PolyphaseChannelizer, multiplex_carriers
 from ..fpga.device import Fpga
 from ..obs.probes import probe
-from ..parallel import CarrierExecutor
 from .equipment import ReconfigurableEquipment
 from .obc import OnBoardController, Telecommand, Telemetry
 from .registry import FunctionRegistry, default_registry
@@ -125,7 +124,6 @@ class RegenerativePayload:
         config: Optional[PayloadConfig] = None,
         registry: Optional[FunctionRegistry] = None,
         obc: Optional[OnBoardController] = None,
-        executor: Optional[CarrierExecutor] = None,
     ) -> None:
         self.config = config or PayloadConfig()
         self.registry = registry or default_registry()
@@ -181,20 +179,6 @@ class RegenerativePayload:
         #: optional per-carrier MF-TDMA burst request queues (CoDel);
         #: ``None`` until :meth:`attach_burst_queues`
         self.burst_queues = None
-        #: optional carrier-parallel execution engine for the uplink
-        #: demod fan-out; ``None`` runs the reference inline loop
-        self.executor = executor
-
-    def attach_executor(self, executor: Optional[CarrierExecutor]) -> None:
-        """Attach (or with ``None`` detach) a carrier-parallel executor.
-
-        Every subsequent :meth:`process_uplink` fans the per-carrier
-        demodulation lanes out through ``executor.run`` instead of the
-        inline serial loop.  Results are bit-identical by contract (the
-        lanes are independent and joined in carrier order); see
-        :mod:`repro.parallel`.
-        """
-        self.executor = executor
 
     def attach_health(self, bank) -> None:
         """Attach a per-carrier health monitor bank to the live chain.
@@ -336,12 +320,6 @@ class RegenerativePayload:
         (``decoded[k] is None``) so the FDIR health bank only sees CRC
         outcomes for blocks that were really decoded.
 
-        With an attached :class:`~repro.parallel.CarrierExecutor`
-        (:meth:`attach_executor`), the per-carrier demodulation lanes
-        fan out across the executor's workers and join in carrier
-        order; bits, diagnostics and fault containment are identical to
-        the inline loop by construction.
-
         Returns per-carrier demodulated bits plus chain diagnostics
         (and ``decoded`` when requested).
         """
@@ -356,22 +334,12 @@ class RegenerativePayload:
             channels = self.channelizer.process(x[:usable])
         else:
             channels = x[None, :]
-        lanes = [
-            (
-                lambda k=k, want=(bits_expected[k] if bits_expected else None):
-                self._demod_carrier(k, channels[k], want)
+        results = [
+            self._demod_carrier(
+                k, channels[k], bits_expected[k] if bits_expected else None
             )
             for k in range(len(self.demods))
         ]
-        if self.executor is None:
-            results = [fn() for fn in lanes]
-        else:
-            # ordered join: outcome i is carrier i regardless of which
-            # worker finished first; a lane's unexpected exception (the
-            # contained sync/equipment faults never escape the lane
-            # function) re-raises lowest-carrier-first, exactly as the
-            # inline loop would
-            results = [o.result() for o in self.executor.run(lanes)]
         out_bits: List[np.ndarray] = [bits for bits, _ in results]
         diags: List[dict] = [diag for _, diag in results]
         if self.health is not None:
@@ -385,13 +353,10 @@ class RegenerativePayload:
     def _demod_carrier(self, k: int, channel: np.ndarray, want: Optional[int]):
         """One carrier's demodulation lane: ``(bits, diagnostics)``.
 
-        The executor's unit of work.  Burst-sync and equipment faults
-        are contained *inside* the lane (silence plus a diagnostic for
-        the FDIR detection path), so one carrier's failure can never
-        abort or reorder another lane; anything else that raises is a
-        genuine bug and propagates.  Lanes touch only their own
-        equipment and emit no trace events, keeping results and trace
-        hashes bit-identical across backends and worker counts.
+        Burst-sync and equipment faults are contained *inside* the lane
+        (silence plus a diagnostic for the FDIR detection path), so one
+        carrier's failure can never abort another lane; anything else
+        that raises is a genuine bug and propagates.
         """
         from ..dsp.tdma import BurstSyncError
         from .equipment import EquipmentError

@@ -33,10 +33,9 @@ __all__ = [
 ]
 
 #: Cap on the diagnostic history ring buffers kept by the feedback
-#: loops.  Long-running carriers (the FDIR chaos campaigns run bursts
-#: for hours) previously grew ``error_history``/``tau_history`` without
-#: bound; a few thousand entries are plenty for every ``error_rms``
-#: window in the repo.
+#: loops.  Long-running carriers previously grew
+#: ``error_history``/``tau_history`` without bound; a few thousand
+#: entries are plenty for every ``error_rms`` window in the repo.
 HISTORY_MAXLEN = 4096
 
 

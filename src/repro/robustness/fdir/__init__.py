@@ -12,10 +12,13 @@ package turns them into autonomous recovery:
   personality fallback -> equipment isolation/failover (isolation +
   recovery);
 - :mod:`.degraded` -- link-budget-driven carrier shedding under deep
-  fades (graceful degradation);
-- :mod:`.chaos` -- the seeded traffic-plane fault campaign with
-  mechanical invariants (no silent corruption, no flapping, monotonic
-  degradation, full recovery).
+  fades (graceful degradation).
+
+The seeded traffic-plane fault sweep that exercises this stack is
+:func:`repro.scenarios.fdir_sweep`, run through the scenario runner and
+checked by :func:`repro.scenarios.result_violations` (no silent
+corruption, no flapping, monotonic degradation, full recovery, the
+expected recovery actions).
 
 Import note: like :mod:`repro.robustness.chaos`, this package is kept
 out of the :mod:`repro.robustness` namespace exports so that importing

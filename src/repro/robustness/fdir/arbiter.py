@@ -55,7 +55,7 @@ LADDER: Tuple[str, ...] = ("reacquire", "reload", "fallback", "isolate")
 
 #: default robustness-ordered personality fallbacks (most capable ->
 #: most robust).  ``modem.tdma.robust`` is the CFO-tolerant variant the
-#: traffic chaos world registers; payloads without it simply stop the
+#: scenario traffic world registers; payloads without it simply stop the
 #: chain one rung earlier.
 DEFAULT_FALLBACKS: Dict[str, str] = {
     "modem.tdma8": "modem.tdma",

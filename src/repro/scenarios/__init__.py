@@ -16,10 +16,17 @@ Three verification layers ride on top:
 - the **seeded soak sweep** (``tests/scenarios/test_soak.py``):
   randomized scenario grids over multiple seeds, checked against the
   cross-cutting invariants in
-  :func:`~repro.scenarios.runner.result_violations`.
+  :func:`~repro.scenarios.runner.result_violations`;
+- the **FDIR sweep** (:func:`~repro.scenarios.catalog.fdir_sweep`,
+  ``tests/scenarios/test_fdir_sweep.py``): the traffic-plane fault
+  missions x seeds, each with the recovery actions it must and must
+  never take.
+
+Every mission runs on the traffic-plane world of
+:mod:`repro.scenarios.world`.
 """
 
-from .catalog import canonical_scenarios, catalog_by_name, soak_grid
+from .catalog import canonical_scenarios, catalog_by_name, fdir_sweep, soak_grid
 from .corpus import (
     GoldenRecord,
     default_golden_dir,
@@ -39,7 +46,6 @@ from .oracles import (
 from .runner import ScenarioResult, ScenarioRunner, result_violations, run_scenario
 from .spec import (
     ContactSchedule,
-    ExecutorSpec,
     FadeSegment,
     FaultEvent,
     GroundLink,
@@ -50,12 +56,12 @@ from .spec import (
     SurgeProfile,
     TrafficMix,
 )
+from .world import TrafficWorld, build_traffic_world
 
 __all__ = [
     "BatchScalarDecodeOracle",
     "CdmaBatchScalarOracle",
     "ContactSchedule",
-    "ExecutorSpec",
     "FadeSegment",
     "FaultEvent",
     "GoldenRecord",
@@ -70,11 +76,14 @@ __all__ = [
     "ScenarioSpec",
     "SurgeProfile",
     "TrafficMix",
+    "TrafficWorld",
     "VcModeOracle",
+    "build_traffic_world",
     "canonical_scenarios",
     "catalog_by_name",
     "default_golden_dir",
     "diff_records",
+    "fdir_sweep",
     "load_corpus",
     "record_of",
     "regen_corpus",

@@ -2,12 +2,14 @@
 
 :func:`canonical_scenarios` returns the frozen mission set whose trace
 hashes and summary metrics live under ``tests/scenarios/golden/`` --
-one scenario per traffic-plane fault class the FDIR campaign exercises,
-plus the §3 reconfiguration missions (decoder swap, modem swap, lossy
-ground link) that only exist at this integration level.  Fault timing
-and magnitudes deliberately mirror the calibrated chaos campaign
-(onset at frame 8, 6-frame transients, 8 dB fade ramps) so every
-scenario lands in a regime the robustness suite already proves out.
+one scenario per traffic-plane fault class, plus the §3
+reconfiguration, overload and DTN missions.  Faults bite at frame 8
+(6-frame transients, 8 dB fade ramps) so every mission has a clean
+lead-in and a recovery tail.
+
+:func:`fdir_sweep` re-seeds the eight traffic-plane FDIR missions and
+attaches the FDIR actions each must (and must never) take -- the FDIR
+acceptance sweep.
 
 :func:`soak_grid` derives a deterministic pseudo-random grid of specs
 from a base seed for the seeded soak sweep -- same seed, same grid,
@@ -16,7 +18,8 @@ forever.
 
 from __future__ import annotations
 
-from typing import Dict, List
+import dataclasses
+from typing import Dict, Iterable, List
 
 from ..sim import RngRegistry, derive_seed
 from .spec import (
@@ -31,7 +34,7 @@ from .spec import (
     TrafficMix,
 )
 
-__all__ = ["canonical_scenarios", "catalog_by_name", "soak_grid"]
+__all__ = ["canonical_scenarios", "catalog_by_name", "fdir_sweep", "soak_grid"]
 
 
 def canonical_scenarios() -> List[ScenarioSpec]:
@@ -214,6 +217,48 @@ def canonical_scenarios() -> List[ScenarioSpec]:
 
 def catalog_by_name() -> Dict[str, ScenarioSpec]:
     return {s.name: s for s in canonical_scenarios()}
+
+
+#: recovery-ladder rungs and policy sheds a transient must never reach
+_DRASTIC = ("isolate", "terminal", "shed")
+
+#: FDIR mission -> (expected action kinds, forbidden action kinds)
+FDIR_EXPECTATIONS = {
+    "nominal": (
+        (),
+        ("reacquire", "reload", "fallback", "isolate", "terminal", "shed"),
+    ),
+    "lock-loss": (("reacquire",), _DRASTIC),
+    "interference": (("reacquire",), _DRASTIC),
+    "cfo-step": (("fallback",), _DRASTIC),
+    "decoder-seu": (("decoder_reload",), _DRASTIC),
+    "demod-latchup": (("isolate",), ("terminal", "shed")),
+    "double-latchup": (("isolate", "terminal"), ()),
+    "rain-fade": (("shed", "restore"), ("isolate", "terminal")),
+}
+
+
+def fdir_sweep(seeds: Iterable[int]) -> List[ScenarioSpec]:
+    """The traffic-plane FDIR acceptance sweep: mission x seed.
+
+    Each of the eight canonical FDIR missions (a fault-free control and
+    seven fault classes) is re-seeded once per seed and carries the
+    FDIR actions it must take and must never take, which
+    :func:`~repro.scenarios.runner.result_violations` checks alongside
+    the cross-cutting invariants.
+    """
+    seeds = list(seeds)
+    catalog = catalog_by_name()
+    return [
+        dataclasses.replace(
+            catalog[name],
+            seed=seed,
+            expect_actions=expect,
+            forbid_actions=forbid,
+        )
+        for name, (expect, forbid) in FDIR_EXPECTATIONS.items()
+        for seed in seeds
+    ]
 
 
 #: fault classes the soak sweep samples from (``None`` = clean run)

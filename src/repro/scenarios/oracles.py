@@ -32,8 +32,8 @@ from ..dsp.demux import multiplex_carriers
 from ..dsp.modem import ebn0_to_sigma
 from ..net.simnet import Link, Node
 from ..net.tmtc import TmtcLayer
-from ..robustness.fdir.chaos import build_traffic_world
 from ..sim import RngRegistry, Simulator, derive_seed
+from .world import build_traffic_world
 
 __all__ = [
     "OracleReport",
@@ -82,15 +82,13 @@ class BatchScalarDecodeOracle:
         mismatches: List[str] = []
         cases = 0
         for personality in ("decod.conv", "decod.turbo"):
-            world = build_traffic_world(
-                derive_seed(self.seed, "oracle", personality)
-            )
+            world = build_traffic_world()
             world.payload.decoder.load(personality)
             rngs = RngRegistry(derive_seed(self.seed, "oracle", "decode"))
             bits_rng = rngs.stream(f"bits.{personality}")
             noise_rng = rngs.stream(f"noise.{personality}")
             chain = world.payload.decoder.behaviour()
-            modem = world.ground_modem("modem.tdma")
+            modem = world.ground("modem.tdma")
             n_car = world.num_carriers
             for _f in range(self.frames):
                 sent = {}
@@ -269,7 +267,7 @@ class ModemABOracle:
         self.trials = trials
 
     def run(self) -> OracleReport:
-        world = build_traffic_world(derive_seed(self.seed, "oracle", "modem"))
+        world = build_traffic_world()
         registry = world.payload.registry
         rngs = RngRegistry(derive_seed(self.seed, "oracle", "modem"))
         bits_rng = rngs.stream("bits")

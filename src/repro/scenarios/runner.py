@@ -4,8 +4,8 @@ The runner assembles the *whole* stack for one mission timeline:
 
 - the FDIR traffic world (payload + DSP + coding + health monitors +
   recovery arbiter + degraded-mode policy + cold spares + watchdog),
-  built by :func:`repro.robustness.fdir.chaos.build_traffic_world` with
-  the spec's carrier count and link budget;
+  built by :func:`repro.scenarios.world.build_traffic_world` with the
+  spec's carrier count and link budget;
 - a simulated TC/TM ground segment -- NCC and satellite gateway nodes
   joined by a :class:`repro.net.simnet.Link` with the spec's delay,
   rate and bit-error rate -- on which the reconfiguration plan runs as
@@ -21,7 +21,9 @@ function of the spec: two runs of the same spec must hash identically,
 and the golden corpus freezes those hashes as the conformance oracle.
 :func:`result_violations` applies the cross-cutting invariants (no
 silent corruption, no flapping, monotonic degradation, recovery at the
-expected width, exactly-once TC execution) to any result.
+expected width, expected and forbidden FDIR actions, exactly-once TC
+execution) to any result; the FDIR acceptance sweep is
+:func:`repro.scenarios.catalog.fdir_sweep` run through it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from ..robustness.dtn import (
     ResumableReceiver,
     ResumableUploader,
 )
-from ..robustness.fdir.chaos import TrafficWorld, build_traffic_world
 from ..robustness.overload.admission import AdmissionController
 from ..robustness.overload.brownout import BrownoutLadder
 from ..robustness.overload.deadline import Deadline
@@ -61,6 +62,7 @@ from .spec import (
     ReconfigAction,
     ScenarioSpec,
 )
+from .world import TrafficWorld, build_traffic_world
 
 __all__ = [
     "MAX_ALARM_TRIPS",
@@ -76,7 +78,7 @@ __all__ = [
 #: missions retain every event; evictions would still be deterministic)
 TRACE_CAPACITY = 32768
 
-#: flapping bounds shared with the FDIR chaos campaign
+#: flapping bounds: alarm trips / shed-restore transitions per carrier
 MAX_ALARM_TRIPS = 3
 MAX_POLICY_TRANSITIONS = 3
 
@@ -96,8 +98,10 @@ class ScenarioResult:
 
     ``metrics`` is flat JSON-able data (the golden summary);
     ``kind_counts`` maps trace-event kinds to counts so a hash drift
-    diffs down to *which* event stream diverged; the histories feed the
-    invariant checks.
+    diffs down to *which* event stream diverged; the per-frame histories
+    feed the invariant checks (``alarm_history`` counts the alarms
+    standing before the arbiter acts -- tripped carrier monitors plus a
+    dead shared decoder -- the FDIR detection signal).
     """
 
     spec: ScenarioSpec
@@ -107,12 +111,25 @@ class ScenarioResult:
     kind_counts: Dict[str, int]
     metrics: Dict[str, object]
     active_history: List[int] = field(default_factory=list)
+    alarm_history: List[int] = field(default_factory=list)
     severity_history: List[float] = field(default_factory=list)
     frame_ok_history: List[bool] = field(default_factory=list)
 
     @property
     def name(self) -> str:
         return self.spec.name
+
+    @property
+    def detection_latency(self) -> Optional[int]:
+        """Frames from the first injected fault or fade to the first
+        standing alarm (``None`` when nothing was injected or detected)."""
+        onset = self.spec.fault_onset
+        if onset is None:
+            return None
+        for f in range(onset, len(self.alarm_history)):
+            if self.alarm_history[f]:
+                return f - onset
+        return None
 
 
 class _DemandPlane:
@@ -237,23 +254,10 @@ class ScenarioRunner:
         spec = self.spec
         sim = Simulator()
         rngs = RngRegistry(derive_seed(spec.seed, "scenario", spec.name))
-        executor = None
-        if spec.executor is not None:
-            # throughput-only knob: the executor's determinism contract
-            # keeps bits, diagnostics and the trace hash identical to
-            # the serial reference, so golden records never depend on it
-            from ..parallel import CarrierExecutor
-
-            executor = CarrierExecutor(
-                backend=spec.executor.backend, workers=spec.executor.workers
-            )
         world = build_traffic_world(
-            spec.seed,
             num_carriers=spec.num_carriers,
-            base_cn_db=spec.link.base_cn_db,
             down_cn_db=spec.link.down_cn_db,
             required_ber=spec.link.required_ber,
-            executor=executor,
         )
         ground = Node(sim, "ncc", 1)
         space = Node(sim, "sat", 2)
@@ -324,15 +328,6 @@ class ScenarioRunner:
             pair = world.payload.demods[ev.carrier]
             pair.mark_unit_failed(pair.active)
 
-    def _chain_for(self, world: TrafficWorld, design: str):
-        """Ground-side transport chain matching the decoder personality."""
-        chains = self._chains
-        chain = chains.get(design)
-        if chain is None:
-            chain = world.payload.registry.get(design).factory()
-            chains[design] = chain
-        return chain
-
     # -- the mission process ----------------------------------------------
     def _campaign(self, ncc: NetworkControlCenter, rc: ReconfigAction):
         result = yield from ncc.reconfigure_equipment(
@@ -372,10 +367,16 @@ class ScenarioRunner:
             self._frame(f, world, offer_rng, bits_rng, noise_rng, probe)
             yield sim.timeout(spec.frame_duration)
         # join outstanding reconfiguration campaigns so the exactly-once
-        # accounting is final when the mission event fires
+        # accounting is final when the mission event fires; a campaign
+        # that already died fails the mission with its own exception
+        # (finished campaigns are not yielded: that would add kernel
+        # events to every mission)
         for proc in campaigns:
             if proc.is_alive:
                 yield proc
+        for proc in campaigns:
+            if not proc.ok:
+                raise proc.value
 
     def _frame(self, f, world, offer_rng, bits_rng, noise_rng, probe):
         spec = self.spec
@@ -400,7 +401,7 @@ class ScenarioRunner:
             self._demand.step(f, len(active))
         frame_ok = len(active) == expected_final
         dec_design = world.payload.decoder.loaded_design or "decod.conv"
-        chain = self._chain_for(world, dec_design)
+        chain = world.ground(dec_design)
         sent: Dict[int, np.ndarray] = {}
         offered: Dict[int, bool] = {}
         streams: Dict[int, np.ndarray] = {}
@@ -411,7 +412,7 @@ class ScenarioRunner:
         for k in active:
             eq = world.payload.demods[k]
             design = eq.loaded_design or "modem.tdma"
-            modem = world.ground_modem(design)
+            modem = world.ground(design)
             # idle carriers still carry a keep-alive burst (random fill,
             # same signal statistics as traffic) so the health monitors
             # keep seeing sync -- real MF-TDMA slots are never silent
@@ -478,9 +479,14 @@ class ScenarioRunner:
                     frame_ok = False
         else:
             frame_ok = expected_final == 0
+        # the FDIR detection signal: tripped carrier alarms, plus the
+        # shared decoder's own alarm when its equipment is down
+        alarms = len(world.bank.tripped_carriers())
+        alarms += not world.payload.decoder.operational
         world.arbiter.step(served=active)
         world.policy.update(cn)
         self.active_history.append(len(world.policy.active_carriers))
+        self.alarm_history.append(alarms)
         self.severity_history.append(severity)
         self.frame_ok_history.append(frame_ok)
         if probe is not None:
@@ -498,7 +504,6 @@ class ScenarioRunner:
     def run(self) -> ScenarioResult:
         """Run the scenario under a fresh observability session."""
         spec = self.spec
-        self._chains: Dict[str, object] = {}
         self._demand: Optional[_DemandPlane] = None
         self._dtn = None
         self._m = {
@@ -509,6 +514,7 @@ class ScenarioRunner:
             "keepalive": 0,
         }
         self.active_history: List[int] = []
+        self.alarm_history: List[int] = []
         self.severity_history: List[float] = []
         self.frame_ok_history: List[bool] = []
         completed, error = True, None
@@ -526,13 +532,12 @@ class ScenarioRunner:
                 error = f"{type(exc).__name__}: {exc}"
                 while len(self.active_history) < spec.frames:
                     self.active_history.append(0)
+                    self.alarm_history.append(0)
                     self.severity_history.append(0.0)
                     self.frame_ok_history.append(False)
             metrics = self._collect(sim, world, ncc, gateway, tracer)
             trace_hash = tracer.hash()
             kind_counts = tracer.kind_counts()
-            if world.payload.executor is not None:
-                world.payload.executor.close()
         return ScenarioResult(
             spec=spec,
             completed=completed,
@@ -541,6 +546,7 @@ class ScenarioRunner:
             kind_counts=kind_counts,
             metrics=metrics,
             active_history=self.active_history,
+            alarm_history=self.alarm_history,
             severity_history=self.severity_history,
             frame_ok_history=self.frame_ok_history,
         )
@@ -713,6 +719,13 @@ def result_violations(result: ScenarioResult) -> List[str]:
             f"no recovery: {m['final_active']} active carriers at end, "
             f"expected {expected}"
         )
+    kinds = set(m["actions"]) | set(m["policy_events"])
+    for want in spec.expect_actions:
+        if want not in kinds:
+            v.append(f"expected action {want!r} never happened")
+    for bad in spec.forbid_actions:
+        if bad in kinds:
+            v.append(f"forbidden action {bad!r} happened")
     if spec.recovery_tail:
         tail = result.frame_ok_history[-spec.recovery_tail :]
         if tail and sum(tail) < len(tail):

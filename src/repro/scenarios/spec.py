@@ -28,10 +28,8 @@ from typing import Dict, List, Optional, Tuple
 __all__ = [
     "CHANNEL_FAULT_KINDS",
     "EQUIPMENT_FAULT_KINDS",
-    "EXECUTOR_BACKENDS",
     "FADE_SHAPES",
     "ContactSchedule",
-    "ExecutorSpec",
     "FaultEvent",
     "FadeSegment",
     "GroundLink",
@@ -54,9 +52,6 @@ CHANNEL_FAULT_KINDS = ("blank", "interference", "cfo")
 EQUIPMENT_FAULT_KINDS = ("seu.decoder", "latchup.demod")
 #: supported fade profile shapes
 FADE_SHAPES = ("step", "ramp")
-#: carrier-parallel uplink backends (mirrors :data:`repro.parallel.BACKENDS`;
-#: kept literal so the spec layer stays pure data with no runtime imports)
-EXECUTOR_BACKENDS = ("serial", "threads")
 
 
 @dataclass(frozen=True)
@@ -184,8 +179,9 @@ class FaultEvent:
     is kind-specific (interference dB boost, CFO in cycles/sample).
     Equipment faults (:data:`EQUIPMENT_FAULT_KINDS`) strike the hardware
     once at ``frame``: ``seu.decoder`` upsets ``magnitude`` configuration
-    bits of the shared decoder fabric, ``latchup.demod`` permanently
-    kills carrier ``carrier``'s active demodulator unit.
+    bits of the shared decoder fabric (a whole number; 0 means the
+    default of 200), ``latchup.demod`` permanently kills carrier
+    ``carrier``'s active demodulator unit.
     """
 
     frame: int
@@ -204,6 +200,13 @@ class FaultEvent:
             out.append(f"{tag}.frame {self.frame} outside [0, {frames})")
         if self.duration < 1:
             out.append(f"{tag}.duration {self.duration} must be >= 1")
+        if self.kind == "seu.decoder" and not (
+            self.magnitude >= 0 and float(self.magnitude).is_integer()
+        ):
+            out.append(
+                f"{tag}.magnitude {self.magnitude} must be a whole number "
+                "of upset bits >= 0"
+            )
         needs_carrier = self.kind in CHANNEL_FAULT_KINDS or self.kind == "latchup.demod"
         if needs_carrier:
             if self.carrier is None:
@@ -250,36 +253,6 @@ class ReconfigAction:
             out.append(f"{tag}.equipment must be named")
         if not self.function:
             out.append(f"{tag}.function must be named")
-        return out
-
-
-@dataclass(frozen=True)
-class ExecutorSpec:
-    """Carrier-parallel execution of the scenario's uplink demod path.
-
-    When present, the runner attaches a
-    :class:`~repro.parallel.CarrierExecutor` to the world's payload so
-    every frame's per-carrier demodulation fans out across ``workers``
-    (``None`` = auto-size from the host).  This is a pure *throughput*
-    knob: the engine's determinism contract guarantees bit-identical
-    bits, diagnostics, FDIR deliveries and trace hashes across backends
-    and worker counts, so a spec with an executor produces the same
-    ``trace_hash`` as the serial reference -- only the wall-clock moves.
-    Omitted at its default (``None`` on the spec) from the canonical
-    JSON so pre-existing spec hashes cannot drift.
-    """
-
-    backend: str = "threads"
-    workers: Optional[int] = None
-
-    def problems(self) -> List[str]:
-        out = []
-        if self.backend not in EXECUTOR_BACKENDS:
-            out.append(
-                f"executor.backend {self.backend!r} not in {EXECUTOR_BACKENDS}"
-            )
-        if self.workers is not None and self.workers < 1:
-            out.append(f"executor.workers {self.workers} must be >= 1")
         return out
 
 
@@ -402,12 +375,14 @@ class ScenarioSpec:
     surge: Optional[SurgeProfile] = None
     #: ground-station visibility plan (None = permanent contact, no DTN)
     contacts: Optional[ContactSchedule] = None
-    #: carrier-parallel uplink execution (None = reference serial loop)
-    executor: Optional[ExecutorSpec] = None
     #: carriers expected in service at mission end (None = all)
     expected_final_active: Optional[int] = None
     #: trailing frames that must deliver cleanly at the expected width
     recovery_tail: int = 4
+    #: FDIR arbiter/policy action kinds that must happen at least once
+    expect_actions: Tuple[str, ...] = ()
+    #: FDIR arbiter/policy action kinds that must never happen
+    forbid_actions: Tuple[str, ...] = ()
 
     # -- validation ------------------------------------------------------
     def problems(self) -> List[str]:
@@ -438,16 +413,23 @@ class ScenarioSpec:
             out.extend(seg.problems(self.frames, i))
         for i, ev in enumerate(self.faults):
             out.extend(ev.problems(self.frames, self.num_carriers, i))
+        equipment = {"decod0"} | {f"demod{k}" for k in range(self.num_carriers)}
         for i, rc in enumerate(self.reconfigs):
             out.extend(rc.problems(self.frames, i))
+            if rc.equipment and rc.equipment not in equipment:
+                out.append(
+                    f"reconfigs[{i}].equipment {rc.equipment!r} not on board "
+                    f"(decod0, demod0..demod{self.num_carriers - 1})"
+                )
+        both = set(self.expect_actions) & set(self.forbid_actions)
+        if both:
+            out.append(f"actions {sorted(both)} both expected and forbidden")
         out.extend(self.link.problems())
         out.extend(self.ground.problems())
         if self.surge is not None:
             out.extend(self.surge.problems(self.frames))
         if self.contacts is not None:
             out.extend(self.contacts.problems())
-        if self.executor is not None:
-            out.extend(self.executor.problems())
         return out
 
     def validate(self) -> "ScenarioSpec":
@@ -480,19 +462,25 @@ class ScenarioSpec:
                 s += 1.0
         return s
 
+    @property
+    def fault_onset(self) -> Optional[int]:
+        """First frame any fault or fade bites (None for a clean mission)."""
+        starts = [ev.frame for ev in self.faults]
+        starts += [seg.start for seg in self.fades]
+        return min(starts) if starts else None
+
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """Plain JSON-able dict (tuples become lists).
 
         Fields added after the golden corpus froze (``contacts``,
-        ``executor``) are omitted at their default so pre-existing spec
-        hashes cannot drift.
+        ``expect_actions``, ``forbid_actions``) are omitted at their
+        default so pre-existing spec hashes cannot drift.
         """
         d = asdict(self)
-        if self.contacts is None:
-            d.pop("contacts")
-        if self.executor is None:
-            d.pop("executor")
+        for key in ("contacts", "expect_actions", "forbid_actions"):
+            if not d[key]:
+                d.pop(key)
         return d
 
     @classmethod
@@ -520,14 +508,11 @@ class ScenarioSpec:
                     outages=tuple(tuple(o) for o in c.pop("outages", ())),
                     **c,
                 )
-            executor = (
-                ExecutorSpec(**d["executor"]) if d.get("executor") else None
-            )
         except TypeError as exc:
             raise ScenarioError(f"bad scenario dict: {exc}") from exc
         for key in (
             "traffic", "fades", "faults", "reconfigs", "link", "ground",
-            "surge", "contacts", "executor",
+            "surge", "contacts", "expect_actions", "forbid_actions",
         ):
             d.pop(key, None)
         try:
@@ -540,7 +525,8 @@ class ScenarioSpec:
                 ground=ground,
                 surge=surge,
                 contacts=contacts,
-                executor=executor,
+                expect_actions=tuple(data.get("expect_actions", ())),
+                forbid_actions=tuple(data.get("forbid_actions", ())),
                 **d,
             )
         except TypeError as exc:

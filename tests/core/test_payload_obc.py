@@ -123,6 +123,68 @@ class TestPayloadChain:
         assert out["dropped"] == 1
 
 
+class TestMixedFaultFrame:
+    """One dead demod + one sync-lost carrier, healthy neighbours."""
+
+    CARRIERS, DEAD, LOST = 4, 1, 2
+
+    def _payload(self):
+        from repro.core.registry import default_registry
+        from repro.dsp.tdma import BurstFormat
+
+        registry = default_registry(
+            tdma_burst=BurstFormat(preamble=16, uw=16, payload=96),
+            transport_block=40,
+        )
+        pl = RegenerativePayload(
+            PayloadConfig(num_carriers=self.CARRIERS, channelizer_taps=8),
+            registry=registry,
+        )
+        pl.boot()
+        return pl
+
+    def _uplink(self, pl):
+        """A clean frame of real coded transport blocks on every carrier."""
+        rng = RngRegistry(7).stream("mixed-fault")
+        chain = pl.decoder.behaviour()
+        modem = pl.demods[0].behaviour()
+        bits = []
+        for _ in range(self.CARRIERS):
+            block = rng.integers(0, 2, chain.transport_block).astype(np.uint8)
+            bits.append(chain.encode(block)[: modem.bits_per_burst])
+        wide = pl.build_uplink(bits)
+        return wide + 0.02 * (
+            rng.standard_normal(len(wide)) + 1j * rng.standard_normal(len(wide))
+        )
+
+    def test_faults_stay_in_their_lanes(self):
+        from repro.dsp.tdma import BurstSyncError
+
+        pl = self._payload()
+        wide = self._uplink(pl)  # built while every carrier still works
+        # dead equipment: powered off with no design -> EquipmentError
+        pl.demods[self.DEAD].unload()
+        # sync loss: the cached personality instance loses the burst
+        lost = pl.demods[self.LOST].behaviour()
+
+        def no_sync(*args, **kwargs):
+            raise BurstSyncError("unique word not found")
+
+        lost.receive = no_sync
+        out = pl.process_uplink(wide, decode=True)
+        diags, decoded = out["diagnostics"], out["decoded"]
+        assert "equipment_failed" in diags[self.DEAD]
+        assert "sync_failed" in diags[self.LOST]
+        for k in (self.DEAD, self.LOST):
+            assert not np.any(out["bits"][k])
+            assert decoded[k] is None
+        # the faults never spilled into the healthy lanes
+        for k in (0, 3):
+            assert "sync_failed" not in diags[k]
+            assert "equipment_failed" not in diags[k]
+            assert decoded[k] is not None and decoded[k]["crc_ok"]
+
+
 class TestReturnLinkFrontDoor:
     """process_return_link: the payload's multi-user CDMA entry point."""
 

@@ -1,6 +1,6 @@
 """Tests for the FDIR recovery-ladder arbiter.
 
-Uses the traffic chaos world as the fixture (3 carriers, redundant
+Uses the scenario traffic world as the fixture (3 carriers, redundant
 demod pairs, seeded library, watchdog, degraded-mode policy) but feeds
 the health monitors synthetic diagnostics instead of running the DSP
 chain, so each test exercises exactly one ladder decision.
@@ -9,7 +9,7 @@ chain, so each test exercises exactly one ladder decision.
 import pytest
 
 from repro.robustness.fdir import DEFAULT_FALLBACKS, LADDER, FdirArbiter
-from repro.robustness.fdir.chaos import build_traffic_world
+from repro.scenarios import build_traffic_world
 
 pytestmark = pytest.mark.fdir
 
@@ -30,7 +30,7 @@ ALL = [0, 1, 2]
 
 @pytest.fixture
 def world():
-    return build_traffic_world(seed=7)
+    return build_traffic_world()
 
 
 def feed(world, carrier, diag, n=1):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.scenarios import (
     FaultEvent,
+    ReconfigAction,
     ScenarioError,
     ScenarioSpec,
     result_violations,
@@ -20,8 +21,8 @@ pytestmark = pytest.mark.scenario
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
-def _tiny(name="tiny-runner", **kw):
-    return ScenarioSpec(name=name, frames=6, recovery_tail=2, **kw)
+def _tiny(name="tiny-runner", frames=6, **kw):
+    return ScenarioSpec(name=name, frames=frames, recovery_tail=2, **kw)
 
 
 def test_same_seed_same_trace_hash_regression():
@@ -65,6 +66,56 @@ def test_violation_messages_name_the_broken_invariant():
     assert any("no recovery" in v for v in result_violations(rigged))
     rigged = dataclasses.replace(result, completed=False, error="Boom: x")
     assert any("did not complete" in v for v in result_violations(rigged))
+
+
+def test_expected_and_forbidden_actions_are_checked():
+    result = run_scenario(_tiny())
+    assert result.metrics["actions"] == {}
+    rigged = dataclasses.replace(
+        result,
+        spec=dataclasses.replace(result.spec, expect_actions=("reacquire",)),
+    )
+    assert result_violations(rigged) == [
+        "expected action 'reacquire' never happened"
+    ]
+    # policy events count as actions too
+    rigged = dataclasses.replace(
+        result,
+        spec=dataclasses.replace(result.spec, forbid_actions=("shed",)),
+        metrics={**result.metrics, "policy_events": {"shed": 1}},
+    )
+    assert result_violations(rigged) == ["forbidden action 'shed' happened"]
+
+
+def test_failed_campaign_surfaces_its_exception():
+    """A reconfiguration campaign that raises fails the run with its
+    own exception instead of a bare 'planned reconfigurations' count."""
+    spec = _tiny(
+        frames=8,
+        reconfigs=(
+            ReconfigAction(frame=2, equipment="decod0", function="decod.nope"),
+        ),
+    )
+    result = run_scenario(spec)
+    assert not result.completed
+    assert result.error.startswith("KeyError")
+    assert "decod.nope" in result.error
+    assert any("decod.nope" in v for v in result_violations(result))
+
+
+def test_detection_latency_from_alarm_history():
+    result = run_scenario(
+        _tiny(
+            frames=12,
+            faults=(FaultEvent(frame=4, kind="latchup.demod", carrier=1),),
+        )
+    )
+    assert len(result.alarm_history) == 12
+    assert not any(result.alarm_history[:4])
+    latency = result.detection_latency
+    assert latency is not None and latency <= 6
+    assert result.alarm_history[4 + latency] > 0
+    assert run_scenario(_tiny()).detection_latency is None
 
 
 def test_exactly_once_over_lossy_ground_link():

@@ -1,5 +1,6 @@
 """Spec layer: validation, serialization round-trip, hashing, profiles."""
 
+import json
 import math
 
 import pytest
@@ -47,11 +48,37 @@ def test_validation_collects_every_problem_at_once():
         (FaultEvent(frame=2, kind="blank"), "carrier"),
         (FaultEvent(frame=2, kind="latchup.demod", carrier=9), "carrier"),
         (FaultEvent(frame=-1, kind="seu.decoder"), "frame"),
+        (FaultEvent(frame=2, kind="seu.decoder", magnitude=-5), "magnitude"),
+        (FaultEvent(frame=2, kind="seu.decoder", magnitude=0.5), "magnitude"),
     ],
 )
 def test_bad_faults_are_rejected(fault, fragment):
     spec = ScenarioSpec(name="bad-fault", frames=8, faults=(fault,))
     assert any(fragment in p for p in spec.problems())
+
+
+@pytest.mark.parametrize("magnitude", [0, 1, 200.0, 4096])
+def test_seu_magnitude_whole_bit_counts_accepted(magnitude):
+    """0 keeps meaning the default upset count; other whole numbers pass."""
+    fault = FaultEvent(frame=2, kind="seu.decoder", magnitude=magnitude)
+    assert ScenarioSpec(name="seu", frames=8, faults=(fault,)).problems() == []
+
+
+def test_reconfig_equipment_must_be_on_board():
+    def spec(equipment):
+        return ScenarioSpec(
+            name="rc-eq",
+            frames=8,
+            reconfigs=(
+                ReconfigAction(frame=2, equipment=equipment, function="decod.turbo"),
+            ),
+        )
+
+    for name in ("decod0", "demod0", "demod2"):
+        assert spec(name).problems() == []
+    for name in ("demod3", "demod9", "decod1", "nope"):
+        with pytest.raises(ScenarioError, match="not on board"):
+            spec(name).validate()
 
 
 def test_bad_reconfig_is_rejected():
@@ -175,3 +202,33 @@ class TestSurgeProfile:
         without = ScenarioSpec(name="s", frames=24)
         assert ScenarioSpec.from_dict(without.to_dict()).surge is None
         assert without.spec_hash() != with_surge.spec_hash()
+
+
+class TestActionExpectations:
+    def test_omitted_when_empty_so_spec_hashes_hold(self):
+        spec = ScenarioSpec(name="h", frames=8)
+        d = spec.to_dict()
+        assert "expect_actions" not in d and "forbid_actions" not in d
+        # a dict written before the fields existed still loads
+        assert ScenarioSpec.from_dict(d) == spec
+
+    def test_round_trip_and_hash_sensitivity(self):
+        spec = ScenarioSpec(
+            name="h",
+            frames=8,
+            expect_actions=("reacquire",),
+            forbid_actions=("isolate", "terminal"),
+        )
+        d = json.loads(spec.canonical_json())
+        assert d["expect_actions"] == ["reacquire"]
+        back = ScenarioSpec.from_dict(d)
+        assert back == spec
+        assert back.spec_hash() == spec.spec_hash()
+        assert spec.spec_hash() != ScenarioSpec(name="h", frames=8).spec_hash()
+
+    def test_contradiction_rejected(self):
+        spec = ScenarioSpec(
+            name="h", frames=8, expect_actions=("shed",), forbid_actions=("shed",)
+        )
+        with pytest.raises(ScenarioError, match="both expected and forbidden"):
+            spec.validate()

@@ -7,7 +7,9 @@ baseline for the batching engine (see docs/performance.md): it measures
 bursts/sec for the scalar (one-burst-per-call) path against the batched
 path at several batch sizes, asserts the headline >= 5x speedup at
 batch=16 on the UMTS rate-1/3 K=9 code, and checks bit-identity between
-the two paths on every measured input.
+the two paths on every measured input.  The MF-TDMA front end is gated
+the same way: ``TdmaModem.receive_batch`` over a 16-carrier stack must
+reach >= 3x the per-carrier ``receive`` loop.
 
 Run modes
 ---------
@@ -32,6 +34,7 @@ from repro.caching import design_cache_stats
 from repro.coding import TurboCode, UMTS_RATE_13
 from repro.core.payload import PayloadConfig, RegenerativePayload
 from repro.core.registry import default_registry
+from repro.dsp.tdma import BurstFormat, TdmaModem
 from repro.obs.probes import probe
 from repro.sim import RngRegistry
 
@@ -132,6 +135,62 @@ def test_turbo_burst_batch_throughput(rng):
     _gauge("turbo_bursts_per_sec_batched", nb, nb / t_batched)
     if not SMOKE:
         assert ratio >= 2.0, f"batched turbo speedup {ratio:.2f}x regressed"
+
+
+def test_tdma_front_end_batch_throughput(rng):
+    """One ``receive_batch`` over a ``(C, n)`` carrier stack >= 3x bursts/sec
+    over the per-carrier ``receive`` loop at C=16 (traffic-world bursts)."""
+    modem = TdmaModem(BurstFormat(preamble=16, uw=16, payload=96))
+    reps, rounds = (1, 1) if SMOKE else (20, 3)
+    carriers = (2,) if SMOKE else (8, 16)
+    rows = []
+    headline = None
+    for nc in carriers:
+        bits = rng.integers(0, 2, (nc, modem.bits_per_burst)).astype(np.uint8)
+        tx = modem.transmit_batch(bits)
+        # channelizer-like rows: a few samples of lead-in, so the rows of
+        # one stack recover different strobe counts
+        stack = np.zeros((nc, tx.shape[1] + 2 * modem.sps), dtype=np.complex128)
+        for r in range(nc):
+            stack[r, r % 4 : r % 4 + tx.shape[1]] = tx[r]
+        stack += 0.1 * (
+            rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape)
+        )
+
+        batched = modem.receive_batch(stack)
+        for r in range(nc):
+            scalar = modem.receive(stack[r])
+            assert np.array_equal(batched[r]["bits"], scalar["bits"])
+            assert np.array_equal(batched[r]["symbols"], scalar["symbols"])
+            assert batched[r]["snr_db"] == scalar["snr_db"], "batched != scalar"
+            assert np.array_equal(batched[r]["bits"], bits[r])
+
+        # best of 3 rounds: sub-10 ms calls are at the mercy of host load
+        t_scalar = min(
+            _time_per_call(lambda: [modem.receive(x) for x in stack], reps)
+            for _ in range(rounds)
+        )
+        t_batched = min(
+            _time_per_call(lambda: modem.receive_batch(stack), reps)
+            for _ in range(rounds)
+        )
+        ratio = t_scalar / t_batched
+        rows.append(
+            [nc, f"{nc / t_scalar:.0f}", f"{nc / t_batched:.0f}", f"{ratio:.2f}x"]
+        )
+        _gauge("tdma_bursts_per_sec_scalar", nc, nc / t_scalar)
+        _gauge("tdma_bursts_per_sec_batched", nc, nc / t_batched)
+        if nc == 16:
+            headline = ratio
+    print_table(
+        "batched MF-TDMA receive (128-symbol QPSK bursts, sps 4) bursts/sec",
+        ["carriers", "scalar", "batched", "speedup"],
+        rows,
+    )
+    if not SMOKE:
+        assert headline is not None and headline >= 3.0, (
+            f"batched TDMA receive speedup {headline:.2f}x below the 3x target"
+        )
 
 
 def test_payload_uplink_batched_decode(rng):

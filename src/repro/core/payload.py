@@ -274,15 +274,27 @@ class RegenerativePayload:
 
         Each carrier's burst is produced by that carrier's *current*
         modem personality, so the synthesized signal always matches what
-        the demodulators expect.
+        the demodulators expect.  TDMA carriers sharing a personality
+        are synthesized in one ``transmit_batch`` call.
         """
         cfg = self.config
         if len(bits_per_carrier) != cfg.num_carriers:
             raise ValueError(f"need bits for {cfg.num_carriers} carriers")
-        streams = []
-        for eq, bits in zip(self.demods, bits_per_carrier):
+        streams: List[Optional[np.ndarray]] = [None] * cfg.num_carriers
+        groups: Dict[Optional[str], tuple] = {}
+        for k, (eq, bits) in enumerate(zip(self.demods, bits_per_carrier)):
             modem = eq.behaviour()
-            streams.append(modem.transmit(np.asarray(bits, dtype=np.uint8)))
+            if hasattr(modem, "transmit_batch"):  # TDMA
+                groups.setdefault(eq.loaded_design, (modem, []))[1].append(k)
+            else:  # CDMA
+                streams[k] = modem.transmit(np.asarray(bits, dtype=np.uint8))
+        for modem, ks in groups.values():
+            rows = [np.asarray(bits_per_carrier[k], dtype=np.uint8).ravel() for k in ks]
+            stack = np.zeros((len(rows), max(len(r) for r in rows)), dtype=np.uint8)
+            for i, r in enumerate(rows):
+                stack[i, : len(r)] = r
+            for k, burst in zip(ks, modem.transmit_batch(stack)):
+                streams[k] = burst
         n = max(len(s) for s in streams)
         bb = np.zeros((cfg.num_carriers, n), dtype=np.complex128)
         for k, s in enumerate(streams):
@@ -292,6 +304,32 @@ class RegenerativePayload:
         return multiplex_carriers(bb, cfg.num_carriers)
 
     # -- the receive chain -----------------------------------------------------
+    def channelize(self, wideband: np.ndarray, beam: int = 0) -> np.ndarray:
+        """ADC, beam selection and DEMUX: one baseband row per carrier.
+
+        The front of the Fig. 2 Rx chain, ahead of the demodulators.
+        With a multi-element front end, ``beam`` selects which DBFN
+        output feeds the carrier DEMUX.  Raises ``ValueError`` for a
+        multi-carrier block shorter than one channelizer frame
+        (``num_carriers`` samples).
+        """
+        cfg = self.config
+        x = self.adc.convert(np.asarray(wideband))
+        if self.dbfn is not None:
+            if not 0 <= beam < self.dbfn.num_beams:
+                raise ValueError(f"beam {beam} out of range")
+            x = self.dbfn.form_beams(x)[beam]
+        if self.channelizer is None:
+            return x[None, :]
+        usable = (len(x) // cfg.num_carriers) * cfg.num_carriers
+        if not usable:
+            raise ValueError(
+                f"wideband block of {len(x)} samples is shorter than the "
+                f"{cfg.num_carriers}-sample minimum of a "
+                f"{cfg.num_carriers}-carrier DEMUX"
+            )
+        return self.channelizer.process(x[:usable])
+
     def process_uplink(
         self,
         wideband: np.ndarray,
@@ -308,6 +346,12 @@ class RegenerativePayload:
         beam; a full multi-beam payload instantiates one payload per
         beam or time-shares the bank).
 
+        The demodulator bank runs batch-first: live TDMA carriers are
+        grouped by loaded personality and each group is demodulated in
+        **one** :meth:`~repro.dsp.tdma.TdmaModem.receive_batch` call
+        over its ``(C, n)`` channel stack; CDMA carriers keep their
+        per-carrier path.
+
         With ``decode=True`` the payload also regenerates every
         carrier's transport block **in one batched decoder call**: each
         successfully synchronized carrier's payload symbols are
@@ -323,23 +367,8 @@ class RegenerativePayload:
         Returns per-carrier demodulated bits plus chain diagnostics
         (and ``decoded`` when requested).
         """
-        cfg = self.config
-        x = self.adc.convert(np.asarray(wideband))
-        if self.dbfn is not None:
-            if not 0 <= beam < self.dbfn.num_beams:
-                raise ValueError(f"beam {beam} out of range")
-            x = self.dbfn.form_beams(x)[beam]
-        if self.channelizer is not None:
-            usable = (len(x) // cfg.num_carriers) * cfg.num_carriers
-            channels = self.channelizer.process(x[:usable])
-        else:
-            channels = x[None, :]
-        results = [
-            self._demod_carrier(
-                k, channels[k], bits_expected[k] if bits_expected else None
-            )
-            for k in range(len(self.demods))
-        ]
+        channels = self.channelize(wideband, beam)
+        results = self._demod_carriers(channels, bits_expected)
         out_bits: List[np.ndarray] = [bits for bits, _ in results]
         diags: List[dict] = [diag for _, diag in results]
         if self.health is not None:
@@ -350,36 +379,50 @@ class RegenerativePayload:
             result["decoded"] = self._decode_uplink_blocks(diags)
         return result
 
-    def _demod_carrier(self, k: int, channel: np.ndarray, want: Optional[int]):
-        """One carrier's demodulation lane: ``(bits, diagnostics)``.
+    def _demod_carriers(
+        self, channels: np.ndarray, bits_expected: Optional[List[int]]
+    ) -> List[tuple]:
+        """Every carrier's demodulation lane: ``[(bits, diagnostics)]``.
 
-        Burst-sync and equipment faults are contained *inside* the lane
+        Equipment and burst-sync faults are contained *per carrier*
         (silence plus a diagnostic for the FDIR detection path), so one
-        carrier's failure can never abort another lane; anything else
-        that raises is a genuine bug and propagates.
+        carrier's failure can never abort another lane: a dead
+        demodulator is caught before its carrier joins a batch, and a
+        carrier that loses sync comes back from ``receive_batch`` as its
+        own row's :class:`~repro.dsp.tdma.BurstSyncError`.  Anything
+        else that raises is a genuine bug and propagates.
         """
         from ..dsp.tdma import BurstSyncError
         from .equipment import EquipmentError
 
-        eq = self.demods[k]
-        try:
-            modem = eq.behaviour()
+        results: List[Optional[tuple]] = [None] * len(self.demods)
+        groups: Dict[tuple, tuple] = {}
+        for k, eq in enumerate(self.demods):
+            want = bits_expected[k] if bits_expected else None
+            try:
+                modem = eq.behaviour()
+            except EquipmentError as exc:
+                # fault containment: a dead demodulator (latch-up, SEU)
+                # silences its own carrier only -- the FDIR isolation
+                # ladder picks the diagnostic up from here
+                n = want or 128
+                results[k] = (np.zeros(n, dtype=np.uint8), {"equipment_failed": str(exc)})
+                continue
             if hasattr(modem, "bits_per_burst"):  # TDMA
-                res = modem.receive(channel, num_bits=want)
+                key = (eq.loaded_design, want)
+                groups.setdefault(key, (modem, []))[1].append(k)
             else:  # CDMA
-                res = modem.receive(channel, want or 128)
-        except BurstSyncError as exc:
-            # a carrier that failed burst sync delivers nothing; the
-            # payload reports it instead of aborting the other carriers
-            n = want or getattr(modem, "bits_per_burst", 128)
-            return np.zeros(n, dtype=np.uint8), {"sync_failed": str(exc)}
-        except EquipmentError as exc:
-            # fault containment: a dead demodulator (latch-up, SEU)
-            # silences its own carrier only -- the FDIR isolation
-            # ladder picks the diagnostic up from here
-            n = want or 128
-            return np.zeros(n, dtype=np.uint8), {"equipment_failed": str(exc)}
-        return res["bits"], {key: res[key] for key in res if key != "bits"}
+                results[k] = _split_bits(modem.receive(channels[k], want or 128))
+        for (_design, want), (modem, ks) in groups.items():
+            for k, res in zip(ks, modem.receive_batch(channels[ks], num_bits=want)):
+                if isinstance(res, BurstSyncError):
+                    # a carrier that failed burst sync delivers nothing; the
+                    # payload reports it instead of aborting the other carriers
+                    n = want or modem.bits_per_burst
+                    results[k] = (np.zeros(n, dtype=np.uint8), {"sync_failed": str(res)})
+                else:
+                    results[k] = _split_bits(res)
+        return results
 
     def process_return_link(
         self,
@@ -403,7 +446,7 @@ class RegenerativePayload:
 
         Requires the carrier's demod to carry a CDMA personality
         (``modem.cdma``).  Equipment faults are contained exactly like
-        :meth:`_demod_carrier`: a dead demodulator silences every user
+        :meth:`process_uplink`: a dead demodulator silences every user
         of its carrier and reports a diagnostic instead of raising.
         With an attached health bank, each user's diagnostics are
         delivered as ``observe_burst(user_index, diag)`` -- the same
@@ -471,26 +514,33 @@ class RegenerativePayload:
         n_llr = int(getattr(chain, "physical_bits", 0))
         if n_llr <= 0:
             return decoded
-        blocks: List[np.ndarray] = []
-        carriers: List[int] = []
+        # one stacked soft demap per (constellation, burst length)
+        groups: Dict[tuple, tuple] = {}
         for k, diag in enumerate(diags):
             syms = diag.get("symbols")
             if syms is None:
                 continue  # sync or equipment failure: nothing to decode
-            eq = self.demods[k]
-            psk = getattr(eq.behaviour(), "psk", None)
+            psk = getattr(self.demods[k].behaviour(), "psk", None)
             if psk is None or len(syms) * psk.bits_per_symbol < n_llr:
                 continue
+            groups.setdefault((psk.order, len(syms)), (psk, []))[1].append(k)
+        llrs: Dict[int, np.ndarray] = {}
+        for psk, ks in groups.values():
+            syms = np.stack([diags[k]["symbols"] for k in ks])
             # noise variance from the blind per-burst SNR estimate
-            es = float(np.mean(np.abs(syms) ** 2))
-            snr = 10.0 ** (float(diag.get("snr_db", 40.0)) / 10.0)
-            noise_var = max(es / max(snr, 1e-6), 1e-12)
-            llr = psk.demodulate_soft(syms, noise_var)[:n_llr]
-            blocks.append(llr)
-            carriers.append(k)
-        if not blocks:
+            es = np.mean(np.abs(syms) ** 2, axis=1).tolist()
+            noise_var = []
+            for k, e in zip(ks, es):
+                snr = 10.0 ** (float(diags[k].get("snr_db", 40.0)) / 10.0)
+                noise_var.append(max(e / max(snr, 1e-6), 1e-12))
+            block = psk.demodulate_soft(syms, np.array(noise_var))[:, :n_llr]
+            llrs.update(zip(ks, block))
+        if not llrs:
             return decoded
-        res = self.decode_blocks(np.stack(blocks), carriers=carriers)
+        carriers = sorted(llrs)
+        res = self.decode_blocks(
+            np.stack([llrs[k] for k in carriers]), carriers=carriers
+        )
         crc = res["crc_ok"]
         for i, k in enumerate(carriers):
             decoded[k] = {
@@ -601,6 +651,11 @@ class RegenerativePayload:
         else:
             samples = np.zeros(0, dtype=np.complex128)
         return {"samples": samples, "packets": packets, "bursts": len(bursts)}
+
+
+def _split_bits(res: dict) -> tuple:
+    """A receive result as ``(bits, diagnostics without the bits)``."""
+    return res["bits"], {key: res[key] for key in res if key != "bits"}
 
 
 class Platform:

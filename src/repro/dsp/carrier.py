@@ -61,12 +61,20 @@ def carrier_lock_metric(symbols: np.ndarray, order: int = 4) -> float:
     decorrelates the M-power phases and drives the metric towards the
     ``O(1/sqrt(N))`` floor.  This is the per-burst **carrier-lock
     detector** used by the FDIR health monitors.
+
+    Batch-aware: a ``(C, N)`` stack returns one metric per row, each
+    identical to the 1-D call on that row.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     y = np.asarray(symbols)
-    if len(y) == 0:
+    if y.shape[-1] == 0:
         raise ValueError("empty symbol block")
+    if y.ndim > 1:
+        mag = np.abs(y)
+        if np.all(mag > 1e-30):
+            return np.abs(np.sum((y / mag) ** order, axis=-1)) / y.shape[-1]
+        return np.array([carrier_lock_metric(row, order) for row in y])
     mag = np.abs(y)
     good = mag > 1e-30
     if not np.any(good):

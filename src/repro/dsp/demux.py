@@ -16,11 +16,25 @@ Both return an (M, N/M) array of per-carrier baseband streams.
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft as sp_fft
 
+from ..caching import cached_design, freeze
 from .filters import design_lowpass
 from .nco import Ddc
 
 __all__ = ["DdcBank", "PolyphaseChannelizer", "multiplex_carriers"]
+
+
+@cached_design("dsp.mux_tables", maxsize=16)
+def _mux_tables(m: int, total: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(FFT size, spectrum of the scaled interpolation prototype,
+    ``(m, total)`` channel mixers) for an ``m``-channel multiplex."""
+    proto = design_lowpass(8 * m + 1, 0.5 / m * 0.8) * m
+    nfft = sp_fft.next_fast_len(total + len(proto) - 1, False)
+    spectrum = sp_fft.fft(proto, nfft)
+    t = np.arange(total)
+    mixers = np.stack([np.exp(2j * np.pi * (k / m) * t) for k in range(m)])
+    return nfft, freeze(spectrum), freeze(mixers)
 
 
 def multiplex_carriers(baseband: np.ndarray, num_channels: int) -> np.ndarray:
@@ -28,23 +42,30 @@ def multiplex_carriers(baseband: np.ndarray, num_channels: int) -> np.ndarray:
 
     ``baseband`` is (M, N); each stream is upsampled by M and shifted to
     its channel center ``k/M`` cycles/sample.  This is the synthesis
-    counterpart used by tests and by the payload's Tx side.
+    counterpart used by tests and by the payload's Tx side.  All M
+    interpolation filters run as one axis-1 FFT convolution of the
+    zero-stuffed stack against the cached prototype spectrum.  It keeps
+    the FFT size and arithmetic of a per-channel
+    ``scipy.signal.fftconvolve``, so every row is float-identical to
+    filtering that channel alone.  The shifted channels are summed in
+    channel order.
     """
     bb = np.asarray(baseband, dtype=np.complex128)
     if bb.ndim != 2 or bb.shape[0] != num_channels:
         raise ValueError(f"expected ({num_channels}, N) input, got {bb.shape}")
     m, n = bb.shape
     total = n * m
+    nfft, spectrum, mixers = _mux_tables(m, total)
+    # zero-stuff straight into the FFT buffer and transform in place
+    buf = np.zeros((m, nfft), dtype=np.complex128)
+    buf[:, :total:m] = bb
+    buf = sp_fft.fft(buf, axis=1, overwrite_x=True)
+    buf *= spectrum
+    shaped = sp_fft.ifft(buf, axis=1, overwrite_x=True)[:, :total]
+    shaped *= mixers
     out = np.zeros(total, dtype=np.complex128)
-    proto = design_lowpass(8 * m + 1, 0.5 / m * 0.8)
-    t = np.arange(total)
-    from scipy.signal import fftconvolve
-
-    for k in range(m):
-        up = np.zeros(total, dtype=np.complex128)
-        up[::m] = bb[k]
-        shaped = fftconvolve(up, proto * m, mode="full")[:total]
-        out += shaped * np.exp(2j * np.pi * (k / m) * t)
+    for row in shaped:
+        out += row
     return out
 
 
@@ -107,6 +128,8 @@ class PolyphaseChannelizer:
         if len(x) % m:
             raise ValueError(f"block length must be a multiple of M={m}")
         nout = len(x) // m
+        if nout == 0:
+            raise ValueError(f"empty block: need at least M={m} samples")
         xq = x.reshape(nout, m)  # xq[n, q] = x[n*M + q]
         # column p of the branch input: x[nM - p] = xq[n-1, m-p] for p>0
         cols = np.empty((nout, m), dtype=np.complex128)

@@ -90,13 +90,24 @@ def estimate_snr_m2m4(symbols: np.ndarray, max_snr_db: float = 40.0) -> float:
     garbage burst) drives the estimate towards ``-inf``/very low values.
     The return value is clamped to ``[-max_snr_db, max_snr_db]`` so the
     estimator never overflows telemetry on degenerate inputs.
+
+    Batch-aware: a ``(C, N)`` stack returns one estimate per row, each
+    identical to the 1-D call on that row.
     """
     y = np.asarray(symbols)
-    if y.size < 8:
+    if y.shape[-1] < 8:
         raise ValueError("need at least 8 symbols for an SNR estimate")
     p = np.abs(y) ** 2
-    m2 = float(np.mean(p))
-    m4 = float(np.mean(p**2))
+    m2 = np.mean(p, axis=-1)
+    m4 = np.mean(p**2, axis=-1)
+    if y.ndim > 1:
+        return np.array(
+            [_m2m4_db(a, b, max_snr_db) for a, b in zip(m2.tolist(), m4.tolist())]
+        )
+    return _m2m4_db(float(m2), float(m4), max_snr_db)
+
+
+def _m2m4_db(m2: float, m4: float, max_snr_db: float) -> float:
     if m2 <= 0.0:
         return -max_snr_db
     arg = 2.0 * m2 * m2 - m4
@@ -185,16 +196,22 @@ class PskModem:
         bits = self.labels[idx]  # (..., N, k)
         return bits.reshape(symbols.shape[:-1] + (-1,))
 
-    def demodulate_soft(self, symbols: np.ndarray, noise_var: float) -> np.ndarray:
+    def demodulate_soft(
+        self, symbols: np.ndarray, noise_var: float | np.ndarray
+    ) -> np.ndarray:
         """Max-log LLRs, one per bit, ``LLR = log P(b=0) - log P(b=1)``.
 
         ``noise_var`` is the total complex noise variance (N0).
         Batch-aware like :meth:`demodulate_hard`: leading axes are
         preserved and the last axis becomes ``N * bits_per_symbol``
-        LLRs, bit-identical to demodulating each row separately.
+        LLRs, bit-identical to demodulating each row separately.  For a
+        stack, ``noise_var`` may also carry one variance per row (shape
+        ``symbols.shape[:-1]``).
         """
-        if noise_var <= 0:
+        noise_var = np.asarray(noise_var, dtype=np.float64)
+        if np.any(noise_var <= 0):
             raise ValueError("noise_var must be positive")
+        noise_var = noise_var[..., None]
         symbols = np.asarray(symbols)
         # squared distances to each constellation point: (..., N, M)
         d2 = np.abs(symbols[..., None] - self.points) ** 2

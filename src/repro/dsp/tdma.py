@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .filters import srrc, upsample
+from .filters import srrc
 from .modem import PskModem, estimate_snr_m2m4
-from .carrier import carrier_lock_metric, data_aided_phase, frequency_estimate
-from .timing import GardnerLoop, oerder_meyr_recover, timing_lock_metric
+from .carrier import carrier_lock_metric, frequency_estimate
+from .timing import GardnerLoop, line_lock, line_tau, oerder_meyr_strobes, timing_line
 
 __all__ = [
     "BurstFormat",
@@ -233,38 +233,73 @@ class TdmaModem:
     def transmit(self, bits: np.ndarray) -> np.ndarray:
         """Build one SRRC-shaped burst carrying ``bits`` (padded to payload)."""
         bits = np.asarray(bits, dtype=np.uint8).ravel()
-        if len(bits) > self.bits_per_burst:
+        return self.transmit_batch(bits[None, :])[0]
+
+    def transmit_batch(self, bits: np.ndarray) -> np.ndarray:
+        """Build a ``(C, num_tx_samples())`` stack of bursts in one pass.
+
+        Row ``r`` carries ``bits[r]`` (zero-padded to the payload), the
+        same burst :meth:`transmit` builds from it: one stacked PSK map
+        and one axis-1 SRRC convolution.
+        """
+        bits = np.asarray(bits, dtype=np.uint8)
+        if bits.ndim != 2:
+            raise ValueError(f"expected a (C, nbits) bit stack, got shape {bits.shape}")
+        rows, nbits = bits.shape
+        if nbits > self.bits_per_burst:
             raise ValueError(
-                f"{len(bits)} bits exceed burst capacity {self.bits_per_burst}"
+                f"{nbits} bits exceed burst capacity {self.bits_per_burst}"
             )
-        padded = np.zeros(self.bits_per_burst, dtype=np.uint8)
-        padded[: len(bits)] = bits
-        payload = self.psk.modulate(padded)
-        symbols = np.concatenate([self.preamble, self.uw, payload])
-        x = upsample(symbols, self.sps)
-        return fftconvolve(x, self.pulse, mode="full")
+        padded = np.zeros((rows, self.bits_per_burst), dtype=np.uint8)
+        padded[:, :nbits] = bits
+        payload = self.psk.modulate(padded).reshape(rows, -1)
+        x = np.zeros((rows, self.burst.total * self.sps), dtype=np.complex128)
+        heads = np.concatenate([self.preamble, self.uw])
+        x[:, : len(heads) * self.sps : self.sps] = heads
+        x[:, len(heads) * self.sps :: self.sps] = payload
+        return fftconvolve(x, self.pulse[None, :], mode="full", axes=1)
 
     def num_tx_samples(self) -> int:
         """Length of a transmitted burst in samples."""
         return self.burst.total * self.sps + len(self.pulse) - 1
 
     # -- receive ----------------------------------------------------------
-    def _recover_timing(self, mf: np.ndarray) -> tuple[np.ndarray, dict]:
-        mode = self.timing
-        if mode == "auto":
-            mode = (
-                "gardner" if self.burst.total > self.AUTO_THRESHOLD else "oerder-meyr"
-            )
+    @property
+    def timing_mode(self) -> str:
+        """The timing recovery in use (``"auto"`` resolved by burst length)."""
+        if self.timing != "auto":
+            return self.timing
+        return "gardner" if self.burst.total > self.AUTO_THRESHOLD else "oerder-meyr"
+
+    def _check_num_bits(self, num_bits: int | None) -> int:
+        if num_bits is None:
+            return self.bits_per_burst
+        if num_bits < 0:
+            raise ValueError(f"num_bits must be >= 0, got {num_bits}")
+        if num_bits > self.bits_per_burst:
+            raise ValueError("num_bits exceeds burst capacity")
+        return num_bits
+
+    def _recover_timing(self, mf: np.ndarray, c1: np.ndarray) -> list:
+        """Per-row ``(symbols, timing diagnostics)`` of a matched-filter stack."""
+        mode = self.timing_mode
         if mode == "oerder-meyr":
-            syms, tau = oerder_meyr_recover(mf, self.sps)
-            return syms, {"timing_mode": mode, "tau": tau}
-        loop = GardnerLoop(sps=self.sps, bn_ts=0.02)
-        syms = loop.process(mf)
-        return syms, {
-            "timing_mode": mode,
-            "tau": loop.tau,
-            "tau_history": np.asarray(loop.tau_history),
-        }
+            tau = line_tau(c1, self.sps)
+            strobes, counts = oerder_meyr_strobes(mf, tau, self.sps)
+            return [
+                (strobes[r, : counts[r]], {"timing_mode": mode, "tau": float(tau[r])})
+                for r in range(len(mf))
+            ]
+        out = []
+        for row in mf:
+            loop = GardnerLoop(sps=self.sps, bn_ts=0.02)
+            syms = loop.process(row)
+            out.append((syms, {
+                "timing_mode": mode,
+                "tau": loop.tau,
+                "tau_history": np.asarray(loop.tau_history),
+            }))
+        return out
 
     def receive(self, samples: np.ndarray, num_bits: int | None = None) -> dict:
         """Demodulate one burst (after channel impairments).
@@ -272,51 +307,116 @@ class TdmaModem:
         Returns ``bits`` (the first ``num_bits`` payload bits), the
         de-rotated payload ``symbols``, the UW correlation peak
         ``uw_metric`` (normalized to 1 for a clean burst), timing
-        diagnostics and the data-aided ``phase``.
+        diagnostics and the data-aided ``phase``.  A one-row view of
+        :meth:`receive_batch`; raises :class:`BurstSyncError` when the
+        burst cannot be synchronized.
         """
-        if num_bits is None:
-            num_bits = self.bits_per_burst
-        if num_bits > self.bits_per_burst:
-            raise ValueError("num_bits exceeds burst capacity")
-        mf = fftconvolve(np.asarray(samples, dtype=np.complex128), self.pulse[::-1])
-        syms, tdiag = self._recover_timing(mf)
+        x = np.asarray(samples, dtype=np.complex128)
+        res = self.receive_batch(x[None, :], num_bits)[0]
+        if isinstance(res, BurstSyncError):
+            raise res
+        return res
 
-        # optional feedforward CFO removal on the recovered symbols:
-        # an M-power FFT estimate, resolvable to +-1/(2M) cycles/symbol
-        if self.cfo_recovery and len(syms) >= 8:
-            cfo = frequency_estimate(syms, order=self.psk.order)
-            syms = syms * np.exp(-2j * np.pi * cfo * np.arange(len(syms)))
-            tdiag["cfo"] = cfo
+    def receive_batch(
+        self, samples: np.ndarray, num_bits: int | None = None
+    ) -> list[dict | BurstSyncError]:
+        """Demodulate a ``(C, n)`` stack of bursts in one pass.
 
-        # UW search over symbol offsets and the M-fold phase ambiguity.
+        The MF-TDMA front end's hot path: one axis-1 SRRC matched
+        filter, one symbol-rate spectral line per row (serving both the
+        Oerder&Meyr timing phase and the timing-lock metric), one
+        gathered cubic interpolation over the padded strobe grid, one
+        UW correlation per strobe count, then stacked phase, demap,
+        carrier-lock and M2M4 estimates.  The Gardner loop and the CFO
+        estimator stay per row.
+
+        Returns one entry per row: the :meth:`receive` result dict, or
+        the :class:`BurstSyncError` that row failed with -- a truncated
+        or unsynchronizable row fails alone.  Every row's floats are
+        identical to a one-row call on it.
+        """
+        num_bits = self._check_num_bits(num_bits)
+        x = np.asarray(samples, dtype=np.complex128)
+        if x.ndim != 2:
+            raise ValueError(f"expected a (C, n) burst stack, got shape {x.shape}")
+        sps = self.sps
+        mf = fftconvolve(x, self.pulse[None, ::-1], axes=1)
+        if self.timing_mode == "oerder-meyr" and mf.shape[1] < 4 * sps:
+            raise ValueError("burst too short for a timing estimate")
+        c1, c0 = timing_line(mf, sps)
+        lock = line_lock(c1, c0)
+        results: list = [None] * len(x)
+        by_count: dict[int, list[int]] = {}
+        recovered = self._recover_timing(mf, c1)
+        for r, (syms, tdiag) in enumerate(recovered):
+            # optional feedforward CFO removal on the recovered symbols:
+            # an M-power FFT estimate, resolvable to +-1/(2M) cycles/symbol
+            if self.cfo_recovery and len(syms) >= 8:
+                cfo = frequency_estimate(syms, order=self.psk.order)
+                syms = syms * np.exp(-2j * np.pi * cfo * np.arange(len(syms)))
+                tdiag["cfo"] = cfo
+                recovered[r] = (syms, tdiag)
+            if len(syms) < self.burst.total:
+                results[r] = BurstSyncError(
+                    "burst truncated: not enough recovered symbols"
+                )
+            else:
+                by_count.setdefault(len(syms), []).append(r)
+        # rows with equal strobe counts share one UW correlation (its FFT
+        # size follows the count, so mixing counts would change floats)
+        for rows in by_count.values():
+            synced = self._sync_rows(
+                np.stack([recovered[r][0] for r in rows]),
+                lock[rows],
+                [recovered[r][1] for r in rows],
+                num_bits,
+            )
+            for r, res in zip(rows, synced):
+                results[r] = res
+        return results
+
+    def _sync_rows(
+        self, syms: np.ndarray, lock: np.ndarray, tdiags: list, num_bits: int
+    ) -> list:
+        """UW search, phase, demap and health estimates on equal-length
+        rows; ``lock`` and ``tdiags`` are the rows' timing results."""
         uw = self.uw
         nuw = len(uw)
-        if len(syms) < self.burst.total:
-            raise BurstSyncError("burst truncated: not enough recovered symbols")
-        # correlate conj(uw) against the symbol stream
-        corr = fftconvolve(syms, np.conj(uw[::-1]), mode="valid")
-        energy = np.convolve(np.abs(syms) ** 2, np.ones(nuw), mode="valid")
+        npay = self.burst.payload
+        # correlate conj(uw) against each symbol stream, over symbol
+        # offsets and the M-fold phase ambiguity
+        corr = fftconvolve(syms, np.conj(uw[::-1])[None, :], mode="valid", axes=1)
+        energy = np.stack(
+            [np.convolve(np.abs(row) ** 2, np.ones(nuw), mode="valid") for row in syms]
+        )
         metric = np.abs(corr) / np.maximum(np.sqrt(energy * nuw), 1e-30)
-        pos = int(np.argmax(metric))
-        uw_metric = float(metric[pos])
-
-        start = pos + nuw  # first payload symbol
-        payload = syms[start : start + self.burst.payload]
-        if len(payload) < self.burst.payload:
-            raise BurstSyncError("burst truncated after UW")
-        phase = data_aided_phase(syms[pos : pos + nuw], uw)
-        payload = payload * np.exp(-1j * phase)
-        bits = self.psk.demodulate_hard(payload)[:num_bits]
-        out = {
-            "bits": bits,
-            "symbols": payload,
-            "uw_metric": uw_metric,
-            "uw_position": pos,
-            "phase": phase,
-            # per-burst health diagnostics consumed by repro.robustness.fdir
-            "timing_lock": timing_lock_metric(mf, self.sps),
-            "carrier_lock": carrier_lock_metric(payload, self.psk.order),
-            "snr_db": estimate_snr_m2m4(payload),
-        }
-        out.update(tdiag)
+        pos = np.argmax(metric, axis=1)
+        ok = np.flatnonzero(pos + nuw + npay <= syms.shape[1])
+        out: list = [
+            BurstSyncError("burst truncated after UW") for _ in range(len(syms))
+        ]
+        if not len(ok):
+            return out
+        p = pos[ok, None]
+        rows = ok[:, None]
+        head = syms[rows, p + np.arange(nuw)]
+        payload = syms[rows, p + nuw + np.arange(npay)]
+        phase = np.angle(np.sum(head * np.conj(uw), axis=1))
+        payload = payload * np.exp(-1j * phase)[:, None]
+        bits = self.psk.demodulate_hard(payload)[:, :num_bits]
+        carrier_lock = carrier_lock_metric(payload, self.psk.order)
+        snr_db = estimate_snr_m2m4(payload)
+        for i, r in enumerate(ok):
+            out[r] = {
+                "bits": bits[i],
+                "symbols": payload[i],
+                "uw_metric": float(metric[r, pos[r]]),
+                "uw_position": int(pos[r]),
+                "phase": float(phase[i]),
+                # per-burst health diagnostics consumed by repro.robustness.fdir
+                "timing_lock": float(lock[r]),
+                "carrier_lock": float(carrier_lock[i]),
+                "snr_db": float(snr_db[i]),
+                **tdiags[r],
+            }
         return out

@@ -21,12 +21,21 @@ from collections import deque
 
 import numpy as np
 
+from ..caching import cached_design, freeze
+
 __all__ = [
     "cubic_interpolate",
     "farrow_coefficients",
     "fold_timing_offset",
+    "fold_timing_offsets",
+    "line_lock",
+    "line_tau",
     "oerder_meyr_estimate",
     "oerder_meyr_recover",
+    "oerder_meyr_strobes",
+    "strobe_grid",
+    "timing_line",
+    "timing_line_table",
     "timing_lock_metric",
     "GardnerLoop",
     "loop_gains",
@@ -46,18 +55,24 @@ def cubic_interpolate(x: np.ndarray, base: np.ndarray, mu: np.ndarray) -> np.nda
     ``base`` are integer indices (pointing at the sample *before* the
     interpolation instant) and ``0 <= mu < 1``.  Points needing samples
     outside the array are clamped to the valid range.
+
+    Batch-aware: a ``(C, n)`` stack ``x`` takes ``(C, m)`` ``base`` and
+    ``mu`` and interpolates each row at its own instants, element for
+    element the arithmetic of the 1-D call.
     """
     x = np.asarray(x)
     base = np.asarray(base, dtype=np.int64)
     mu = np.asarray(mu, dtype=np.float64)
-    n = len(x)
+    n = x.shape[-1]
     if n < 4:
         raise ValueError("need at least 4 samples for cubic interpolation")
     base = np.clip(base, 1, n - 3)
-    xm1 = x[base - 1]
-    x0 = x[base]
-    x1 = x[base + 1]
-    x2 = x[base + 2]
+    if x.ndim == 1:
+        xm1, x0, x1, x2 = (x[base + d] for d in (-1, 0, 1, 2))
+    else:
+        xm1, x0, x1, x2 = (
+            np.take_along_axis(x, base + d, axis=-1) for d in (-1, 0, 1, 2)
+        )
     # Farrow-form cubic Lagrange coefficients
     c0 = x0
     c1 = x1 - xm1 / 3.0 - x0 / 2.0 - x2 / 6.0
@@ -104,10 +119,53 @@ def fold_timing_offset(tau: float, sps: int | float) -> float:
     first strobe of :func:`oerder_meyr_recover` by one full symbol.
     The boundary folds back to ``0.0``.
     """
-    t = float(np.mod(tau, sps))
-    if t >= sps:
-        t = 0.0
-    return t
+    return float(fold_timing_offsets(tau, sps))
+
+
+def fold_timing_offsets(tau: np.ndarray, sps: int | float) -> np.ndarray:
+    """:func:`fold_timing_offset` over an array of offsets."""
+    t = np.mod(np.asarray(tau, dtype=np.float64), sps)
+    return np.where(t >= sps, 0.0, t)
+
+
+@cached_design("dsp.timing_line", maxsize=64)
+def timing_line_table(n: int, sps: int) -> np.ndarray:
+    """``exp(-j 2 pi k / sps)`` for ``k < n`` (cached, read-only): the
+    kernel of the symbol-rate spectral line."""
+    return freeze(np.exp(-2j * np.pi * np.arange(n) / sps))
+
+
+def timing_line(x: np.ndarray, sps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The symbol-rate spectral line of ``|x|^2`` along the last axis.
+
+    Returns ``(C1, C0)`` with ``C1 = sum |x[n]|^2 exp(-j 2 pi n / sps)``
+    and ``C0 = sum |x[n]|^2`` -- one line per row serves both the
+    Oerder&Meyr timing phase (``arg C1``) and the lock detector
+    (``|C1| / C0``).
+    """
+    sq = np.abs(x) ** 2
+    c1 = np.sum(sq * timing_line_table(sq.shape[-1], sps), axis=-1)
+    return c1, np.sum(sq, axis=-1)
+
+
+def strobe_grid(tau: np.ndarray, stop: float, sps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row symbol strobe instants ``np.arange(tau[r], stop, sps)``.
+
+    Returns ``(positions, counts)``: a ``(C, max(counts))`` grid whose
+    row ``r`` holds, in its first ``counts[r]`` entries, exactly the
+    values ``np.arange(tau[r], stop, sps)`` produces.  That is *not*
+    ``tau + sps * i``: ``arange`` stores ``tau + sps`` second and fills
+    the rest as ``tau + i * ((tau + sps) - tau)``, which differs in the
+    last bits.  Entries past a row's count continue its grid beyond
+    ``stop``; callers mask them with ``counts``.
+    """
+    tau = np.asarray(tau, dtype=np.float64)
+    counts = np.maximum(np.ceil((stop - tau) / sps), 0).astype(np.int64)
+    i = np.arange(counts.max(initial=0), dtype=np.float64)
+    positions = tau[:, None] + i * ((tau + sps) - tau)[:, None]
+    if len(i) > 1:
+        positions[:, 1] = tau + sps
+    return positions, counts
 
 
 def oerder_meyr_estimate(x: np.ndarray, sps: int) -> float:
@@ -127,11 +185,34 @@ def oerder_meyr_estimate(x: np.ndarray, sps: int) -> float:
     x = np.asarray(x)
     if len(x) < 4 * sps:
         raise ValueError("burst too short for a timing estimate")
-    n = np.arange(len(x))
-    sq = np.abs(x) ** 2
-    line = np.sum(sq * np.exp(-2j * np.pi * n / sps))
-    tau = -sps / (2.0 * np.pi) * np.angle(line)
-    return fold_timing_offset(tau, sps)
+    return float(line_tau(timing_line(x, sps)[0], sps))
+
+
+def line_tau(c1: np.ndarray, sps: int) -> np.ndarray:
+    """Oerder&Meyr timing offsets ``[0, sps)`` from symbol-rate lines."""
+    return fold_timing_offsets(-sps / (2.0 * np.pi) * np.angle(c1), sps)
+
+
+def line_lock(c1: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """Timing-lock metrics ``|C1| / C0`` (0 where ``C0 <= 0``)."""
+    c0 = np.asarray(c0, dtype=np.float64)
+    live = c0 > 0.0
+    return np.where(live, np.abs(c1) / np.where(live, c0, 1.0), 0.0)
+
+
+def oerder_meyr_strobes(
+    x: np.ndarray, tau: np.ndarray, sps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interpolate every row of a ``(C, n)`` stack at its own timing.
+
+    Row ``r`` is sampled at ``np.arange(tau[r], n - 2.0, sps)``
+    (:func:`strobe_grid`); returns ``(strobes, counts)`` where the
+    first ``counts[r]`` entries of ``strobes[r]`` are that row's
+    symbols and the rest is padding.
+    """
+    positions, counts = strobe_grid(tau, x.shape[-1] - 2.0, sps)
+    base = np.floor(positions).astype(np.int64)
+    return cubic_interpolate(x, base, positions - base), counts
 
 
 def oerder_meyr_recover(x: np.ndarray, sps: int) -> tuple[np.ndarray, float]:
@@ -141,10 +222,8 @@ def oerder_meyr_recover(x: np.ndarray, sps: int) -> tuple[np.ndarray, float]:
     symbol-rate samples.
     """
     tau = oerder_meyr_estimate(x, sps)
-    positions = np.arange(tau, len(x) - 2.0, sps)
-    base = np.floor(positions).astype(np.int64)
-    mu = positions - base
-    return cubic_interpolate(x, base, mu), tau
+    strobes, counts = oerder_meyr_strobes(np.asarray(x)[None], np.array([tau]), sps)
+    return strobes[0, : counts[0]], tau
 
 
 def timing_lock_metric(x: np.ndarray, sps: int) -> float:
@@ -164,13 +243,7 @@ def timing_lock_metric(x: np.ndarray, sps: int) -> float:
     x = np.asarray(x)
     if len(x) < 4 * sps:
         raise ValueError("burst too short for a lock metric")
-    n = np.arange(len(x))
-    sq = np.abs(x) ** 2
-    c0 = float(np.sum(sq))
-    if c0 <= 0.0:
-        return 0.0
-    c1 = np.sum(sq * np.exp(-2j * np.pi * n / sps))
-    return float(np.abs(c1) / c0)
+    return float(line_lock(*timing_line(x, sps)))
 
 
 def loop_gains(bn_ts: float, zeta: float = 0.7071, kd: float = 1.0) -> tuple[float, float]:

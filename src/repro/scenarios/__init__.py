@@ -40,6 +40,7 @@ from .oracles import (
     CdmaBatchScalarOracle,
     ModemABOracle,
     OracleReport,
+    TdmaBatchScalarOracle,
     VcModeOracle,
     run_default_oracles,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "ScenarioRunner",
     "ScenarioSpec",
     "SurgeProfile",
+    "TdmaBatchScalarOracle",
     "TrafficMix",
     "TrafficWorld",
     "VcModeOracle",

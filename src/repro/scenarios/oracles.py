@@ -10,6 +10,9 @@ semantics are supposed to coincide and reports whether they did:
 - :class:`CdmaBatchScalarOracle` -- the batched CDMA return-link
   engine (``CdmaReturnBank`` / ``receive_batch``) against per-user
   scalar ``receive`` calls, exact to the float;
+- :class:`TdmaBatchScalarOracle` -- the grouped MF-TDMA uplink front
+  end (one ``receive_batch`` per loaded personality) against
+  per-carrier scalar ``receive``, exact to the float;
 - :class:`ModemABOracle` -- the baseline MF-TDMA modem against the
   CFO-tolerant personality on a clean channel, where their semantics
   overlap exactly (same burst format, same QPSK mapping);
@@ -39,6 +42,7 @@ __all__ = [
     "OracleReport",
     "BatchScalarDecodeOracle",
     "CdmaBatchScalarOracle",
+    "TdmaBatchScalarOracle",
     "ModemABOracle",
     "VcModeOracle",
     "run_default_oracles",
@@ -257,6 +261,101 @@ class CdmaBatchScalarOracle:
         return _report(self.name, cases, mismatches)
 
 
+class TdmaBatchScalarOracle:
+    """Grouped MF-TDMA uplink demodulation vs per-carrier scalar receive.
+
+    A real traffic-world frame -- coded transport blocks on every
+    carrier, one carrier blanked to noise, one carrier on the
+    CFO-tolerant ``modem.tdma.robust`` personality -- goes through
+    ``process_uplink``, which demodulates the carriers in one
+    ``receive_batch`` call per loaded personality.  Each carrier's
+    diagnostics must be **exact** (same floats, same bits, same sync
+    verdict) against that carrier's own scalar
+    :meth:`~repro.dsp.tdma.TdmaModem.receive` on the same channelized
+    samples: the front end's batched==scalar-by-construction contract.
+    """
+
+    name = "modem.tdma.batch-vs-scalar"
+
+    BLANK, ROBUST = 1, 2
+
+    def __init__(self, seed: int = 0, frames: int = 2, num_carriers: int = 4) -> None:
+        self.seed = seed
+        self.frames = frames
+        self.num_carriers = num_carriers
+
+    @staticmethod
+    def _diff(diag: dict, bits: np.ndarray, ref, label: str) -> List[str]:
+        from ..dsp.tdma import BurstSyncError
+
+        if isinstance(ref, BurstSyncError):
+            if diag != {"sync_failed": str(ref)}:
+                return [f"{label}: scalar lost sync but the batch did not"]
+            return []
+        if "sync_failed" in diag:
+            return [f"{label}: batch lost sync but the scalar did not"]
+        out: List[str] = []
+        if not np.array_equal(bits, ref["bits"]):
+            out.append(f"{label}: bits differ between batched and scalar")
+        if list(diag) != [key for key in ref if key != "bits"]:
+            out.append(f"{label}: diagnostic keys differ")
+        for key, want in ref.items():
+            if key == "bits" or key not in diag:
+                continue
+            same = (
+                np.array_equal(diag[key], want)
+                if isinstance(want, np.ndarray)
+                else diag[key] == want
+            )
+            if not same:
+                out.append(f"{label}: diagnostic {key} differs")
+        return out
+
+    def run(self) -> OracleReport:
+        from ..dsp.tdma import BurstSyncError
+
+        world = build_traffic_world(num_carriers=self.num_carriers)
+        payload = world.payload
+        payload.demods[self.ROBUST].load("modem.tdma.robust")
+        chain = payload.decoder.behaviour()
+        rngs = RngRegistry(derive_seed(self.seed, "oracle", "tdma"))
+        bits_rng = rngs.stream("bits")
+        noise_rng = rngs.stream("noise")
+        sigma = ebn0_to_sigma(12.0, 1, 1.0)
+        mismatches: List[str] = []
+        cases = 0
+        for f in range(self.frames):
+            streams = []
+            for k, eq in enumerate(payload.demods):
+                modem = world.ground(eq.loaded_design)
+                coded = chain.encode(
+                    bits_rng.integers(0, 2, chain.transport_block).astype(np.uint8)
+                )
+                bb = np.zeros(modem.bits_per_burst, dtype=np.uint8)
+                bb[: len(coded)] = coded[: modem.bits_per_burst]
+                s = modem.transmit(bb)
+                noise = sigma * (
+                    noise_rng.standard_normal(len(s))
+                    + 1j * noise_rng.standard_normal(len(s))
+                )
+                streams.append(noise if k == self.BLANK else s + noise)
+            wide = multiplex_carriers(np.stack(streams), self.num_carriers)
+            out = payload.process_uplink(wide)
+            channels = payload.channelize(wide)
+            for k, eq in enumerate(payload.demods):
+                cases += 1
+                try:
+                    ref = eq.behaviour().receive(channels[k])
+                except BurstSyncError as exc:
+                    ref = exc
+                mismatches.extend(
+                    self._diff(
+                        out["diagnostics"][k], out["bits"][k], ref, f"frame {f} c{k}"
+                    )
+                )
+        return _report(self.name, cases, mismatches)
+
+
 class ModemABOracle:
     """Baseline vs CFO-tolerant modem personality on a clean channel."""
 
@@ -358,6 +457,7 @@ def run_default_oracles(seed: int = 0) -> List[OracleReport]:
     return [
         BatchScalarDecodeOracle(seed).run(),
         CdmaBatchScalarOracle(seed).run(),
+        TdmaBatchScalarOracle(seed).run(),
         ModemABOracle(seed).run(),
         VcModeOracle(seed).run(),
     ]

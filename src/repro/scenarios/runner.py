@@ -409,6 +409,7 @@ class ScenarioRunner:
         # traced per frame so the golden hash covers payload *content*,
         # not just delivery counts
         content_crc = 0
+        burst_bits: Dict[str, Dict[int, np.ndarray]] = {}
         for k in active:
             eq = world.payload.demods[k]
             design = eq.loaded_design or "modem.tdma"
@@ -425,7 +426,17 @@ class ScenarioRunner:
             bb = np.zeros(modem.bits_per_burst, dtype=np.uint8)
             n = min(len(coded), modem.bits_per_burst)
             bb[:n] = coded[:n]
-            s = modem.transmit(bb)
+            burst_bits.setdefault(design, {})[k] = bb
+            sent[k] = block
+            offered[k] = has_data
+            content_crc = zlib.crc32(block.tobytes(), content_crc)
+        # one ground-side synthesis call per personality
+        bursts: Dict[int, np.ndarray] = {}
+        for design, rows in burst_bits.items():
+            stack = world.ground(design).transmit_batch(np.stack(list(rows.values())))
+            bursts.update(zip(rows, stack))
+        for k in active:
+            s = bursts[k]
             off = cfo.get(k, 0.0)
             if off:
                 s = s * np.exp(2j * np.pi * off * np.arange(len(s)))
@@ -436,10 +447,7 @@ class ScenarioRunner:
                 + 1j * noise_rng.standard_normal(len(s))
             )
             s = noise if k in blank else s + noise
-            sent[k] = block
-            offered[k] = has_data
             streams[k] = s
-            content_crc = zlib.crc32(block.tobytes(), content_crc)
         delivered_now = 0
         if streams:
             n = max(len(s) for s in streams.values())

@@ -111,6 +111,14 @@ class TestPayloadChain:
         with pytest.raises(ValueError):
             PayloadConfig(num_carriers=0)
 
+    @pytest.mark.parametrize("length", [0, 5])
+    def test_block_shorter_than_carrier_count_rejected(self, length):
+        """A block shorter than one DEMUX frame names the minimum length
+        instead of crashing inside the channelizer."""
+        pl = booted_payload(num_carriers=8)
+        with pytest.raises(ValueError, match="8-sample minimum"):
+            pl.process_uplink(np.zeros(length, dtype=np.complex128))
+
     def test_wrong_bits_list_length(self):
         pl = booted_payload(num_carriers=2)
         with pytest.raises(ValueError):
@@ -157,20 +165,26 @@ class TestMixedFaultFrame:
             rng.standard_normal(len(wide)) + 1j * rng.standard_normal(len(wide))
         )
 
-    def test_faults_stay_in_their_lanes(self):
-        from repro.dsp.tdma import BurstSyncError
+    def test_faults_stay_in_their_lanes(self, monkeypatch):
+        from repro.dsp.tdma import BurstSyncError, TdmaModem
 
         pl = self._payload()
         wide = self._uplink(pl)  # built while every carrier still works
         # dead equipment: powered off with no design -> EquipmentError
         pl.demods[self.DEAD].unload()
-        # sync loss: the cached personality instance loses the burst
-        lost = pl.demods[self.LOST].behaviour()
+        # sync loss at the receive_batch row seam: the live carriers of
+        # one personality are stacked in carrier order, so the lost
+        # carrier's row comes back as its own BurstSyncError
+        live = [k for k in range(self.CARRIERS) if k != self.DEAD]
+        receive_batch = TdmaModem.receive_batch
 
-        def no_sync(*args, **kwargs):
-            raise BurstSyncError("unique word not found")
+        def lose_row(modem, samples, num_bits=None):
+            rows = receive_batch(modem, samples, num_bits)
+            assert len(rows) == len(live)
+            rows[live.index(self.LOST)] = BurstSyncError("unique word not found")
+            return rows
 
-        lost.receive = no_sync
+        monkeypatch.setattr(TdmaModem, "receive_batch", lose_row)
         out = pl.process_uplink(wide, decode=True)
         diags, decoded = out["diagnostics"], out["decoded"]
         assert "equipment_failed" in diags[self.DEAD]

@@ -139,3 +139,14 @@ class TestTdmaModem:
         tx = tm.transmit(bits) * np.exp(1j * np.pi / 2)
         out = tm.receive(tx)
         np.testing.assert_array_equal(out["bits"], bits)
+
+    def test_negative_num_bits_rejected(self):
+        """``[:num_bits]`` slicing used to turn -1 into "all but one bit"."""
+        tm = TdmaModem()
+        rng = np.random.default_rng(5)
+        tx = tm.transmit(rng.integers(0, 2, tm.bits_per_burst).astype(np.uint8))
+        with pytest.raises(ValueError, match="num_bits"):
+            tm.receive(tx, num_bits=-1)
+        with pytest.raises(ValueError, match="num_bits"):
+            tm.receive_batch(tx[None, :], num_bits=-1)
+        assert len(tm.receive(tx, num_bits=0)["bits"]) == 0

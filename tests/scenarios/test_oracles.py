@@ -9,6 +9,7 @@ from repro.scenarios import (
     BatchScalarDecodeOracle,
     CdmaBatchScalarOracle,
     ModemABOracle,
+    TdmaBatchScalarOracle,
     VcModeOracle,
     run_default_oracles,
 )
@@ -18,7 +19,7 @@ pytestmark = pytest.mark.scenario
 
 def test_all_oracles_agree():
     reports = run_default_oracles(seed=3)
-    assert [r.agree for r in reports] == [True, True, True, True]
+    assert [r.agree for r in reports] == [True] * 5
     for r in reports:
         assert r.cases > 0
         assert "agree" in str(r)
@@ -63,6 +64,28 @@ def test_rigged_cdma_scalar_disagreement_is_detected(monkeypatch):
     rep = CdmaBatchScalarOracle(seed=0).run()
     assert not rep.agree
     assert "bits differ" in rep.detail
+
+
+def test_tdma_oracle_alone():
+    rep = TdmaBatchScalarOracle(seed=4).run()
+    assert rep.agree and rep.cases == 8
+
+
+def test_rigged_tdma_scalar_disagreement_is_detected(monkeypatch):
+    """Corrupt the scalar TDMA receive and the oracle must notice."""
+    from repro.dsp.tdma import TdmaModem
+
+    real = TdmaModem.receive
+
+    def corrupted(self, samples, num_bits=None):
+        out = dict(real(self, samples, num_bits))
+        out["snr_db"] = out["snr_db"] + 1e-9
+        return out
+
+    monkeypatch.setattr(TdmaModem, "receive", corrupted)
+    rep = TdmaBatchScalarOracle(seed=0, frames=1).run()
+    assert not rep.agree
+    assert "snr_db differs" in rep.detail
 
 
 def test_rigged_scalar_decode_disagreement_is_detected(monkeypatch):

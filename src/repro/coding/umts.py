@@ -10,6 +10,11 @@ decoding process has to be reloaded when a change occurs."*
 rate matching -> 2nd interleaver for each of the three schemes;
 ``SCHEMES`` is the registry of the three reconfigurable decoder
 personalities the payload switches between.
+
+Every transmit stage is GF(2)-linear with a zero start state, so the
+whole chain is one ``(transport_block, physical_bits)`` generator
+matrix, derived once per chain design from the stage-by-stage encoder
+and cached (:func:`repro.coding.gf2.generator_matrix`).
 """
 
 from __future__ import annotations
@@ -20,8 +25,10 @@ from typing import Optional
 
 import numpy as np
 
+from ..caching import cached_design
 from .convolutional import UMTS_RATE_12, UMTS_RATE_13, ConvolutionalCode
 from .crc import CRC16, Crc
+from .gf2 import generator_matrix, gf2_matmul
 from .interleaving import UMTS_2ND_PERM, BlockInterleaver, rate_dematch, rate_match
 from .turbo import TurboCode
 
@@ -60,6 +67,30 @@ SCHEMES: dict[CodingScheme, _SchemeSpec] = {
         1.0 / 3.0,
     ),
 }
+
+
+@cached_design("coding.chain_generator", maxsize=32)
+def _chain_generator(
+    scheme: str,
+    transport_block: int,
+    crc: Optional[tuple[int, int]],
+    physical_bits: int,
+    conv: Optional[tuple[tuple[str, ...], int]],
+) -> np.ndarray:
+    """Generator matrix of one chain design (see :meth:`TransportChain.generator`).
+
+    ``crc`` is ``(poly, width)`` and ``conv`` the octal generators and
+    constraint length of the convolutional code (``None`` when the
+    scheme does not use it).
+    """
+    chain = TransportChain(
+        scheme,
+        transport_block,
+        crc=Crc(*crc) if crc else None,
+        physical_bits=physical_bits,
+        conv_code=ConvolutionalCode(*conv) if conv else UMTS_RATE_13,
+    )
+    return generator_matrix(chain._encode_stages, transport_block)
 
 
 class TransportChain:
@@ -110,6 +141,17 @@ class TransportChain:
             self.turbo = TurboCode(self._msg_bits, iterations=turbo_iterations)
             self._coded_bits = self.turbo.encoded_length
         self.physical_bits = physical_bits or self._coded_bits
+        conv = None
+        if self.scheme is CodingScheme.CONVOLUTIONAL:
+            conv = (tuple(f"{g:o}" for g in conv_code.generators), conv_code.k)
+        #: hashable design key of :attr:`generator` (see ``_chain_generator``)
+        self._design = (
+            self.scheme.value,
+            transport_block,
+            (crc.poly, crc.width) if crc else None,
+            self.physical_bits,
+            conv,
+        )
 
     @property
     def coded_bits(self) -> int:
@@ -122,13 +164,35 @@ class TransportChain:
         return self.transport_block / self.physical_bits
 
     # -- transmit -------------------------------------------------------
+    @property
+    def generator(self) -> np.ndarray:
+        """Read-only ``(transport_block, physical_bits)`` GF(2) generator matrix.
+
+        Row ``i`` is the stage-by-stage encoding of unit block ``e_i``;
+        shared through the ``coding.chain_generator`` design cache by
+        every chain with the same design.
+        """
+        return _chain_generator(*self._design)
+
     def encode(self, bits: np.ndarray) -> np.ndarray:
-        """CRC-attach, encode, rate-match and interleave one block."""
+        """CRC-attach, encode, rate-match and interleave one block.
+
+        One GF(2) product with :attr:`generator`, bit-identical to
+        running the stages one after another.
+        """
         bits = np.asarray(bits).astype(np.uint8).ravel()
         if len(bits) != self.transport_block:
             raise ValueError(
                 f"expected {self.transport_block} bits, got {len(bits)}"
             )
+        return gf2_matmul(bits, self.generator)
+
+    def _encode_stages(self, bits: np.ndarray) -> np.ndarray:
+        """The stage-by-stage encoder :attr:`generator` is derived from.
+
+        CRC attachment, the per-bit convolutional or turbo encoder,
+        rate matching and the 2nd interleaver, one after another.
+        """
         msg = self.crc.attach(bits) if self.crc else bits
         if self.scheme is CodingScheme.NONE:
             coded = msg
@@ -186,8 +250,6 @@ class TransportChain:
             msg = self.turbo.decode_batch(soft)
         crc_ok = None
         if self.crc:
-            crc_ok = np.fromiter(
-                (self.crc.check(row) for row in msg), dtype=bool, count=len(msg)
-            )
+            crc_ok = self.crc.check_batch(msg)
             msg = msg[:, : -self.crc.width]
         return {"bits": msg, "crc_ok": crc_ok}

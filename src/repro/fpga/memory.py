@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..caching import freeze
+
 __all__ = ["OnboardMemory", "hamming_encode", "hamming_decode"]
 
 _DATA_BITS = 8  # per protected word (byte-wide EDAC keeps the model simple)
@@ -28,19 +30,61 @@ _DATA_POS = _POSITIONS[(_POSITIONS & (_POSITIONS - 1)) != 0]  # non powers of 2
 _PARITY_POS = _POSITIONS[(_POSITIONS & (_POSITIONS - 1)) == 0]
 
 
+def _encode_table() -> np.ndarray:
+    """The SEC-DED codeword of every byte, as a ``(256, 13)`` bit matrix.
+
+    This is the encoder's definition: data bits at the non-power-of-two
+    positions, each parity bit the XOR of the positions it covers (its
+    own position is still 0 when it is computed), then the overall
+    parity of the 12-bit body.
+    """
+    word = np.zeros((256, _DATA_BITS + _PARITY_BITS), dtype=np.uint8)
+    word[:, _DATA_POS - 1] = (np.arange(256)[:, None] >> np.arange(_DATA_BITS)) & 1
+    for p in _PARITY_POS:
+        covered = _POSITIONS[(np.bitwise_and(_POSITIONS, p)) != 0]
+        word[:, p - 1] = np.bitwise_xor.reduce(word[:, covered - 1], axis=1)
+    overall = np.bitwise_xor.reduce(word, axis=1)
+    return freeze(np.column_stack([word, overall]))
+
+
+#: byte -> 13-bit SEC-DED word; ``_ENCODE_TABLE[codes]`` encodes a whole file
+_ENCODE_TABLE = _encode_table()
+
+# decode status codes of :func:`_decode_words`
+_OK, _CORRECTED, _DOUBLE = 0, 1, 2
+_STATUS = ("ok", "corrected", "double")
+
+
+def _decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Syndrome-decode an ``(n, 13)`` word matrix; returns ``(bytes, status)``.
+
+    The syndrome is the XOR of the 1-indexed positions of the set body
+    bits.  A nonzero syndrome with odd overall parity names the single
+    flipped body bit, which one fancy-index flip corrects; a zero
+    syndrome with odd parity is an upset of the overall-parity bit
+    itself.  A nonzero syndrome with even parity is a double error, and
+    so is a syndrome of 13-15 with odd parity (three or more upsets: no
+    such body position exists).  ``status`` holds ``_OK``,
+    ``_CORRECTED`` or ``_DOUBLE`` per word; the bytes of double-error
+    words are not meaningful.
+    """
+    body = words[:, :-1].copy()
+    syndrome = np.bitwise_xor.reduce(body * _POSITIONS.astype(np.uint8), axis=1)
+    overall = np.bitwise_xor.reduce(words, axis=1) != 0
+    single = (syndrome != 0) & overall & (syndrome <= len(_POSITIONS))
+    status = np.where(overall, _CORRECTED, _OK)
+    status[(syndrome != 0) & ~single] = _DOUBLE
+    rows = np.flatnonzero(single)
+    body[rows, syndrome[rows] - 1] ^= 1
+    data = body[:, _DATA_POS - 1]
+    return np.packbits(data, axis=1, bitorder="little")[:, 0], status
+
+
 def hamming_encode(byte: int) -> np.ndarray:
     """Encode one byte into a 13-bit SEC-DED word (bit array)."""
     if not 0 <= byte < 256:
         raise ValueError("byte out of range")
-    word = np.zeros(_DATA_BITS + _PARITY_BITS, dtype=np.uint8)
-    data = [(byte >> i) & 1 for i in range(_DATA_BITS)]
-    for pos, bit in zip(_DATA_POS, data):
-        word[pos - 1] = bit
-    for p in _PARITY_POS:
-        covered = _POSITIONS[(np.bitwise_and(_POSITIONS, p)) != 0]
-        word[p - 1] = np.bitwise_xor.reduce(word[covered - 1])
-    overall = np.bitwise_xor.reduce(word)
-    return np.concatenate([word, [overall]]).astype(np.uint8)
+    return _ENCODE_TABLE[byte].copy()
 
 
 def hamming_decode(word: np.ndarray) -> tuple[int, str]:
@@ -51,27 +95,8 @@ def hamming_decode(word: np.ndarray) -> tuple[int, str]:
     word = np.asarray(word, dtype=np.uint8)
     if word.shape != (_WORD_BITS,):
         raise ValueError(f"word must have {_WORD_BITS} bits")
-    body = word[:-1].copy()
-    overall = int(np.bitwise_xor.reduce(word))
-    syndrome = 0
-    for p in _PARITY_POS:
-        covered = _POSITIONS[(np.bitwise_and(_POSITIONS, p)) != 0]
-        if np.bitwise_xor.reduce(body[covered - 1]):
-            syndrome |= int(p)
-    status = "ok"
-    if syndrome and overall:
-        # single error at position `syndrome` -> correct
-        body[syndrome - 1] ^= 1
-        status = "corrected"
-    elif syndrome and not overall:
-        status = "double"
-    elif not syndrome and overall:
-        # error in the overall parity bit itself
-        status = "corrected"
-    byte = 0
-    for i, pos in enumerate(_DATA_POS):
-        byte |= int(body[pos - 1]) << i
-    return byte, status
+    byte, status = _decode_words(word[None, :])
+    return int(byte[0]), _STATUS[status[0]]
 
 
 @dataclass
@@ -117,9 +142,10 @@ class OnboardMemory:
             raise MemoryError(
                 f"storing {len(data)} bytes exceeds free capacity {self.free_bytes + old}"
             )
-        words = np.vstack([hamming_encode(b) for b in data]) if data else np.zeros(
-            (0, _WORD_BITS), dtype=np.uint8
-        )
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            data = bytes(list(data))  # ValueError on a value outside 0..255
+        # fancy indexing copies: the file owns a writable word matrix
+        words = _ENCODE_TABLE[np.frombuffer(data, dtype=np.uint8)]
         self._files[name] = _File(name, words)
 
     def load(self, name: str) -> bytes:
@@ -127,14 +153,11 @@ class OnboardMemory:
 
         Raises :class:`IOError` on an uncorrectable (double) error.
         """
-        f = self._get(name)
-        out = bytearray()
-        for i in range(len(f.words)):
-            byte, status = hamming_decode(f.words[i])
-            if status == "double":
-                raise IOError(f"uncorrectable EDAC error in {name!r} at byte {i}")
-            out.append(byte)
-        return bytes(out)
+        data, status = _decode_words(self._get(name).words)
+        bad = np.flatnonzero(status == _DOUBLE)
+        if bad.size:
+            raise IOError(f"uncorrectable EDAC error in {name!r} at byte {bad[0]}")
+        return data.tobytes()
 
     def delete(self, name: str) -> None:
         """Remove a file (§3.2 step 4: 'unload the binary file')."""
@@ -157,10 +180,13 @@ class OnboardMemory:
         names = sorted(self._files)
         sizes = np.array([self._files[n].words.size for n in names])
         bounds = np.cumsum(sizes)
-        for idx in rng.integers(0, total, size=count):
-            fi = int(np.searchsorted(bounds, idx, side="right"))
-            local = idx - (bounds[fi - 1] if fi else 0)
-            self._files[names[fi]].words.reshape(-1)[local] ^= 1
+        idx = rng.integers(0, total, size=count)
+        owner = np.searchsorted(bounds, idx, side="right")
+        for fi, name in enumerate(names):
+            words = self._files[name].words
+            local = idx[owner == fi] - (bounds[fi] - sizes[fi])
+            # unbuffered XOR: a bit drawn twice flips back, as in a loop
+            np.bitwise_xor.at(words, np.unravel_index(local, words.shape), 1)
 
     def scrub(self) -> int:
         """EDAC scrub: rewrite every byte from its corrected value.
@@ -170,10 +196,9 @@ class OnboardMemory:
         """
         fixed = 0
         for f in self._files.values():
-            for i in range(len(f.words)):
-                byte, status = hamming_decode(f.words[i])
-                if status == "corrected":
-                    f.words[i] = hamming_encode(byte)
-                    fixed += 1
+            data, status = _decode_words(f.words)
+            rows = np.flatnonzero(status == _CORRECTED)
+            f.words[rows] = _ENCODE_TABLE[data[rows]]
+            fixed += rows.size
         self.scrub_corrections += fixed
         return fixed

@@ -74,6 +74,14 @@ class TestLibrary:
         with pytest.raises(IOError):
             lib.fetch("modem.tdma")
 
+    def test_three_bit_upset_raises_ioerror_on_fetch(self):
+        """Syndrome 13-15 with odd parity is uncorrectable, not an IndexError."""
+        _, _, lib = setup_stack()
+        words = lib.memory._files["modem.tdma@1.bit"].words
+        words[10, [0, 3, 7]] ^= 1  # 1-indexed positions 1, 4, 8
+        with pytest.raises(IOError, match="at byte 10"):
+            lib.fetch("modem.tdma")
+
     def test_memory_accounting(self):
         lib = BitstreamLibrary(OnboardMemory(capacity_bytes=100))
         with pytest.raises(MemoryError):

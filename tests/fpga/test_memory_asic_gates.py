@@ -47,6 +47,13 @@ class TestHamming:
         _, status = hamming_decode(word)
         assert status == "double"
 
+    def test_three_bit_upset_is_uncorrectable_not_a_crash(self):
+        """Positions 1, 4, 8 give syndrome 13 with odd parity: no such bit."""
+        word = hamming_encode(0xA5)
+        word[[0, 3, 7]] ^= 1
+        _, status = hamming_decode(word)
+        assert status == "double"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             hamming_encode(256)
@@ -93,6 +100,52 @@ class TestOnboardMemory:
         fixed = m.scrub()
         assert fixed >= 1
         assert m.load("f") == bytes(2000)
+
+    def test_three_bit_upset_fails_load_and_survives_scrub(self):
+        m = OnboardMemory(1 << 10)
+        m.store("f", bytes(range(8)))
+        m._files["f"].words[5, [0, 3, 7]] ^= 1
+        before = m._files["f"].words.copy()
+        with pytest.raises(IOError, match="at byte 5"):
+            m.load("f")
+        assert m.scrub() == 0
+        assert m.scrub_corrections == 0
+        np.testing.assert_array_equal(m._files["f"].words, before)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_bytes_like_roundtrip(self, kind):
+        m = OnboardMemory(1 << 10)
+        m.store("f", kind(b"\x00\x7f\x80\xff abc"))
+        assert m.load("f") == b"\x00\x7f\x80\xff abc"
+
+    def test_store_rejects_non_byte_values_atomically(self):
+        m = OnboardMemory(1 << 10)
+        m.store("f", b"keep")
+        with pytest.raises(ValueError):
+            m.store("f", [300])
+        with pytest.raises(ValueError):
+            m.store("g", [1, -1])
+        assert m.load("f") == b"keep"
+        assert m.used_bytes == 4 and m.files() == ["f"]
+
+    def test_store_accepts_int_sequences(self):
+        m = OnboardMemory(1 << 10)
+        m.store("f", [0, 1, 255])
+        assert m.load("f") == b"\x00\x01\xff"
+
+    def test_stored_words_are_a_private_writable_matrix(self):
+        m = OnboardMemory(1 << 10)
+        m.store("f", b"ab")
+        m.store("g", b"")
+        words = m._files["f"].words
+        assert words.shape == (2, 13) and words.dtype == np.uint8
+        assert words.flags.writeable and words.base is None
+        assert m._files["g"].words.shape == (0, 13)
+        assert m._files["g"].words.dtype == np.uint8
+        words[0, 0] ^= 1  # an upset touches this file only
+        m.store("h", b"a")
+        np.testing.assert_array_equal(m._files["h"].words[0], hamming_encode(ord("a")))
+        assert m.load("f") == b"ab"
 
     def test_used_free_accounting(self):
         m = OnboardMemory(capacity_bytes=100)

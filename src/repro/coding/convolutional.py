@@ -17,7 +17,10 @@ board), so the add-compare-select recursion is implemented as a direct
 trellis, next-state ``s'`` is reached only from predecessors
 ``(s' << 1) & (ns - 1)`` and ``(s' << 1 | 1) & (ns - 1)`` with the
 input bit ``s' >> (K - 2)`` -- vectorized across all 256 states *and*
-across a leading **batch axis**.  :meth:`ConvolutionalCode.decode`
+across a leading **batch axis**: one add-compare-select step is a copy
+of the predecessor metrics, one add, one compare and one max over a
+``(2, 256, batch)`` slice of a candidate table gathered ahead of the
+loop.  :meth:`ConvolutionalCode.decode`
 processes one block; :meth:`ConvolutionalCode.decode_batch` processes a
 ``(batch, n)`` stack of blocks in one trellis sweep, bit-identically to
 looping the scalar decoder (same elementwise operations, broadcast over
@@ -33,6 +36,9 @@ from ..obs.probes import probe
 
 __all__ = ["ConvolutionalCode", "UMTS_RATE_12", "UMTS_RATE_13"]
 
+#: bytes of Viterbi candidate table gathered at a time (see ``decode_batch``)
+_CAND_BYTES = 1 << 19
+
 
 @cached_design("coding.conv_trellis", maxsize=32)
 def _trellis_tables(generators: tuple[int, ...], constraint_length: int):
@@ -42,16 +48,15 @@ def _trellis_tables(generators: tuple[int, ...], constraint_length: int):
     ``(generators, K)`` shares the same frozen tables, so repeated
     decoder-personality construction stops re-deriving them.
 
-    Returns ``(next_state, outputs, pred0, pred1, in_bit, pat, p0idx,
-    p1idx)`` where ``pred0/pred1`` are the two butterfly predecessors
-    of each next-state, ``in_bit`` the input bit driving into it,
-    ``pat`` the ``(2**n_out, n_out)`` table of +-1 sign patterns (one
-    row per possible branch-output word) and ``p0idx/p1idx`` the
-    per-next-state pattern indices of the two incoming branches.  A
-    branch's LLR-correlation metric is then ``(llr @ pat.T)[...,
-    p0idx]`` -- only ``2**n_out`` distinct correlations exist per
-    trellis step, so the matmul shrinks from ``ns`` columns to
-    ``2**n_out`` and the per-state expansion becomes a cheap gather.
+    Returns ``(next_state, outputs, pat, pred_words)`` where ``pat`` is
+    the ``(2**n_out, n_out)`` table of +-1 sign patterns (one row per
+    possible branch-output word) and ``pred_words`` the ``(2 * ns,)``
+    pattern indices of the branches into every next-state from its even
+    butterfly predecessor, then from its odd one.  A branch's
+    LLR-correlation metric is then ``(llr @ pat.T)[..., pred_words]``
+    -- only ``2**n_out`` distinct correlations exist per trellis step,
+    so the matmul shrinks from ``ns`` columns to ``2**n_out`` and the
+    per-state expansion becomes a cheap gather.
     """
     k = constraint_length
     ns = 1 << (k - 1)
@@ -93,9 +98,8 @@ def _trellis_tables(generators: tuple[int, ...], constraint_length: int):
     # output bit 0, -1 for bit 1), for LLR-correlation branch metrics.
     pat_bits = (np.arange(1 << n_out)[:, None] >> np.arange(n_out)[None, :]) & 1
     pat = 1.0 - 2.0 * pat_bits.astype(np.float64)  # (2**n_out, n_out)
-    return tuple(
-        freeze(a) for a in (next_state, outputs, pred0, pred1, in_bit, pat, p0idx, p1idx)
-    )
+    pred_words = np.concatenate([p0idx, p1idx])
+    return tuple(freeze(a) for a in (next_state, outputs, pat, pred_words))
 
 
 class ConvolutionalCode:
@@ -124,12 +128,8 @@ class ConvolutionalCode:
         (
             self.next_state,
             self.outputs,
-            self._pred0,
-            self._pred1,
-            self._in_bit,
             self._pat,
-            self._p0idx,
-            self._p1idx,
+            self._pred_words,
         ) = _trellis_tables(self.generators, self.k)
 
     @property
@@ -201,67 +201,69 @@ class ConvolutionalCode:
         llr = self._to_llr(received, soft).reshape(nb, total, self.n_out)
         ns = self.num_states
         half = ns // 2
-        quarter = half // 2
-        pred0, pred1 = self._pred0, self._pred1
-        p0idx, p1idx = self._p0idx, self._p1idx
 
         # Branch metrics: only 2**n_out distinct branch-output words
         # exist, so one small matmul (time-major so each step's slice
         # is contiguous) computes every possible LLR correlation per
         # step, and the per-state metric is a gather through the
-        # pattern-index tables.
+        # pattern-index table.
         llr_t = np.ascontiguousarray(llr.transpose(1, 0, 2)).reshape(
             total * nb, self.n_out
         )
         corr = (llr_t @ self._pat.T).reshape(total, nb, self._pat.shape[0])
+        corr = np.ascontiguousarray(corr.transpose(0, 2, 1))  # (step, word, batch)
 
-        metrics = np.full((nb, 2, half), -np.inf)
-        metrics.reshape(nb, ns)[:, 0] = 0.0  # trellis starts in state 0
-        # choice[t, b, s'] = True when the odd-predecessor branch survives
-        choice = np.empty((total, nb, ns), dtype=bool)
-        choice_steps = choice.reshape(total, nb, 2, half)
-        # scratch buffers, reused every step: predecessor metrics in
-        # s>>1 order (contiguous) and the two candidate planes.  Axis
-        # -2 splits next-states into halves: next-state s' = h*half + j
-        # is fed by predecessors 2j (even) and 2j+1 (odd) for both
-        # halves h -- the butterfly's shuffle structure.
-        m_even = np.empty((nb, 2, quarter))
-        m_odd = np.empty((nb, 2, quarter))
-        cand0 = np.empty((nb, ns))
-        cand1 = np.empty((nb, ns))
-        me = m_even.reshape(nb, half)
-        mo = m_odd.reshape(nb, half)
-        c0v = cand0.reshape(nb, 2, half)
-        c1v = cand1.reshape(nb, 2, half)
-        for t in range(total):
-            # state s = h*half + j is even iff j is even; predecessor
-            # metric arrays are indexed by s >> 1 = h*quarter + j//2
-            np.copyto(m_even, metrics[:, :, 0::2])
-            np.copyto(m_odd, metrics[:, :, 1::2])
-            ct = corr[t]
-            np.take(ct, p0idx, axis=1, out=cand0)
-            np.take(ct, p1idx, axis=1, out=cand1)
-            c0v += me[:, None, :]
-            c1v += mo[:, None, :]
-            np.greater(c1v, c0v, out=choice_steps[t])
-            np.maximum(c0v, c1v, out=metrics)
+        # Metrics are state-major, (state, batch), so every per-step
+        # array has the batch as its contiguous inner axis.
+        metrics = np.full((ns, nb), -np.inf)
+        metrics[0] = 0.0  # trellis starts in state 0
+        # Next-state s' = h*half + j is fed by predecessors 2j (even)
+        # and 2j+1 (odd) for both halves h -- the butterfly's shuffle
+        # structure.  Each step copies the even and odd metrics into one
+        # contiguous (parity, 1, j, batch) buffer, broadcast over h.
+        pred = metrics.reshape(half, 2, nb).transpose(1, 0, 2)
+        pred_buf = np.empty((2, 1, half, nb))
+        out = metrics.reshape(2, half, nb)
+        # choice[t, s', b] = True when the odd-predecessor branch survives
+        choice = np.empty((total, ns, nb), dtype=bool)
+        choice_steps = choice.reshape(total, 2, half, nb)
+        # The two incoming branch metrics of every next-state are
+        # gathered into a contiguous (step, parity * next-state, batch)
+        # candidate table, _CAND_BYTES worth of steps at a time so the
+        # table stays in cache at large batches.
+        chunk = max(1, _CAND_BYTES // (2 * ns * nb * 8))
+        cand = np.empty((min(chunk, total), 2 * ns, nb))
+        cand_steps = cand.reshape(-1, 2, 2, half, nb)
+        for t0 in range(0, total, chunk):
+            n = min(chunk, total - t0)
+            # the word indices are in range by construction: "clip"
+            # only skips the bounds check
+            np.take(
+                corr[t0 : t0 + n], self._pred_words, axis=1, out=cand[:n], mode="clip"
+            )
+            for c, ch in zip(cand_steps[:n], choice_steps[t0 : t0 + n]):
+                np.copyto(pred_buf[:, 0], pred)
+                np.add(c, pred_buf, out=c)
+                np.greater(c[1], c[0], out=ch)
+                np.maximum(c[0], c[1], out=out)
 
-        # traceback from state 0 (terminated trellis), whole batch at once
+        # traceback from state 0 (terminated trellis), whole batch at
+        # once: the surviving predecessor of s' is (s' << 1 | choice)
+        # within the state mask, and s' carries its input bit on top
         states = np.zeros(nb, dtype=np.int64)
         rows = np.arange(nb)
-        in_bit = self._in_bit
-        decoded = np.empty((nb, total), dtype=np.uint8)
+        path = np.empty((total, nb), dtype=np.int64)
         for t in range(total - 1, -1, -1):
-            decoded[:, t] = in_bit[states]
-            take1 = choice[t, rows, states]
-            states = np.where(take1, pred1[states], pred0[states])
+            path[t] = states
+            states = ((states << 1) & (ns - 1)) | choice[t, states, rows]
+        decoded = (path[:num_bits].T >> (self.k - 2)).astype(np.uint8)
 
         p = probe("perf.viterbi", code=f"k{self.k}r1_{self.n_out}")
         if p is not None:
             p.count("batches")
             p.count("blocks", nb)
             p.count("bits", nb * num_bits)
-        return decoded[:, :num_bits]
+        return decoded
 
 
 #: TS 25.212 rate-1/2 code: G0 = 561, G1 = 753 (octal), K = 9.

@@ -12,10 +12,14 @@ implements:
   patterns);
 - an iterative max-log-MAP (BCJR) decoder with extrinsic exchange,
   batched over a leading block axis: :meth:`TurboCode.decode_batch`
-  runs every alpha/beta/gamma recursion across a ``(batch, n)`` stack
-  of code blocks at once, bit-identically to looping
-  :meth:`TurboCode.decode` (the scalar path delegates to the batched
-  kernel with ``batch == 1``).
+  decodes a ``(batch, n)`` stack of code blocks at once,
+  bit-identically to looping :meth:`TurboCode.decode` (the scalar path
+  delegates to the batched kernel with ``batch == 1``).  Each SISO runs
+  the forward and backward recursions as one fused butterfly loop:
+  relabelling the backward states by 3-bit reversal gives both
+  recursions the same two-predecessor structure, so one step is one
+  add and one max over a ``(2, 2, batch, 8)`` stack (see
+  ``docs/performance.md``, "Trellis kernels").
 """
 
 from __future__ import annotations
@@ -204,21 +208,27 @@ for _s in range(_NSTATES):
     for _b in (0, 1):
         _NEXT[_s, _b], _PAR[_s, _b] = _rsc_step(_s, _b)
 
-# Predecessor tables for the batched alpha recursion: each RSC state
-# has exactly two (state, bit) predecessors, so the scatter-max
-# ``np.maximum.at(new, _NEXT.ravel(), cand.ravel())`` is equivalent to
-# a gather-max over the two flat ``(state, bit)`` candidate indices
-# (max is exact and order-independent, so the two forms are
-# bit-identical).
-_PRED_FLAT = np.empty((_NSTATES, 2), dtype=np.int64)
-_pred_count = np.zeros(_NSTATES, dtype=np.int64)
-for _s in range(_NSTATES):
-    for _b in (0, 1):
-        _ns = int(_NEXT[_s, _b])
-        _PRED_FLAT[_ns, _pred_count[_ns]] = 2 * _s + _b
-        _pred_count[_ns] += 1
-assert np.all(_pred_count == 2), "RSC trellis is not a 2-predecessor butterfly"
-del _pred_count
+# Butterfly tables for the fused alpha/beta recursion.  The RSC has
+# ``next(s, b) = (fb, s1, s2)``, so next-state ``n`` is reached only from
+# ``2 (n mod 4)`` and ``2 (n mod 4) + 1`` -- the even and odd entries of
+# the metric vector, a strided view rather than a gather.  The
+# successors of ``s`` are ``s >> 1`` and ``(s >> 1) + 4``; relabel the
+# beta states by the 3-bit reversal ``_REV`` (an involution fixing 0)
+# and the backward recursion has the very same predecessor structure.
+# ``_FLAT_A[j, n]`` / ``_FLAT_B[j, r]`` are the flat ``2 * state + bit``
+# gamma indices of the branch feeding slot ``j`` of alpha state ``n`` /
+# reversed-beta state ``r``.
+_REV = np.array([int(f"{_s:03b}"[::-1], 2) for _s in range(_NSTATES)])
+_REV_NEXT = _REV[_NEXT]
+_FLAT_A = np.empty((2, _NSTATES), dtype=np.int64)
+_FLAT_B = np.empty((2, _NSTATES), dtype=np.int64)
+for _x in range(_NSTATES):
+    for _j in (0, 1):
+        _p = 2 * (_x % 4) + _j
+        _FLAT_A[_j, _x] = 2 * _p + int(np.flatnonzero(_NEXT[_p] == _x)[0])
+        _s = int(_REV[_x])
+        _FLAT_B[_j, _x] = 2 * _s + int(np.flatnonzero(_REV_NEXT[_s] == _p)[0])
+assert np.array_equal(_REV[_REV], np.arange(_NSTATES)) and _REV[0] == 0
 
 
 class TurboCode:
@@ -305,10 +315,12 @@ class TurboCode:
         All inputs carry a leading batch axis: ``lsys``/``lpar``/
         ``lapr`` are ``(batch, K)`` channel LLRs (positive = bit 0) and
         ``tail_sys``/``tail_par`` are ``(batch, 3)``.  Returns the
-        ``(batch, K)`` extrinsic LLRs.  The alpha/beta recursions run
-        one trellis step at a time but across the whole batch and all
-        8 states at once; the per-bit LLR extraction is fully
-        vectorized over time *and* batch.
+        ``(batch, K)`` extrinsic LLRs.  The forward and (bit-reversal
+        relabelled) backward recursions share one ``K + 3``-step loop
+        of two ufunc calls each -- an add of the step's branch metrics
+        to a strided view of the previous metrics, and a max over the
+        two predecessors -- across the whole batch and all 8 states;
+        the per-bit LLR extraction is vectorized over time *and* batch.
         """
         nb, k = lsys.shape
         total = k + 3
@@ -328,45 +340,36 @@ class TurboCode:
             + half_par[:, :, None, None] * psign[None, None, :, :]
         )  # (total, nb, 8, 2)
 
-        alpha = np.full((total + 1, nb, _NSTATES), -np.inf)
-        alpha[0, :, 0] = 0.0
-        p0 = _PRED_FLAT[:, 0]
-        p1 = _PRED_FLAT[:, 1]
-        for t in range(total):
-            cand = (alpha[t][:, :, None] + gammas[t]).reshape(nb, 2 * _NSTATES)
-            # gather-max over the two (state, bit) predecessors; exactly
-            # the scatter-max over _NEXT, state by state
-            np.maximum(cand[:, p0], cand[:, p1], out=alpha[t + 1])
+        # Branch metrics of every step, gathered once into the loop's
+        # (step, pred slot j, direction, batch, state) layout; direction
+        # 1 walks time backwards and labels states by _REV.
+        flat = gammas.reshape(total, nb, 2 * _NSTATES)
+        table = np.empty((total, 2, 2, nb, _NSTATES))
+        table[:, :, 0] = np.take(flat, _FLAT_A, axis=2).transpose(0, 2, 1, 3)
+        table[:, :, 1] = np.take(flat[::-1], _FLAT_B, axis=2).transpose(0, 2, 1, 3)
 
-        beta = np.full((total + 1, nb, _NSTATES), -np.inf)
-        beta[total, :, 0] = 0.0  # terminated
-        for t in range(total - 1, -1, -1):
-            # beta[t, s] = max_b gamma[t,s,b] + beta[t+1, next(s,b)]
-            beta[t] = np.max(gammas[t] + beta[t + 1][:, _NEXT], axis=2)
+        # metrics[i, 0] = alpha[i]; metrics[i, 1] = beta[total - i][_REV]
+        metrics = np.full((total + 1, 2, nb, _NSTATES), -np.inf)
+        metrics[0, :, :, 0] = 0.0  # start state and terminated end state
+        # state n = 4h + q is fed from 2q + j: view the previous metrics
+        # as (j, direction, batch, 1, q), broadcast over h
+        prev = metrics.reshape(total + 1, 2, nb, 4, 2).transpose(0, 4, 1, 2, 3)[
+            :, :, :, :, None, :
+        ]
+        nxt = metrics.reshape(total + 1, 2, nb, 2, 4)[1:]
+        cand = np.empty((2, 2, nb, 2, 4))
+        slot0, slot1 = cand
+        for gam, pm, out in zip(table.reshape(total, 2, 2, nb, 2, 4), prev, nxt):
+            np.add(pm, gam, out=cand)
+            np.maximum(slot0, slot1, out=out)
 
         # LLR for data steps only, all steps at once
-        m = alpha[:k, :, :, None] + gammas[:k] + beta[1 : k + 1][:, :, _NEXT]
+        alpha = metrics[:k, 0]
+        beta_next = metrics[total - 1 : 2 : -1, 1]  # beta[1 : k + 1] in _REV labels
+        m = alpha[:, :, :, None] + gammas[:k] + beta_next[:, :, _REV_NEXT]
         llr = m[..., 0].max(axis=2) - m[..., 1].max(axis=2)  # (k, nb)
         # extrinsic: remove channel systematic and a priori
         return llr.T - lsys - lapr
-
-    @staticmethod
-    def _siso(
-        lsys: np.ndarray,
-        lpar: np.ndarray,
-        lapr: np.ndarray,
-        tail_sys: np.ndarray,
-        tail_par: np.ndarray,
-    ) -> np.ndarray:
-        """Max-log-MAP SISO for one terminated RSC constituent.
-
-        Scalar convenience wrapper over :meth:`_siso_batch` (batch of
-        one), kept for API compatibility.
-        """
-        return TurboCode._siso_batch(
-            lsys[None, :], lpar[None, :], lapr[None, :],
-            tail_sys[None, :], tail_par[None, :],
-        )[0]
 
     def decode(self, llr: np.ndarray, return_iterations: bool = False):
         """Iteratively decode channel LLRs (positive = bit 0).

@@ -232,6 +232,11 @@ class TransportChain:
         where ``bits`` is ``(batch, transport_block)`` and ``crc_ok`` a
         boolean array (or ``None`` without CRC), bit-identical to
         looping :meth:`decode` over the rows.
+
+        A row holding any non-finite LLR (``nan``, ``+-inf``) is
+        reported ``crc_ok = False``: the max-based decoders turn it into
+        NaN path metrics and an all-zero word, which a zero-init CRC
+        accepts.  A chain without CRC cannot flag such a row.
         """
         llr = np.asarray(llr, dtype=np.float64)
         if llr.ndim != 2:
@@ -250,6 +255,6 @@ class TransportChain:
             msg = self.turbo.decode_batch(soft)
         crc_ok = None
         if self.crc:
-            crc_ok = self.crc.check_batch(msg)
+            crc_ok = self.crc.check_batch(msg) & np.isfinite(llr).all(axis=1)
             msg = msg[:, : -self.crc.width]
         return {"bits": msg, "crc_ok": crc_ok}

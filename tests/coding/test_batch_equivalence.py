@@ -174,6 +174,31 @@ class TestTransportChainBatchEquivalence:
             np.testing.assert_array_equal(batched["bits"][i], scalar["bits"])
             assert bool(batched["crc_ok"][i]) == bool(scalar["crc_ok"])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("scheme", [CodingScheme.CONVOLUTIONAL, CodingScheme.TURBO])
+    def test_non_finite_llr_fails_crc(self, scheme, value):
+        """One non-finite LLR must not decode to a block that passes CRC.
+
+        The max-based decoders turn it into NaN path metrics and an
+        all-zero word, which the zero-init CRC would accept.
+        """
+        chain = TransportChain(scheme, transport_block=40)
+        rng = np.random.default_rng(4)
+        msgs = rng.integers(0, 2, (3, 40)).astype(np.uint8)
+        enc = np.stack([chain.encode(m) for m in msgs])
+        sigma = np.sqrt(0.5 / 10 ** 0.4)  # 4 dB Es/N0
+        llrs = 2.0 * ((1.0 - 2.0 * enc) + sigma * rng.standard_normal(enc.shape)) / sigma**2
+        llrs[1, 7] = value
+        with np.errstate(invalid="ignore"):
+            batched = chain.decode_batch(llrs)
+            scalar = [chain.decode(row) for row in llrs]
+        assert batched["crc_ok"].tolist() == [True, False, True]
+        for i in (0, 2):
+            np.testing.assert_array_equal(batched["bits"][i], msgs[i])
+        for i, out in enumerate(scalar):
+            np.testing.assert_array_equal(batched["bits"][i], out["bits"])
+            assert bool(batched["crc_ok"][i]) == out["crc_ok"]
+
 
 class TestModemBatchEquivalence:
     @pytest.mark.parametrize("order", [2, 4, 8])

@@ -22,7 +22,7 @@ test-robustness:  ## fault-tolerance layer: retry, TC/TM transactions, watchdog,
 test-fdir:  ## traffic-plane FDIR: health monitors, recovery ladder, degraded modes, FDIR scenario sweep
 	$(PYTHON) -m pytest -m fdir tests/
 
-test-overload:  ## demand-plane overload control: admission, backpressure, deadlines, brownout, surge chaos
+test-overload:  ## demand-plane overload control: admission, backpressure, deadlines, brownout, overload scenario sweep
 	$(PYTHON) -m pytest -m overload tests/
 
 test-perf:  ## batched burst-processing throughput baseline + MF-TDMA batched==scalar suite + GF(2) bit kernels + fused trellis kernels (prints tables)
@@ -34,7 +34,7 @@ test-cdma-perf:  ## batched CDMA return-link engine: equivalence suite + bursts/
 test-scenarios:  ## mission-scenario conformance: golden corpus, differential oracles, seeded soak sweeps
 	$(PYTHON) -m pytest -m scenario tests/scenarios/
 
-test-dtn:  ## disruption-tolerant ground segment: contact plans, store-and-forward, resumable transfers, outage chaos
+test-dtn:  ## disruption-tolerant ground segment: contact plans, store-and-forward, resumable transfers, outage scenario sweep
 	$(PYTHON) -m pytest -m dtn tests/
 
 bench-e2e-smoke:  ## end-to-end benchmark harness smoke tests (short runs of every workload)

@@ -1,53 +1,53 @@
 """C14 -- demand-plane overload control: shed-before-collapse under surge.
 
-Times the overload chaos sweep (every surge scenario, one seed, each
-with a same-seed nominal baseline) through the full control stack --
-ingress admission, bounded CoDel class queues, per-class deadline
-budgets, the brownout ladder, the link-budget-coupled capacity and the
-servicing circuit breaker -- and prints the per-scenario table: offered
-vs admitted vs served load, p0 goodput against the nominal baseline,
-brownout ladder actions and breaker trips.
+Times the overload acceptance sweep (:func:`repro.scenarios.overload_sweep`,
+every surge shape at seed 0, each with its clean twin) through the
+scenario runner -- ingress admission, bounded CoDel class queues,
+per-class deadline budgets, the brownout ladder, the link-budget-coupled
+capacity and the service circuit breaker, on the live 3-carrier
+regenerative chain -- and prints the per-shape table: offered vs
+admitted vs served load, p0 goodput against the clean twin, brownout
+ladder actions and breaker trips.
 
-Run with ``REPRO_OBS=1`` and the stack's ``overload_*`` series --
-``overload.admission.rejected_*``, ``overload.queue.dropped``,
-``overload.codel.shed``, ``overload.brownout.shed_*`` -- land in the
-exported metrics snapshot (``BENCH_METRICS.json``) via the session
-fixture in ``conftest.py``; with ``REPRO_BENCH_JSON=1`` the table is
-captured into ``BENCH_c14_overload.json``.
+The per-mission accounting is ``result.metrics["overload"]``; with
+``REPRO_BENCH_JSON=1`` the table is captured into
+``BENCH_c14_overload.json``.
 """
 
 from conftest import print_table
-from repro.robustness.overload.chaos import OverloadChaosCampaign
+from repro.scenarios import (
+    nominal_twin,
+    overload_sweep,
+    result_violations,
+    run_scenario,
+)
 
 
 def test_overload_shed_before_collapse(benchmark):
     def run():
-        campaign = OverloadChaosCampaign(seeds=[0])
-        campaign.run()
-        return campaign
+        return [
+            (run_scenario(spec), run_scenario(nominal_twin(spec)))
+            for spec in overload_sweep([0])
+        ]
 
-    campaign = benchmark.pedantic(run, rounds=1, iterations=1)
+    pairs = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []
-    for o in campaign.outcomes:
-        if o.nominal_run:
-            continue
-        offered = sum(o.arrivals.values())
-        admitted = sum(o.admitted.values())
-        served = sum(o.served_ok.values())
-        base_p0 = o.baseline_served_ok.get("p0", 0)
-        p0_ratio = o.served_ok["p0"] / base_p0 if base_p0 else float("nan")
+    for result, twin in pairs:
+        ov = result.metrics["overload"]
+        base_p0 = twin.metrics["overload"]["served"]["p0"]
+        p0_ratio = ov["served"]["p0"] / base_p0 if base_p0 else float("nan")
         rows.append(
             [
-                o.scenario.name,
-                o.scenario.frames,
-                offered,
-                admitted,
-                served,
+                result.name,
+                result.spec.frames,
+                sum(ov["arrivals"].values()),
+                sum(ov["admitted"].values()),
+                sum(ov["served"].values()),
                 f"{p0_ratio:.2f}",
-                o.ladder_stats["shed_events"],
-                o.ladder_stats["restore_events"],
-                "-" if o.breaker_stats is None else o.breaker_stats["trips"],
-                len(o.violations()),
+                ov["ladder"]["shed_events"],
+                ov["ladder"]["restore_events"],
+                ov["breaker"]["trips"] if "breaker" in ov else "-",
+                len(result_violations(result, nominal=twin)),
             ]
         )
     print_table(
@@ -58,7 +58,7 @@ def test_overload_shed_before_collapse(benchmark):
             "offered",
             "admitted",
             "served",
-            "p0/base",
+            "p0/twin",
             "sheds",
             "restores",
             "trips",
@@ -66,29 +66,31 @@ def test_overload_shed_before_collapse(benchmark):
         ],
         rows,
     )
-    assert all(o.completed for o in campaign.outcomes)
-    assert campaign.all_violations() == []
-    # every surge scenario actually pushed past capacity and shed load
-    surges = [o for o in campaign.outcomes if not o.nominal_run]
-    assert surges and all(sum(o.rejected.values()) > 0 for o in surges)
+    assert all(r.completed and t.completed for r, t in pairs)
+    assert [
+        v
+        for r, t in pairs
+        for v in result_violations(r, nominal=t) + result_violations(t)
+    ] == []
+    # every surge shape actually pushed past capacity and shed load
+    assert all(sum(r.metrics["overload"]["rejected"].values()) > 0 for r, _ in pairs)
 
 
 def test_overload_nominal_overhead(benchmark):
-    """The clean-traffic control: admission at nominal load rejects
+    """The clean-demand control: admission at nominal load rejects
     (almost) nothing and the brownout ladder never engages."""
 
     def run():
-        campaign = OverloadChaosCampaign(seeds=[0])
-        sc = campaign.scenarios[0]
-        return campaign.run_one(sc, 0, nominal=True)
+        return run_scenario(nominal_twin(overload_sweep([0])[0]))
 
-    outcome = benchmark.pedantic(run, rounds=1, iterations=1)
-    offered = sum(outcome.arrivals.values())
-    rejected = sum(outcome.rejected.values())
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    ov = result.metrics["overload"]
+    offered = sum(ov["arrivals"].values())
+    rejected = sum(ov["rejected"].values())
     print(
-        f"nominal: {sum(outcome.served_ok.values())}/{offered} served, "
-        f"{rejected} rejected, {len(outcome.ladder_history)} ladder actions"
+        f"nominal: {sum(ov['served'].values())}/{offered} served, "
+        f"{rejected} rejected, {len(ov['ladder_history'])} ladder actions"
     )
-    assert outcome.violations() == []
+    assert result_violations(result) == []
     assert rejected <= 0.01 * offered
-    assert not outcome.ladder_history
+    assert not ov["ladder_history"]

@@ -12,18 +12,13 @@ unscheduled link absence:
   :class:`SolidStateRecorder` (store-and-forward with
   lowest-priority-first overflow shedding and ground-driven playback);
 - :mod:`~repro.robustness.dtn.transfer` -- CFDP-style checkpointed
-  resumable uploads over the existing TFTP/FTP/SCPS clients;
-- :mod:`~repro.robustness.dtn.chaos` -- the
-  :class:`OutageChaosCampaign` sweeping disruption scenarios across
-  seeds with mechanical invariants.
+  resumable uploads over the existing TFTP/FTP/SCPS clients.
+
+A :class:`repro.scenarios.ContactSchedule` wires all three into a
+mission run by the scenario runner; the outage acceptance sweep is
+:func:`repro.scenarios.outage_sweep`.
 """
 
-from .chaos import (
-    OutageChaosCampaign,
-    OutageOutcome,
-    OutageScenario,
-    default_outage_scenarios,
-)
 from .contact import ContactPlan, ContactWindow, LinkScheduler, OutageEvent
 from .recorder import PRIORITY_CLASSES, SolidStateRecorder
 from .transfer import (
@@ -39,17 +34,13 @@ __all__ = [
     "ContactPlan",
     "ContactWindow",
     "LinkScheduler",
-    "OutageChaosCampaign",
     "OutageEvent",
-    "OutageOutcome",
-    "OutageScenario",
     "PRIORITY_CLASSES",
     "ResumableReceiver",
     "ResumableUploader",
     "SolidStateRecorder",
     "TransferError",
     "TransferState",
-    "default_outage_scenarios",
     "restart_from_zero_upload",
     "segment_name",
 ]

@@ -134,7 +134,7 @@ class SolidStateRecorder:
         if p is not None:
             p.count("shed")
             p.count(kind)
-            p.event("dtn.recorder_shed", cls=cls, bytes=nbytes, kind=kind)
+            p.event("dtn.recorder_shed", cls=cls, bytes=nbytes, reason=kind)
 
     # -- playback ----------------------------------------------------------
     def authorize(self, budget_records: int) -> int:

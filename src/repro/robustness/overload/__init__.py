@@ -21,11 +21,11 @@ capacity**.  The defense is layered, cheapest first:
    classes first and restores with hysteresis + dwell (no flapping),
    composing with the FDIR ``DegradedModePolicy``'s carrier shedding.
 
-:mod:`.chaos` holds the :class:`OverloadChaosCampaign` (flash crowd,
-sustained 10x surge, surge during rain fade, surge during FDIR
-recovery) with shed-before-collapse invariants; like the other chaos
-harnesses it is imported as a submodule, not re-exported here, to keep
-this namespace free of the payload/FDIR stack.
+A :class:`repro.scenarios.SurgeProfile` composes the whole stack into a
+mission run by the scenario runner; the shed-before-collapse
+acceptance sweep (flash crowd, sustained 10x surge, surge during a
+rain fade, surge during FDIR recovery) is
+:func:`repro.scenarios.overload_sweep`.
 
 All decisions emit ``overload.*`` metrics and trace events through
 :mod:`repro.obs`.  See ``docs/robustness.md`` for the full semantics.

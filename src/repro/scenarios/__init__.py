@@ -17,16 +17,28 @@ Three verification layers ride on top:
   randomized scenario grids over multiple seeds, checked against the
   cross-cutting invariants in
   :func:`~repro.scenarios.runner.result_violations`;
-- the **FDIR sweep** (:func:`~repro.scenarios.catalog.fdir_sweep`,
-  ``tests/scenarios/test_fdir_sweep.py``): the traffic-plane fault
-  missions x seeds, each with the recovery actions it must and must
-  never take.
+- the **acceptance sweeps**, mission x seed through the same runner
+  and checker: :func:`~repro.scenarios.catalog.fdir_sweep` (the
+  traffic-plane fault missions, each with the recovery actions it must
+  and must never take), :func:`~repro.scenarios.catalog.overload_sweep`
+  (demand surges, judged against their
+  :func:`~repro.scenarios.catalog.nominal_twin`) and
+  :func:`~repro.scenarios.catalog.outage_sweep` (lost contacts, resumed
+  uploads, store-and-forward telemetry).
 
 Every mission runs on the traffic-plane world of
 :mod:`repro.scenarios.world`.
 """
 
-from .catalog import canonical_scenarios, catalog_by_name, fdir_sweep, soak_grid
+from .catalog import (
+    canonical_scenarios,
+    catalog_by_name,
+    fdir_sweep,
+    nominal_twin,
+    outage_sweep,
+    overload_sweep,
+    soak_grid,
+)
 from .corpus import (
     GoldenRecord,
     default_golden_dir,
@@ -87,6 +99,9 @@ __all__ = [
     "diff_records",
     "fdir_sweep",
     "load_corpus",
+    "nominal_twin",
+    "outage_sweep",
+    "overload_sweep",
     "record_of",
     "regen_corpus",
     "result_violations",

@@ -9,7 +9,10 @@ lead-in and a recovery tail.
 
 :func:`fdir_sweep` re-seeds the eight traffic-plane FDIR missions and
 attaches the FDIR actions each must (and must never) take -- the FDIR
-acceptance sweep.
+acceptance sweep.  :func:`overload_sweep` (demand surges, each judged
+against its :func:`nominal_twin`) and :func:`outage_sweep` (lost
+contacts) are the demand-plane and DTN acceptance sweeps; none of their
+missions is in the golden corpus.
 
 :func:`soak_grid` derives a deterministic pseudo-random grid of specs
 from a base seed for the seeded soak sweep -- same seed, same grid,
@@ -34,7 +37,15 @@ from .spec import (
     TrafficMix,
 )
 
-__all__ = ["canonical_scenarios", "catalog_by_name", "fdir_sweep", "soak_grid"]
+__all__ = [
+    "canonical_scenarios",
+    "catalog_by_name",
+    "fdir_sweep",
+    "nominal_twin",
+    "outage_sweep",
+    "overload_sweep",
+    "soak_grid",
+]
 
 
 def canonical_scenarios() -> List[ScenarioSpec]:
@@ -238,6 +249,12 @@ FDIR_EXPECTATIONS = {
 }
 
 
+def _reseed(specs: Iterable[ScenarioSpec], seeds: Iterable[int]) -> List[ScenarioSpec]:
+    """Every spec once per seed, mission-major (the sweeps' one re-seeder)."""
+    seeds = list(seeds)
+    return [dataclasses.replace(s, seed=seed) for s in specs for seed in seeds]
+
+
 def fdir_sweep(seeds: Iterable[int]) -> List[ScenarioSpec]:
     """The traffic-plane FDIR acceptance sweep: mission x seed.
 
@@ -247,18 +264,117 @@ def fdir_sweep(seeds: Iterable[int]) -> List[ScenarioSpec]:
     :func:`~repro.scenarios.runner.result_violations` checks alongside
     the cross-cutting invariants.
     """
-    seeds = list(seeds)
     catalog = catalog_by_name()
-    return [
-        dataclasses.replace(
-            catalog[name],
-            seed=seed,
-            expect_actions=expect,
-            forbid_actions=forbid,
-        )
-        for name, (expect, forbid) in FDIR_EXPECTATIONS.items()
-        for seed in seeds
-    ]
+    return _reseed(
+        (
+            dataclasses.replace(
+                catalog[name], expect_actions=expect, forbid_actions=forbid
+            )
+            for name, (expect, forbid) in FDIR_EXPECTATIONS.items()
+        ),
+        seeds,
+    )
+
+
+def overload_sweep(seeds: Iterable[int]) -> List[ScenarioSpec]:
+    """The demand-plane acceptance sweep: surge shape x seed.
+
+    Judge each run with its :func:`nominal_twin` for the p0 goodput
+    floor.
+    """
+    return _reseed(
+        [
+            ScenarioSpec(
+                name="flash-crowd",
+                description="10-frame 5x demand spike",
+                frames=60,
+                surge=SurgeProfile(start=20, end=30, multiplier=5.0),
+            ),
+            ScenarioSpec(
+                name="sustained-10x",
+                description="60-frame 10x overload: shed classes stay shed",
+                frames=90,
+                surge=SurgeProfile(start=10, end=70, multiplier=10.0),
+            ),
+            ScenarioSpec(
+                name="surge-rain-fade",
+                description="5x surge overlapping a 6 dB fade that sheds carriers",
+                frames=70,
+                fades=(FadeSegment(start=25, end=45, peak_db=6.0, shape="step"),),
+                surge=SurgeProfile(start=15, end=35, multiplier=5.0),
+                expect_actions=("shed", "restore"),
+            ),
+            ScenarioSpec(
+                name="surge-during-fdir-recovery",
+                description="5x surge while an SEU takes the decoder down: "
+                "the service breaker trips, fails fast and closes",
+                frames=60,
+                faults=(FaultEvent(frame=20, kind="seu.decoder"),),
+                surge=SurgeProfile(start=20, end=40, multiplier=5.0),
+            ),
+        ],
+        seeds,
+    )
+
+
+def nominal_twin(spec: ScenarioSpec) -> ScenarioSpec:
+    """The same mission with clean demand and no fades or faults."""
+    return dataclasses.replace(
+        spec,
+        surge=dataclasses.replace(spec.surge, multiplier=1.0),
+        fades=(),
+        faults=(),
+        expect_actions=(),
+        forbid_actions=(),
+    )
+
+
+def outage_sweep(seeds: Iterable[int]) -> List[ScenarioSpec]:
+    """The DTN acceptance sweep: link-disruption pattern x seed."""
+    return _reseed(
+        [
+            ScenarioSpec(
+                name="scheduled-pass",
+                description="TM stored across three passes, all delivered",
+                frames=40,
+                frame_duration=50.0,
+                contacts=ContactSchedule(
+                    windows=((0.0, 200.0), (800.0, 1000.0), (1600.0, 1900.0)),
+                    tm_period=5.0,
+                    tm_stop=1650.0,
+                ),
+            ),
+            ScenarioSpec(
+                name="recorder-overflow",
+                description="a 14-minute gap overfills a 12 KiB recorder",
+                frames=24,
+                frame_duration=50.0,
+                contacts=ContactSchedule(
+                    windows=((0.0, 60.0), (900.0, 1160.0)),
+                    tm_period=1.0,
+                    tm_stop=660.0,
+                    recorder_capacity=12288,
+                ),
+            ),
+            ScenarioSpec(
+                name="flapping-link",
+                description="8 s outages every 30 s cut three campaigns",
+                frames=100,
+                frame_duration=1.0,
+                contacts=ContactSchedule(
+                    outages=((20.0, 8.0), (50.0, 8.0), (80.0, 8.0)),
+                    segment_size=64,
+                ),
+                reconfigs=(
+                    ReconfigAction(19, "decod0", "decod.turbo"),
+                    ReconfigAction(49, "demod1", "modem.tdma.robust"),
+                    ReconfigAction(79, "decod0", "decod.conv"),
+                ),
+            ),
+            catalog_by_name()["blackout-resume-upload"],
+        ],
+        seeds,
+    )
 
 
 #: fault classes the soak sweep samples from (``None`` = clean run)

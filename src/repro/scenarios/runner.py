@@ -13,6 +13,13 @@ The runner assembles the *whole* stack for one mission timeline:
   deduplicated by the robustness layer);
 - the discrete-event kernel pacing MF-TDMA frames, with campaign
   processes running *concurrently* in simulated time;
+- with a surge profile, the demand plane (admission, CoDel class
+  queues, deadline budgets, brownout ladder, and a circuit breaker
+  around service that trips while the shared decoder is down);
+- with a contact schedule, the DTN ground segment (contact scheduler,
+  resumable uploads) and, when it sets ``tm_period``, the telemetry
+  store-and-forward plane (solid-state recorder, TM downlink and
+  ground-driven playback);
 - a :mod:`repro.obs` session capturing every instrumented subsystem
   into one deterministic trace.
 
@@ -22,8 +29,9 @@ and the golden corpus freezes those hashes as the conformance oracle.
 :func:`result_violations` applies the cross-cutting invariants (no
 silent corruption, no flapping, monotonic degradation, recovery at the
 expected width, expected and forbidden FDIR actions, exactly-once TC
-execution) to any result; the FDIR acceptance sweep is
-:func:`repro.scenarios.catalog.fdir_sweep` run through it.
+execution, shed-before-collapse, bounded buffers, store-and-forward
+conservation) to any result; the FDIR, overload and outage acceptance
+sweeps (:mod:`repro.scenarios.catalog`) are run through it.
 """
 
 from __future__ import annotations
@@ -40,21 +48,25 @@ from ..dsp.demux import multiplex_carriers
 from ..dsp.modem import ebn0_to_sigma
 from ..ncc.campaign import NetworkControlCenter, SatelliteGateway
 from ..net.simnet import Link, Node
+from ..net.tm import TelemetryDownlink, TelemetryMonitor
 from ..obs.probes import probe as _obs_probe
 from ..obs.trace import Tracer
 from ..ncc.traffic import TrafficModel
 from ..robustness.dtn import (
+    PRIORITY_CLASSES,
     ContactPlan,
     ContactWindow,
     LinkScheduler,
     OutageEvent,
     ResumableReceiver,
     ResumableUploader,
+    SolidStateRecorder,
 )
 from ..robustness.overload.admission import AdmissionController
-from ..robustness.overload.brownout import BrownoutLadder
+from ..robustness.overload.brownout import BrownoutLadder, CircuitBreaker
 from ..robustness.overload.deadline import Deadline
 from ..robustness.overload.queues import CoDelQueue
+from ..robustness.policy import RetryExhausted
 from ..sim import RngRegistry, Simulator, derive_seed
 from .spec import (
     CHANNEL_FAULT_KINDS,
@@ -68,6 +80,7 @@ __all__ = [
     "MAX_ALARM_TRIPS",
     "MAX_POLICY_TRANSITIONS",
     "MAX_UPLOAD_OVERHEAD",
+    "P0_GOODPUT_FLOOR",
     "ScenarioResult",
     "ScenarioRunner",
     "result_violations",
@@ -91,6 +104,25 @@ CAMPAIGN_GRACE_S = 900.0
 #: mid-transfer blackout)
 MAX_UPLOAD_OVERHEAD = 1.5
 
+#: demand-plane circuit breaker: consecutive service failures that trip
+#: it, and how many frames it stays open before probing half-open
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN_FRAMES = 5.0
+
+#: a surge keeps at least this share of its clean twin's p0 goodput
+P0_GOODPUT_FLOOR = 0.9
+#: a clean demand plane (multiplier 1.0) rejects at most this share
+NOMINAL_MAX_REJECTED = 0.01
+
+#: telemetry plane: TM downlink poll (s), ground playback poll (s),
+#: records released per downlink poll (keeps bursts inside the link's
+#: bounded transmit backlog), and the margin (s) before a scheduled
+#: contact end past which the satellite stops releasing playback
+TM_DOWNLINK_PERIOD_S = 2.0
+PLAYBACK_POLL_S = 10.0
+PLAYBACK_CHUNK = 64
+PLAYBACK_GUARD_S = 5.0
+
 
 @dataclass
 class ScenarioResult:
@@ -101,7 +133,9 @@ class ScenarioResult:
     diffs down to *which* event stream diverged; the per-frame histories
     feed the invariant checks (``alarm_history`` counts the alarms
     standing before the arbiter acts -- tripped carrier monitors plus a
-    dead shared decoder -- the FDIR detection signal).
+    dead shared decoder -- the FDIR detection signal);
+    ``demand_sojourns`` holds the queueing delay, in frames, of every
+    demand request a surge mission served.
     """
 
     spec: ScenarioSpec
@@ -114,6 +148,7 @@ class ScenarioResult:
     alarm_history: List[int] = field(default_factory=list)
     severity_history: List[float] = field(default_factory=list)
     frame_ok_history: List[bool] = field(default_factory=list)
+    demand_sojourns: List[float] = field(default_factory=list)
 
     @property
     def name(self) -> str:
@@ -144,7 +179,13 @@ class _DemandPlane:
     :class:`~repro.robustness.overload.brownout.BrownoutLadder` driven
     by an EWMA of offered load over capacity sheds/restores the low
     classes.  Serving capacity tracks the degraded-mode policy's live
-    active-carrier count, coupling the demand plane to the link budget.
+    active-carrier count, coupling the demand plane to the link budget,
+    and service runs behind a
+    :class:`~repro.robustness.overload.brownout.CircuitBreaker` that
+    counts a failure for every request served while the shared decoder
+    is down.
+    Pressure is offered demand, not queue depth, so shed classes stay
+    shed until the surge truly ends instead of flapping.
     """
 
     #: per-class deadline budgets, in frames (tighter for lower priority)
@@ -180,12 +221,20 @@ class _DemandPlane:
             for c in self.classes
         }
         self.ladder = BrownoutLadder(clock, dwell=5.0 * fd)
+        self.breaker = CircuitBreaker(
+            clock,
+            failure_threshold=BREAKER_THRESHOLD,
+            cooldown=BREAKER_COOLDOWN_FRAMES * fd,
+            name="demand",
+        )
         self.arrivals = {c: 0 for c in self.classes}
         self.served = {c: 0 for c in self.classes}
         self.expired = {c: 0 for c in self.classes}
+        self.failed = {c: 0 for c in self.classes}
+        self.sojourns: List[float] = []
         self._ewma = 0.0
 
-    def step(self, frame: int, n_active: int) -> None:
+    def step(self, frame: int, n_active: int, failing: bool) -> None:
         """One frame of arrivals, ladder control and priority service."""
         now = self.sim.now
         cap_frame = self.surge.per_carrier_capacity * max(n_active, 0)
@@ -211,24 +260,43 @@ class _DemandPlane:
             else:
                 self.admission.restore(c)
         budget = int(cap_frame)
+        fd = self.spec.frame_duration
         for c in self.classes:
             q = self.queues[c]
+            budget_s = self.CLASS_BUDGET_FRAMES[c] * fd
             while budget > 0 and len(q) > 0:
+                # an expired head is shed here and never reaches the
+                # protected stage, so it must not spend a breaker probe
+                local = q.head_sojourn() >= budget_s
+                if not local and not self.breaker.allow():
+                    return  # open breaker: fail fast for the whole frame
                 got = q.poll_with_sojourn()
                 if got is None:  # CoDel shed the standing queue
                     break
-                deadline, _sojourn = got
+                deadline, sojourn = got
                 if deadline.expired(now):
                     # deadline budgets are enforced at every hop: work
                     # already past its budget is shed, not served
                     self.expired[c] += 1
                     continue
                 budget -= 1
-                self.served[c] += 1
+                if failing:
+                    self.failed[c] += 1
+                    if not local:
+                        self.breaker.record_failure()
+                else:
+                    self.served[c] += 1
+                    self.sojourns.append(sojourn / fd)
+                    if not local:
+                        self.breaker.record_success()
 
     def summary(self) -> Dict[str, object]:
-        """Flat JSON-able overload accounting for the golden metrics."""
-        return {
+        """Flat JSON-able overload accounting for the golden metrics.
+
+        ``failed`` and ``breaker`` appear only once service has failed,
+        so the golden surge records (never faulted) keep their metrics.
+        """
+        out = {
             "arrivals": dict(self.arrivals),
             "admitted": dict(self.admission.admitted),
             "rejected": dict(self.admission.rejected),
@@ -240,6 +308,102 @@ class _DemandPlane:
                 [round(t, 6), action, c]
                 for t, action, c in self.ladder.history
             ],
+        }
+        if any(self.failed.values()):
+            out["failed"] = dict(self.failed)
+            out["breaker"] = self.breaker.stats()
+        return out
+
+
+class _TelemetryPlane:
+    """Store-and-forward telemetry for a contact schedule's ``tm_period``.
+
+    The satellite records one TM record every ``tm_period`` seconds
+    (priority classes in turn) into a bounded
+    :class:`~repro.robustness.dtn.SolidStateRecorder` attached to the
+    on-board controller.  A
+    :class:`~repro.net.tm.TelemetryDownlink` releases stored records
+    only against the playback budget the ground grants with its
+    ``playback`` telecommand, only while the link is up and not within
+    :data:`PLAYBACK_GUARD_S` of a scheduled contact end; the ground's
+    :class:`~repro.net.tm.TelemetryMonitor` reassembles them and counts
+    continuity gaps.
+    """
+
+    def __init__(self, contacts, ncc, gateway, scheduler):
+        self.sim = sim = scheduler.sim
+        self.contacts, self.ncc, self.scheduler = contacts, ncc, scheduler
+        self.recorder = SolidStateRecorder(contacts.recorder_capacity)
+        gateway.obc.attach_recorder(self.recorder)
+        self.produced = {c: 0 for c in PRIORITY_CLASSES}
+        self.delivered = {c: 0 for c in PRIORITY_CLASSES}
+        downlink = TelemetryDownlink(
+            gateway.node, self._source, period=TM_DOWNLINK_PERIOD_S
+        )
+        ground = ncc.node
+        self.monitor = monitor = TelemetryMonitor(ground)
+        # the monitor takes over the ground node's frame delivery:
+        # forward what is not a TM frame (UDP/TCP traffic) to IP
+        tm_tap = ground.frame_tap
+
+        def tap(raw: bytes) -> None:
+            tm_tap(raw)
+            if monitor.bad_frames:
+                monitor.bad_frames = 0
+                ground.ip.receive_frame(raw)
+
+        ground.frame_tap = tap
+        self.producer = sim.process(self._produce(), name="tm-producer")
+        #: only the producer ever ends; any that dies fails the mission
+        self.processes = [
+            self.producer,
+            downlink.process,
+            sim.process(self._drain(), name="tm-drainer"),
+            sim.process(self._playback(), name="playback-driver"),
+        ]
+
+    def _source(self):
+        # stored telemetry leaves only with carrier lock and, inside a
+        # scheduled pass, not too close to its end
+        now = self.sim.now
+        if not self.scheduler.effective(now):
+            return []
+        w = self.scheduler.plan.window_at(now)
+        if w is not None and w.end - now < PLAYBACK_GUARD_S:
+            return []
+        return self.recorder.drain_authorized(max_records=PLAYBACK_CHUNK)
+
+    def _produce(self):
+        i = 0
+        while self.sim.now < self.contacts.tm_stop:
+            cls = PRIORITY_CLASSES[i % len(PRIORITY_CLASSES)]
+            self.recorder.record({"cls": cls, "seq": i, "t": self.sim.now}, cls=cls)
+            self.produced[cls] += 1
+            i += 1
+            yield self.sim.timeout(self.contacts.tm_period)
+
+    def _drain(self):
+        while True:
+            record = yield self.monitor.records.get()
+            self.delivered[record["cls"]] += 1
+
+    def _playback(self):
+        # a playback budget at every poll the ground can reach the
+        # satellite -- the OBC's deficit grant keeps it <= pending
+        while True:
+            if self.scheduler.effective(self.sim.now):
+                try:
+                    yield from self.ncc.send_telecommand("playback", {})
+                except RetryExhausted:
+                    pass
+            yield self.sim.timeout(PLAYBACK_POLL_S)
+
+    def summary(self) -> Dict[str, object]:
+        return {
+            "produced": dict(self.produced),
+            "delivered": dict(self.delivered),
+            "gaps": self.monitor.gaps,
+            "recorder": self.recorder.status(),
         }
 
 
@@ -300,6 +464,8 @@ class ScenarioRunner:
             )
             ncc.attach_resumable(uploader)
             self._dtn = (scheduler, uploader)
+            if spec.contacts.tm_period > 0:
+                self._tm = _TelemetryPlane(spec.contacts, ncc, gateway, scheduler)
         return sim, rngs, world, ncc, gateway
 
     # -- per-frame channel/fault compilation -------------------------------
@@ -366,16 +532,18 @@ class ScenarioRunner:
                 self._strike_equipment(world, ev, seu_rng)
             self._frame(f, world, offer_rng, bits_rng, noise_rng, probe)
             yield sim.timeout(spec.frame_duration)
-        # join outstanding reconfiguration campaigns so the exactly-once
-        # accounting is final when the mission event fires; a campaign
+        # join outstanding reconfiguration campaigns and the telemetry
+        # producer so the exactly-once and recorder accounting is final
+        # when the mission event fires; a campaign or background process
         # that already died fails the mission with its own exception
-        # (finished campaigns are not yielded: that would add kernel
+        # (finished processes are not yielded: that would add kernel
         # events to every mission)
-        for proc in campaigns:
+        tm = self._tm
+        for proc in campaigns + ([tm.producer] if tm else []):
             if proc.is_alive:
                 yield proc
-        for proc in campaigns:
-            if not proc.ok:
+        for proc in campaigns + (tm.processes if tm else []):
+            if not proc.is_alive and not proc.ok:
                 raise proc.value
 
     def _frame(self, f, world, offer_rng, bits_rng, noise_rng, probe):
@@ -398,7 +566,9 @@ class ScenarioRunner:
             spec.link.base_cn_db, fade, n_car, max(1, len(active))
         )
         if self._demand is not None:
-            self._demand.step(f, len(active))
+            self._demand.step(
+                f, len(active), failing=not world.payload.decoder.operational
+            )
         frame_ok = len(active) == expected_final
         dec_design = world.payload.decoder.loaded_design or "decod.conv"
         chain = world.ground(dec_design)
@@ -514,6 +684,7 @@ class ScenarioRunner:
         spec = self.spec
         self._demand: Optional[_DemandPlane] = None
         self._dtn = None
+        self._tm: Optional[_TelemetryPlane] = None
         self._m = {
             "attempted": 0,
             "delivered": 0,
@@ -557,6 +728,7 @@ class ScenarioRunner:
             alarm_history=self.alarm_history,
             severity_history=self.severity_history,
             frame_ok_history=self.frame_ok_history,
+            demand_sojourns=self._demand.sojourns if self._demand else [],
         )
 
     def _collect(self, sim, world, ncc, gateway, tracer) -> Dict[str, object]:
@@ -631,6 +803,8 @@ class ScenarioRunner:
                     for name, st in sorted(uploader.journal.items())
                 },
             }
+            if self._tm is not None:
+                m["dtn"]["telemetry"] = self._tm.summary()
         return m
 
 
@@ -639,9 +813,16 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     return ScenarioRunner(spec).run()
 
 
-def _overload_violations(spec: ScenarioSpec, ov: Dict) -> List[str]:
-    """Shed-before-collapse invariants for a surge scenario's accounting."""
+def _overload_violations(
+    spec: ScenarioSpec,
+    ov: Dict,
+    sojourns: List[float],
+    nominal: Optional[Dict],
+) -> List[str]:
+    """Shed-before-collapse invariants for a surge scenario's accounting
+    (``nominal``: the overload accounting of its clean twin, if run)."""
     v: List[str] = []
+    failed = ov.get("failed", {})
     for c in sorted(ov["arrivals"]):
         n = ov["arrivals"][c]
         if ov["admitted"][c] + ov["rejected"][c] != n:
@@ -653,20 +834,34 @@ def _overload_violations(spec: ScenarioSpec, ov: Dict) -> List[str]:
             v.append(f"overload {c}: accepted+dropped != offered")
         if q["served"] + q["shed"] + q["depth"] != q["accepted"]:
             v.append(f"overload {c}: served+shed+depth != accepted")
-        if ov["served"][c] + ov["expired"][c] != q["served"]:
-            v.append(f"overload {c}: served+expired != queue served")
+        if ov["served"][c] + ov["expired"][c] + failed.get(c, 0) != q["served"]:
+            v.append(f"overload {c}: served+expired+failed != queue served")
         if q["max_depth"] > q["capacity"]:
             v.append(
                 f"overload {c}: queue depth {q['max_depth']} exceeded its "
                 f"bound {q['capacity']}"
             )
-    if ov["served"].get("p0", 0) == 0:
-        v.append("overload: p0 starved (zero served during the mission)")
-    if spec.surge.multiplier >= 2.0 and not sum(ov["rejected"].values()):
+        if ov["served"][c] == 0:
+            v.append(f"overload: {c} starved (zero served during the mission)")
+    p99 = np.percentile(sojourns, 99) if sojourns else 0.0
+    if p99 > max(_DemandPlane.CLASS_BUDGET_FRAMES.values()):
+        v.append(f"overload: p99 served sojourn {p99:.2f} frames over budget")
+    offered = sum(ov["arrivals"].values())
+    rejected = sum(ov["rejected"].values())
+    if spec.surge.multiplier == 1.0:
+        if rejected > NOMINAL_MAX_REJECTED * offered:
+            v.append(f"overload: clean demand rejected {rejected}/{offered}")
+        if ov["ladder_history"]:
+            v.append("overload: clean demand engaged the brownout ladder")
+    if spec.surge.multiplier >= 2.0 and not rejected:
         v.append(
             "overload: a real surge was absorbed without shedding anything "
             "-- admission control never engaged"
         )
+    p0 = ov["served"]["p0"]
+    base = nominal["served"]["p0"] if nominal else 0
+    if p0 < P0_GOODPUT_FLOOR * base:
+        v.append(f"overload: p0 goodput {p0} < {P0_GOODPUT_FLOOR} x twin's {base}")
     if ov["ladder"]["level"] != 0:
         v.append(
             f"overload: brownout ladder still {ov['ladder']['level']} deep "
@@ -678,15 +873,50 @@ def _overload_violations(spec: ScenarioSpec, ov: Dict) -> List[str]:
     for c, actions in per_class.items():
         if actions not in (["shed"], ["shed", "restore"]):
             v.append(f"overload: class {c} ladder flapped: {actions}")
+    breaker = ov.get("breaker")
+    if breaker is not None and breaker["trips"]:
+        if breaker["trips"] > MAX_ALARM_TRIPS:
+            v.append(f"flapping: demand breaker tripped {breaker['trips']} times")
+        if breaker["state"] != CircuitBreaker.CLOSED:
+            v.append(f"overload: breaker ended {breaker['state']}, not closed")
     return v
 
 
-def result_violations(result: ScenarioResult) -> List[str]:
+def _dtn_violations(tm: Dict) -> List[str]:
+    """Store-and-forward invariants for a mission's telemetry plane."""
+    v: List[str] = []
+    rec = tm["recorder"]
+    produced = sum(tm["produced"].values())
+    delivered = sum(tm["delivered"].values())
+    if rec["recorded"] + rec["dropped"] != produced:
+        v.append(f"dtn: recorder ingress: recorded+dropped != {produced} produced")
+    if rec["played_back"] + rec["pending"] + rec["evicted"] != rec["recorded"]:
+        v.append("dtn: recorder egress: played+pending+evicted != recorded")
+    if rec["pending"]:
+        v.append(f"dtn: {rec['pending']} records still on board at end")
+    if rec["shed_by_class"]["p0"]:
+        v.append(f"dtn: recorder shed {rec['shed_by_class']['p0']} p0 records")
+    if tm["delivered"]["p0"] != tm["produced"]["p0"]:
+        v.append(f"dtn: p0 loss, {tm['delivered']['p0']}/{tm['produced']['p0']}")
+    if not rec["shed"]:
+        if delivered != produced:
+            v.append(f"dtn: TM loss, {delivered}/{produced} delivered unshed")
+        if tm["gaps"]:
+            v.append(f"dtn: {tm['gaps']} TM continuity gaps")
+    return v
+
+
+def result_violations(
+    result: ScenarioResult, nominal: Optional[ScenarioResult] = None
+) -> List[str]:
     """Cross-cutting invariants every scenario run must satisfy.
 
     Returns human-readable violation strings (empty list = clean run).
-    The trace-hash run-to-run reproducibility invariant is checked by
-    the callers that run a spec twice; everything else is here.
+    ``nominal`` is the run of the surge spec's clean twin
+    (:func:`repro.scenarios.catalog.nominal_twin`): when given, p0
+    goodput must hold :data:`P0_GOODPUT_FLOOR` of the twin's.  The
+    trace-hash run-to-run reproducibility invariant is checked by the
+    callers that run a spec twice; everything else is here.
     """
     spec = result.spec
     v: List[str] = []
@@ -746,7 +976,8 @@ def result_violations(result: ScenarioResult) -> List[str]:
         if ov is None:
             v.append("surge scenario produced no overload accounting")
         else:
-            v.extend(_overload_violations(spec, ov))
+            base = nominal.metrics.get("overload") if nominal else None
+            v.extend(_overload_violations(spec, ov, result.demand_sojourns, base))
     if spec.contacts is not None:
         dtn = m.get("dtn")
         if dtn is None:
@@ -761,14 +992,18 @@ def result_violations(result: ScenarioResult) -> List[str]:
                         f"{tr['overhead_ratio']:.2f}x the file size "
                         f"(bound {MAX_UPLOAD_OVERHEAD}x)"
                     )
+            if "telemetry" in dtn:
+                v.extend(_dtn_violations(dtn["telemetry"]))
+    ncc_stats, gw = m["ncc"], m["gateway"]
+    issued = ncc_stats["tc_issued"]
+    if gw["executed"] + gw["rejected"] > issued:
+        v.append(f"exactly-once broken: executed+rejected > {issued} issued")
+    if not ncc_stats["exhausted"] and gw["executed"] != issued:
+        v.append(
+            f"exactly-once broken: {issued} telecommands issued but "
+            f"{gw['executed']} executed on board"
+        )
     if spec.reconfigs:
-        ncc_stats, gw = m["ncc"], m["gateway"]
-        if gw["executed"] != ncc_stats["tc_issued"]:
-            v.append(
-                "exactly-once broken: "
-                f"{ncc_stats['tc_issued']} telecommands issued but "
-                f"{gw['executed']} executed on board"
-            )
         failed = [r["function"] for r in m["reconfigs"] if not r["success"]]
         if failed:
             v.append(f"reconfiguration campaigns failed: {failed}")

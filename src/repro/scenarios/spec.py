@@ -270,12 +270,24 @@ class ContactSchedule:
     scheduler and routes reconfiguration uploads through the
     checkpointed resumable-transfer layer, so campaigns wait out the
     gaps and resume instead of re-sending whole files.
+
+    ``tm_period > 0`` adds the telemetry store-and-forward plane: the
+    satellite produces one TM record every ``tm_period`` seconds (p0,
+    p1, p2 in turn) until ``tm_stop``, into a solid-state recorder of
+    ``recorder_capacity`` bytes that the ground plays back whenever it
+    can reach the satellite.
     """
 
     windows: Tuple[Tuple[float, float], ...] = ()
     outages: Tuple[Tuple[float, float], ...] = ()
     #: resumable-upload segment size (bytes)
     segment_size: int = 4096
+    #: seconds between TM records (0 = no telemetry plane)
+    tm_period: float = 0.0
+    #: simulated second the TM production stops
+    tm_stop: float = 0.0
+    #: onboard recorder size (bytes)
+    recorder_capacity: int = 1 << 16
 
     def problems(self) -> List[str]:
         out: List[str] = []
@@ -311,6 +323,12 @@ class ContactSchedule:
             out.append(
                 f"contacts.segment_size {self.segment_size} must be >= 1"
             )
+        if self.tm_period < 0:
+            out.append(f"contacts.tm_period {self.tm_period} must be >= 0")
+        if self.tm_period > 0 and self.tm_stop <= 0:
+            out.append(f"contacts.tm_stop {self.tm_stop} must be > 0 with TM on")
+        if self.recorder_capacity < 1:
+            out.append(f"contacts.recorder_capacity {self.recorder_capacity} < 1")
         return out
 
 
@@ -430,6 +448,9 @@ class ScenarioSpec:
             out.extend(self.surge.problems(self.frames))
         if self.contacts is not None:
             out.extend(self.contacts.problems())
+            end = self.frames * self.frame_duration
+            if self.contacts.tm_stop > end:
+                out.append(f"contacts.tm_stop beyond mission end ({end} s)")
         return out
 
     def validate(self) -> "ScenarioSpec":
@@ -473,14 +494,18 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, object]:
         """Plain JSON-able dict (tuples become lists).
 
-        Fields added after the golden corpus froze (``contacts``,
-        ``expect_actions``, ``forbid_actions``) are omitted at their
-        default so pre-existing spec hashes cannot drift.
+        Fields added after the golden corpus froze (``contacts``, its
+        telemetry fields, ``expect_actions``, ``forbid_actions``) are
+        omitted at their default so pre-existing spec hashes cannot
+        drift.
         """
         d = asdict(self)
         for key in ("contacts", "expect_actions", "forbid_actions"):
             if not d[key]:
                 d.pop(key)
+        for key in ("tm_period", "tm_stop", "recorder_capacity"):
+            if d.get("contacts", {}).get(key) == getattr(ContactSchedule, key):
+                d["contacts"].pop(key)
         return d
 
     @classmethod

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core.obc import OnBoardController
+from repro.core.registry import FunctionRegistry
+from repro.ncc.campaign import NetworkControlCenter, SatelliteGateway
 from repro.net import Link, Node
 from repro.robustness.dtn import (
     ContactPlan,
@@ -9,7 +12,7 @@ from repro.robustness.dtn import (
     LinkScheduler,
     OutageEvent,
 )
-from repro.sim import Simulator
+from repro.sim import RngRegistry, Simulator
 
 pytestmark = pytest.mark.dtn
 
@@ -133,3 +136,45 @@ class TestLinkScheduler:
         sim.run(until=10.0)
         assert got == [b"before", b"after"]
         assert link.stats["outage_dropped"] == 2
+
+
+class _Host:
+    def __init__(self):
+        self.obc = OnBoardController()
+
+
+class TestTcAcrossOutage:
+    def test_in_flight_tc_retransmitted_once(self):
+        """The link drops while a status TC's reply is in flight: the
+        NCC retransmits across the outage and the gateway answers the
+        retransmission from its dedup cache -- executed exactly once."""
+        sim, ground, space, link = make_link()
+        # TC leaves at 1.0 and executes on board at ~1.25; its reply is
+        # still in flight when the 8 s outage starts at 1.3
+        sched = LinkScheduler(
+            link, ContactPlan(), (OutageEvent(1.3, 8.0),), name="tc-drop"
+        )
+        gateway = SatelliteGateway(space, _Host())
+        ncc = NetworkControlCenter(
+            ground,
+            FunctionRegistry(),
+            sat_address=2,
+            rng=RngRegistry(7).stream("jitter"),
+        )
+        done = {}
+
+        def driver():
+            yield sim.timeout(1.0)
+            done["reply"] = yield from ncc.send_telecommand("status", {})
+            done["t"] = sim.now
+
+        sim.process(driver())
+        sim.run(until=120.0)
+        assert done["reply"]["success"]
+        assert done["t"] > 9.3  # answered only after the outage ended
+        assert link.stats["outage_dropped"] >= 1
+        assert ncc.stats["retransmits"] >= 1
+        assert ncc.stats["tc_issued"] == 1
+        assert gateway.stats["executed"] == 1
+        assert gateway.stats["dedup_hits"] >= 1
+        assert sched.stats()["outages"] == 1

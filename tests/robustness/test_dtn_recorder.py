@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.robustness.dtn import PRIORITY_CLASSES, SolidStateRecorder
 
 pytestmark = pytest.mark.dtn
@@ -69,7 +70,7 @@ class TestEviction:
 
     def test_conservation_laws_close(self):
         """recorded + dropped == offered; played + pending + evicted
-        == recorded -- the invariants the chaos campaign checks."""
+        == recorded -- the invariants the scenario runner checks."""
         one = rec_bytes({"seq": 0, "cls": "p2"})
         ssr = SolidStateRecorder(capacity_bytes=one * 4)
         offered = 0
@@ -82,6 +83,24 @@ class TestEviction:
         st = ssr.status()
         assert st["recorded"] + st["dropped"] == offered
         assert played + st["pending"] + st["evicted"] == st["recorded"]
+
+    def test_overflow_inside_obs_session_traces_each_shed(self):
+        """With observability on, every eviction and drop is one
+        ``dtn.recorder_shed`` event naming why -- recording never
+        raises."""
+        one = rec_bytes({"seq": 0, "cls": "p2"})
+        with obs.session() as (_, tracer):
+            ssr = SolidStateRecorder(capacity_bytes=one * 4)
+            for i in range(20):
+                cls = PRIORITY_CLASSES[i % 3]
+                ssr.record({"seq": i, "cls": cls}, cls=cls)
+            sheds = [e for e in tracer.events() if e.kind == "dtn.recorder_shed"]
+        assert ssr.stats["recorded"] + ssr.stats["dropped"] == 20
+        assert ssr.stats["shed"] > 0
+        assert len(sheds) == ssr.stats["shed"]
+        reasons = [e.fields["reason"] for e in sheds]
+        assert reasons.count("evicted") == ssr.stats["evicted"]
+        assert reasons.count("dropped") == ssr.stats["dropped"]
 
 
 class TestPlayback:

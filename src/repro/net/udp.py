@@ -3,7 +3,12 @@ express transfer)").
 
 Sockets are bound to ports on a node's IP stack; received datagrams
 queue in a :class:`repro.sim.Store` so protocol processes can block on
-``yield sock.recv()``.
+``yield sock.recv()``.  Every datagram carries the RFC 768 checksum
+over a pseudo-header (addresses, protocol, length), header and data:
+IP only checks its own header, so without it a link that flips bits
+would hand corrupted telecommands to the application.  A datagram
+that fails the check is discarded and counted in the stack's
+``stats["bad"]``.
 """
 
 from __future__ import annotations
@@ -12,11 +17,19 @@ import struct
 from typing import Optional
 
 from ..sim import Event, Store
-from .ip import IpPacket, IpStack, PROTO_UDP
+from .ip import IpPacket, IpStack, PROTO_UDP, _checksum
 
 __all__ = ["UdpSocket"]
 
-_HDR = struct.Struct(">HHH")  # src port, dst port, length
+_HDR = struct.Struct(">HHHH")  # src port, dst port, length, checksum
+_PSEUDO = struct.Struct(">IIBBH")  # src addr, dst addr, zero, proto, length
+
+
+def _udp_checksum(src: int, dst: int, datagram: bytes) -> int:
+    """RFC 768 checksum of ``datagram`` (checksum field zeroed); a
+    computed zero is sent as all ones."""
+    pseudo = _PSEUDO.pack(src, dst, 0, PROTO_UDP, len(datagram))
+    return _checksum(pseudo + datagram) or 0xFFFF
 
 
 class UdpSocket:
@@ -74,7 +87,10 @@ class UdpSocket:
         """Send one datagram."""
         if self.closed:
             raise OSError("socket closed")
-        hdr = _HDR.pack(self.port, port, _HDR.size + len(payload))
+        length = _HDR.size + len(payload)
+        unsummed = _HDR.pack(self.port, port, length, 0) + payload
+        ck = _udp_checksum(self.node.address, addr, unsummed)
+        hdr = _HDR.pack(self.port, port, length, ck)
         self.stack.send(addr, PROTO_UDP, hdr + payload)
 
     def recv(self) -> Event:
@@ -119,12 +135,17 @@ def _demux_for(stack: IpStack) -> dict:
         def handler(pkt: IpPacket) -> None:
             if len(pkt.payload) < _HDR.size:
                 return
-            sport, dport, length = _HDR.unpack(pkt.payload[: _HDR.size])
+            sport, dport, length, ck = _HDR.unpack(pkt.payload[: _HDR.size])
             if length != len(pkt.payload):
+                return
+            data = pkt.payload[_HDR.size :]
+            unsummed = _HDR.pack(sport, dport, length, 0) + data
+            if _udp_checksum(pkt.src, pkt.dst, unsummed) != ck:
+                stack.stats["bad"] += 1
                 return
             sock = demux.get(dport)
             if sock is not None:
-                sock._on_datagram(pkt.payload[_HDR.size :], pkt.src, sport)
+                sock._on_datagram(data, pkt.src, sport)
 
         stack.register_protocol(PROTO_UDP, handler)
     return demux

@@ -210,8 +210,9 @@ def canonical_scenarios() -> List[ScenarioSpec]:
         ),
         ScenarioSpec(
             name="lossy-ground",
-            description="decoder swap over a lossy ground link: TC "
-            "retransmission and dedup keep execution exactly-once",
+            description="decoder swap over a ground link with bit-error "
+            "rate 1e-4: the swap lands with every telecommand executed "
+            "exactly once",
             frames=28,
             ground=GroundLink(delay=0.25, rate_bps=1e6, ber=1e-4),
             reconfigs=(

@@ -225,6 +225,59 @@ class TestUdp:
         sim.run()
         assert results["data"] == b"late"
 
+    def test_flip_link_never_delivers_a_payload_that_was_not_sent(self):
+        """IP checks only its own header: the UDP checksum is what keeps
+        a bit-flipping link from delivering corrupted datagrams."""
+        rng = RngRegistry(7).stream("link")
+        sim = Simulator()
+        a = Node(sim, "ncc", 1)
+        b = Node(sim, "sat", 2)
+        link = Link(sim, delay=0.1, ber=3e-4, rng=rng, error_mode="flip")
+        link.attach(a)
+        link.attach(b)
+        rx = UdpSocket(b.ip, 4000)
+        got = []
+
+        def receiver(sim):
+            while True:
+                data, _src = yield rx.recv()
+                got.append(data)
+
+        sim.process(receiver(sim))
+        tx = UdpSocket(a.ip, 4001)
+        sent = [b"telecommand %03d " % i + bytes(range(40)) for i in range(200)]
+        for payload in sent:
+            tx.sendto(payload, 2, 4000)
+        sim.run(until=10.0)
+        assert link.stats["flipped_bits"] > 0
+        assert b.ip.stats["bad"] > 0  # corrupted datagrams were discarded
+        assert 0 < len(got) < len(sent)
+        assert set(got) <= set(sent)
+
+    def test_checksum_discards_every_single_bit_error(self):
+        """Any one flipped bit of the UDP datagram fails the checksum.
+        (A 16-bit one's-complement sum can miss two opposite flips
+        16 bits apart, so the guarantee is per single error.)"""
+        sim, a, b, _ = fresh()
+        got = []
+        UdpSocket(b.ip, 4000)._on_datagram = lambda data, *src: got.append(data)
+        frames = []
+        a.send_frame = frames.append  # capture the encoded frame
+        UdpSocket(a.ip, 4001).sendto(b"store decod.turbo", 2, 4000)
+        (frame,) = frames
+        pkt = IpPacket.decode(frame)
+        for bit in range(8 * len(pkt.payload)):
+            flipped = bytearray(pkt.payload)
+            flipped[bit // 8] ^= 0x80 >> (bit % 8)
+            b.ip.receive_frame(
+                IpPacket(pkt.src, pkt.dst, pkt.proto, pkt.ident, bytes(flipped)).encode()
+            )
+        assert got == []
+        # a flip in the 16-bit length field fails the length check first
+        assert b.ip.stats["bad"] == 8 * len(pkt.payload) - 16
+        b.ip.receive_frame(frame)
+        assert got == [b"store decod.turbo"]
+
     def test_port_range_validation(self):
         sim, a, _, _ = fresh()
         with pytest.raises(ValueError):

@@ -16,8 +16,8 @@ fast-test:
 test-obs:  ## observability layer: metrics, tracing, golden traces, fault injection
 	$(PYTHON) -m pytest tests/obs/ tests/sim/test_kernel_properties.py
 
-test-robustness:  ## fault-tolerance layer: retry, TC/TM transactions, watchdog, chaos sweeps
-	$(PYTHON) -m pytest tests/robustness/
+test-robustness:  ## fault-tolerance layer: retry, TC/TM transactions, watchdog, TC/TM scenario sweep
+	$(PYTHON) -m pytest tests/robustness/ tests/scenarios/test_tctm_sweep.py
 
 test-fdir:  ## traffic-plane FDIR: health monitors, recovery ladder, degraded modes, FDIR scenario sweep
 	$(PYTHON) -m pytest -m fdir tests/

@@ -1,69 +1,98 @@
-"""C12 -- fault-tolerant reconfiguration: chaos sweep timings + recovery table.
+"""C12 -- fault-tolerant reconfiguration: the TC/TM sweep's recovery table.
 
-Times the seeded chaos campaign (every default scenario, one seed) over
-the full NCC -> gateway -> OBC pipeline and prints the per-scenario
-recovery table: end state, TC retransmissions, dedup hits, link drops
-and the simulated time to resolution.
+Times the control-plane acceptance sweep (:func:`repro.scenarios.tctm_sweep`,
+every campaign-fault shape at seed 0) through the scenario runner -- the
+full NCC -> gateway -> OBC reconfiguration path under a lossy link,
+configuration upsets after every load, truncated uploads and lost TM
+replies -- and prints the per-shape recovery table: campaign outcomes,
+TC retransmissions, dedup hits, safe-mode latches and the simulated
+time to resolution.
 
-Run with ``REPRO_OBS=1`` and the sweep's retry / retransmission / dedup
-/ safe-mode counters land in the exported metrics snapshot
-(``BENCH_METRICS.json``) via the session fixture in ``conftest.py`` --
-the snapshot's ``ncc.gateway.dedup_hits`` with zero duplicate
-executions is the machine-checkable exactly-once proof.
+The per-mission accounting is ``result.metrics``; with
+``REPRO_BENCH_JSON=1`` the table is captured into
+``BENCH_c12_fault_recovery.json``.
 """
 
 from conftest import print_table
-from repro.robustness.chaos import ChaosCampaign, violations
+from repro.scenarios import result_violations, run_scenario, tctm_sweep
 
 
-def test_chaos_sweep_recovery(benchmark):
+def test_tctm_sweep_recovery(benchmark):
     def run():
-        campaign = ChaosCampaign(seeds=(0,))
-        campaign.run()
-        return campaign
+        return [run_scenario(spec) for spec in tctm_sweep([0])]
 
-    campaign = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for r in results:
+        m = r.metrics
+        outcomes = m["reconfigs"]
+        rows.append(
+            [
+                r.name,
+                r.spec.seed,
+                sum(c["success"] for c in outcomes),
+                sum(c["rolled_back"] for c in outcomes),
+                len(outcomes),
+                m["ncc"]["retransmits"],
+                m["gateway"]["dedup_hits"],
+                ",".join(m["safe_mode"]) or "-",
+                f"{m['sim_time']:.0f}s",
+                len(result_violations(r)),
+            ]
+        )
     print_table(
-        "chaos sweep: one seed across every default scenario",
-        ["scenario", "seed", "end state", "done", "tc rtx", "dedup", "drops", "safe", "sim t"],
-        campaign.summary_rows(),
+        "TC/TM sweep: one seed across every campaign-fault shape",
+        [
+            "scenario",
+            "seed",
+            "ok",
+            "rolled back",
+            "campaigns",
+            "tc rtx",
+            "dedup",
+            "safe",
+            "sim t",
+            "viol",
+        ],
+        rows,
     )
-    totals = campaign.totals()
-    print(
-        f"totals: {totals['runs']} runs, {totals['completed']} completed, "
-        f"{totals['violations']} invariant violations, "
-        f"{totals['tc_retransmits']} TC retransmits, "
-        f"{totals['dedup_hits']} dedup hits, "
-        f"{totals['safe_mode_runs']} safe-mode runs"
-    )
-    assert totals["violations"] == 0
-    assert totals["completed"] == totals["runs"]
-    for o in campaign.outcomes:
-        assert not violations(o), (o.scenario, violations(o))
+    assert all(r.completed for r in results)
+    assert [v for r in results for v in result_violations(r)] == []
+    by_name = {r.name: r.metrics for r in results}
+    assert by_name["lost-final-ack"]["gateway"]["dedup_hits"] >= 1
+    assert by_name["seu-during-load"]["safe_mode"] == ["demod0"]
 
 
 def test_dead_link_detection_time(benchmark):
     """A dead space link is detected at bounded simulated time."""
+    from repro.core.registry import default_registry
+    from repro.ncc.campaign import NetworkControlCenter
+    from repro.net import Link, Node
     from repro.robustness import RetryExhausted
-    from repro.robustness.chaos import arm_blackhole, build_world
+    from repro.sim import Simulator
 
     def run():
-        world = build_world(seed=0)
-        arm_blackhole(world.space)
+        sim = Simulator()
+        ground = Node(sim, "ncc", 1)
+        link = Link(sim)
+        link.attach(ground)
+        link.attach(Node(sim, "sat", 2))
+        link.set_up(False)  # the TC never reaches the satellite
+        ncc = NetworkControlCenter(ground, default_registry(), sat_address=2)
         box = {}
 
         def campaign():
             try:
-                yield from world.ncc.send_telecommand("status", {})
+                yield from ncc.send_telecommand("status", {})
             except RetryExhausted:
-                box["t"] = world.sim.now
+                box["t"] = sim.now
 
-        world.sim.process(campaign())
-        world.sim.run(until=24 * 3600.0)
-        return box, world
+        sim.process(campaign())
+        sim.run(until=24 * 3600.0)
+        return box, ncc
 
-    box, world = benchmark.pedantic(run, rounds=1, iterations=1)
-    bound = world.ncc.tc.policy.total_delay_bound()
+    box, ncc = benchmark.pedantic(run, rounds=1, iterations=1)
+    bound = ncc.tc.policy.total_delay_bound()
     print(
         f"dead link detected after {box['t']:.1f} s simulated "
         f"(policy bound {bound:.1f} s; the old code hung forever)"

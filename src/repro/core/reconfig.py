@@ -77,8 +77,9 @@ class ReconfigurationManager:
         self.validation = validation_service or ValidationService()
         self.history: list[ReconfigurationReport] = []
         #: fault-injection hook applied to *every* execute() when the
-        #: call-site passes none (chaos campaigns model persistent SEU
-        #: environments this way); ``corrupt_hook`` arguments win.
+        #: call-site passes none (a scenario's ``seu.load`` fault models
+        #: a persistent SEU environment this way); ``corrupt_hook``
+        #: arguments win.
         self.default_corrupt_hook = None
         self._probe = _obs_probe("core.reconfig")
 

@@ -11,7 +11,8 @@ three parameters that drive every protocol conclusion in §3.3:
 - **bit error rate** (residual errors drop frames and force ARQ).
 
 A :class:`Node` owns an :class:`repro.net.ip.IpStack` and can be
-attached to one or more links.
+attached to one or more links; :func:`arm_frame_drop` loses a counted
+number of the frames arriving at one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from ..obs.probes import probe as _obs_probe
 from ..sim import Simulator
 
-__all__ = ["Link", "Node", "GEO_ONE_WAY_DELAY"]
+__all__ = ["Link", "Node", "GEO_ONE_WAY_DELAY", "arm_frame_drop"]
 
 #: One-way propagation delay to a geostationary satellite (seconds).
 GEO_ONE_WAY_DELAY = 0.25
@@ -275,3 +276,39 @@ class Node:
             self.frame_tap(frame)
         else:
             self.ip.receive_frame(frame)
+
+
+def arm_frame_drop(node: Node, count: int, src_port: Optional[int] = None) -> dict:
+    """Drop the next ``count`` frames arriving at ``node``, then pass.
+
+    With ``src_port``, only UDP datagrams from that source port are
+    counted and dropped (e.g. the telecommand replies of
+    :data:`repro.robustness.transactions.TC_PORT`); every other frame
+    passes.  The tap chains to any ``frame_tap`` already installed.
+    Returns the mutable state dict ``{"left": n, "dropped": m}``.
+    """
+    from .ip import PROTO_UDP, IpPacket  # deferred: circular import
+
+    state = {"left": int(count), "dropped": 0}
+    deliver = node.frame_tap or node.ip.receive_frame
+    port = None if src_port is None else src_port.to_bytes(2, "big")
+
+    def matches(frame: bytes) -> bool:
+        if port is None:
+            return True
+        try:
+            pkt = IpPacket.decode(frame)
+        except ValueError:
+            return False
+        # a reply's first fragment carries the UDP header
+        return pkt.proto == PROTO_UDP and not pkt.offset and pkt.payload[:2] == port
+
+    def tap(frame: bytes) -> None:
+        if state["left"] > 0 and matches(frame):
+            state["left"] -= 1
+            state["dropped"] += 1
+            return
+        deliver(frame)
+
+    node.frame_tap = tap
+    return state

@@ -15,13 +15,12 @@ repository live up to that:
 - :mod:`repro.robustness.watchdog` -- the on-board watchdog + safe-mode
   state machine: N consecutive failed validations/rollbacks trigger an
   autonomous golden-image load from the bitstream library.
-- :mod:`repro.robustness.chaos` -- the chaos campaign harness: seeded
-  fault sweeps (frame drops, bit flips, SEU during load, lost final
-  ACK, truncated uploads, dead equipment) with mechanical invariants:
-  no hangs, bounded outage, payload never bricked.  (Import it as a
-  submodule; it is kept out of this namespace so the package never
-  cyclically imports :mod:`repro.ncc`.)
 
+The seeded control-plane fault sweep over this machinery (SEU during
+load, truncated uploads, lost final ACK, a lossy link) is
+:func:`repro.scenarios.tctm_sweep`, run through the scenario runner and
+checked by :func:`repro.scenarios.result_violations`: no hangs,
+exactly-once execution, payload never bricked, golden loads succeed.
 See ``docs/robustness.md`` for the full semantics.
 """
 

@@ -20,8 +20,8 @@ checked by :func:`repro.scenarios.result_violations` (no silent
 corruption, no flapping, monotonic degradation, full recovery, the
 expected recovery actions).
 
-Import note: like :mod:`repro.robustness.chaos`, this package is kept
-out of the :mod:`repro.robustness` namespace exports so that importing
+Import note: this package is kept out of the :mod:`repro.robustness`
+namespace exports so that importing
 the robustness layer never drags in the DSP/payload stack.
 """
 

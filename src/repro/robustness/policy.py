@@ -81,7 +81,7 @@ class RetryPolicy:
     def total_delay_bound(self) -> float:
         """Upper bound on the summed backoff across the whole budget.
 
-        Used by the chaos harness to prove outages are bounded.
+        Tests use it to prove a dead link is detected at bounded time.
         """
         return sum(
             min(self.base_delay * (self.multiplier ** k), self.max_delay)

@@ -22,8 +22,8 @@ the TC round trip into a *transaction*:
   ACK" failure mode).
 
 All retransmissions, timeouts, stale replies and dedup hits are counted
-through ``repro.obs`` probes (``ncc.tc`` / ``ncc.gateway``), so chaos
-campaigns can *prove* exactly-once execution from the metrics snapshot.
+through ``repro.obs`` probes (``ncc.tc`` / ``ncc.gateway``), so a
+mission can *prove* exactly-once execution from the metrics snapshot.
 """
 
 from __future__ import annotations

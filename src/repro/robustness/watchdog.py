@@ -166,7 +166,7 @@ class SafeModeWatchdog:
         :class:`~repro.core.redundancy.FailoverProcess` whose spare also
         failed.  ``load_golden=False`` skips the golden-image load (a
         dead device cannot be reloaded); the entry is then tagged
-        ``terminal`` so telemetry and the chaos invariants can tell a
+        ``terminal`` so telemetry and the golden-load invariant can tell a
         "parked on golden" latch from a "hardware is gone" latch.
         """
         if equipment_name in self.safe_mode:

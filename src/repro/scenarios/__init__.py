@@ -20,7 +20,9 @@ Three verification layers ride on top:
 - the **acceptance sweeps**, mission x seed through the same runner
   and checker: :func:`~repro.scenarios.catalog.fdir_sweep` (the
   traffic-plane fault missions, each with the recovery actions it must
-  and must never take), :func:`~repro.scenarios.catalog.overload_sweep`
+  and must never take), :func:`~repro.scenarios.catalog.tctm_sweep`
+  (campaign faults on the TC/TM reconfiguration path),
+  :func:`~repro.scenarios.catalog.overload_sweep`
   (demand surges, judged against their
   :func:`~repro.scenarios.catalog.nominal_twin`) and
   :func:`~repro.scenarios.catalog.outage_sweep` (lost contacts, resumed
@@ -38,6 +40,7 @@ from .catalog import (
     outage_sweep,
     overload_sweep,
     soak_grid,
+    tctm_sweep,
 )
 from .corpus import (
     GoldenRecord,
@@ -108,4 +111,5 @@ __all__ = [
     "run_default_oracles",
     "run_scenario",
     "soak_grid",
+    "tctm_sweep",
 ]

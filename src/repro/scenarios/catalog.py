@@ -9,10 +9,11 @@ lead-in and a recovery tail.
 
 :func:`fdir_sweep` re-seeds the eight traffic-plane FDIR missions and
 attaches the FDIR actions each must (and must never) take -- the FDIR
-acceptance sweep.  :func:`overload_sweep` (demand surges, each judged
-against its :func:`nominal_twin`) and :func:`outage_sweep` (lost
-contacts) are the demand-plane and DTN acceptance sweeps; none of their
-missions is in the golden corpus.
+acceptance sweep.  :func:`tctm_sweep` (campaign faults on the TC/TM
+reconfiguration path), :func:`overload_sweep` (demand surges, each
+judged against its :func:`nominal_twin`) and :func:`outage_sweep` (lost
+contacts) are the control-plane, demand-plane and DTN acceptance
+sweeps; none of their fault missions is in the golden corpus.
 
 :func:`soak_grid` derives a deterministic pseudo-random grid of specs
 from a base seed for the seeded soak sweep -- same seed, same grid,
@@ -45,6 +46,7 @@ __all__ = [
     "outage_sweep",
     "overload_sweep",
     "soak_grid",
+    "tctm_sweep",
 ]
 
 
@@ -273,6 +275,57 @@ def fdir_sweep(seeds: Iterable[int]) -> List[ScenarioSpec]:
             )
             for name, (expect, forbid) in FDIR_EXPECTATIONS.items()
         ),
+        seeds,
+    )
+
+
+def tctm_sweep(seeds: Iterable[int]) -> List[ScenarioSpec]:
+    """The TC/TM control-plane acceptance sweep: campaign fault x seed.
+
+    The §3 claim under test: a payload reconfigured over a lossy link
+    never bricks -- it recovers by retransmission, rollback or its
+    golden image.  Two golden reconfiguration missions re-seeded (a
+    clean control and a lossy link) plus three campaign-fault shapes.
+    """
+    catalog = catalog_by_name()
+    to_robust = tuple(
+        ReconfigAction(frame=f, equipment="demod0", function="modem.tdma.robust")
+        for f in (2, 10, 18)
+    )
+    return _reseed(
+        [
+            catalog["decoder-swap"],
+            catalog["lossy-ground"],
+            ScenarioSpec(
+                name="seu-during-load",
+                description="an upset burst after every configuration "
+                "load: two rollbacks, then safe mode on the golden image",
+                frames=30,
+                faults=(FaultEvent(frame=1, kind="seu.load", duration=29),),
+                reconfigs=to_robust,
+            ),
+            ScenarioSpec(
+                name="truncated-upload",
+                description="uploads land cut in half: the stored image "
+                "fails its CRC, two rollbacks, then safe mode",
+                frames=30,
+                faults=(FaultEvent(frame=1, kind="upload.truncate", magnitude=3),),
+                reconfigs=to_robust,
+            ),
+            ScenarioSpec(
+                name="lost-final-ack",
+                description="two replies to the store telecommand are "
+                "lost after it executed: retransmission, dedup, one "
+                "execution",
+                frames=24,
+                faults=(FaultEvent(frame=2, kind="tm.drop", magnitude=2),),
+                reconfigs=(
+                    ReconfigAction(
+                        frame=2, equipment="decod0", function="decod.turbo"
+                    ),
+                ),
+            ),
+        ],
         seeds,
     )
 

@@ -13,6 +13,8 @@ The runner assembles the *whole* stack for one mission timeline:
   deduplicated by the robustness layer);
 - the discrete-event kernel pacing MF-TDMA frames, with campaign
   processes running *concurrently* in simulated time;
+- campaign faults on that control plane: configuration upsets after
+  every load, uploads landing truncated, telecommand replies lost;
 - with a surge profile, the demand plane (admission, CoDel class
   queues, deadline budgets, brownout ladder, and a circuit breaker
   around service that trips while the shared decoder is down);
@@ -29,9 +31,10 @@ and the golden corpus freezes those hashes as the conformance oracle.
 :func:`result_violations` applies the cross-cutting invariants (no
 silent corruption, no flapping, monotonic degradation, recovery at the
 expected width, expected and forbidden FDIR actions, exactly-once TC
-execution, shed-before-collapse, bounded buffers, store-and-forward
-conservation) to any result; the FDIR, overload and outage acceptance
-sweeps (:mod:`repro.scenarios.catalog`) are run through it.
+execution, never bricked, golden loads, shed-before-collapse, bounded
+buffers, store-and-forward conservation) to any result; the FDIR,
+TC/TM, overload and outage acceptance sweeps
+(:mod:`repro.scenarios.catalog`) are run through it.
 """
 
 from __future__ import annotations
@@ -46,8 +49,12 @@ from .. import obs
 from ..core.linkbudget import shared_uplink_cn
 from ..dsp.demux import multiplex_carriers
 from ..dsp.modem import ebn0_to_sigma
-from ..ncc.campaign import NetworkControlCenter, SatelliteGateway
-from ..net.simnet import Link, Node
+from ..ncc.campaign import (
+    BoundedUploadStore,
+    NetworkControlCenter,
+    SatelliteGateway,
+)
+from ..net.simnet import Link, Node, arm_frame_drop
 from ..net.tm import TelemetryDownlink, TelemetryMonitor
 from ..obs.probes import probe as _obs_probe
 from ..obs.trace import Tracer
@@ -67,8 +74,10 @@ from ..robustness.overload.brownout import BrownoutLadder, CircuitBreaker
 from ..robustness.overload.deadline import Deadline
 from ..robustness.overload.queues import CoDelQueue
 from ..robustness.policy import RetryExhausted
+from ..robustness.transactions import TC_PORT
 from ..sim import RngRegistry, Simulator, derive_seed
 from .spec import (
+    CAMPAIGN_FAULT_KINDS,
     CHANNEL_FAULT_KINDS,
     FaultEvent,
     ReconfigAction,
@@ -113,6 +122,9 @@ BREAKER_COOLDOWN_FRAMES = 5.0
 P0_GOODPUT_FLOOR = 0.9
 #: a clean demand plane (multiplier 1.0) rejects at most this share
 NOMINAL_MAX_REJECTED = 0.01
+
+#: configuration bits a ``seu.load`` fault of magnitude 0 upsets per load
+SEU_LOAD_BITS = 32
 
 #: telemetry plane: TM downlink poll (s), ground playback poll (s),
 #: records released per downlink poll (keeps bursts inside the link's
@@ -407,6 +419,20 @@ class _TelemetryPlane:
         }
 
 
+class _TruncatingUploads(BoundedUploadStore):
+    """The gateway's upload store, cutting the next ``truncate`` uploads
+    in half as they land: the transfer completes at the protocol level
+    but the stored image fails its container CRC at load time."""
+
+    truncate = 0
+
+    def __setitem__(self, key: str, value: bytes) -> None:
+        if self.truncate > 0:
+            self.truncate -= 1
+            value = value[: len(value) // 2]
+        super().__setitem__(key, value)
+
+
 class ScenarioRunner:
     """Compile one spec onto the kernel and run it end to end."""
 
@@ -434,7 +460,7 @@ class ScenarioRunner:
         )
         link.attach(ground)
         link.attach(space)
-        gateway = SatelliteGateway(space, world.payload)
+        gateway = SatelliteGateway(space, world.payload, uploads=_TruncatingUploads())
         cfg = world.payload.config
         ncc = NetworkControlCenter(
             ground,
@@ -483,8 +509,8 @@ class ScenarioRunner:
                 cfo[ev.carrier] = cfo.get(ev.carrier, 0.0) + ev.magnitude
         return blank, boost, cfo
 
-    def _strike_equipment(self, world: TrafficWorld, ev: FaultEvent, rng) -> None:
-        """Apply one equipment fault at its scheduled frame."""
+    def _strike(self, world: TrafficWorld, ncc, gateway, ev: FaultEvent, rng) -> None:
+        """Apply one equipment or campaign fault at its scheduled frame."""
         if ev.kind == "seu.decoder":
             fpga = world.payload.decoder.fpga
             n = fpga.rows * fpga.cols * fpga.bits_per_clb
@@ -493,6 +519,18 @@ class ScenarioRunner:
         elif ev.kind == "latchup.demod":
             pair = world.payload.demods[ev.carrier]
             pair.mark_unit_failed(pair.active)
+        elif ev.kind == "seu.load":
+            count = int(ev.magnitude) or SEU_LOAD_BITS
+
+            def upset(fpga):
+                n = fpga.num_config_bits
+                fpga.upset_bits(rng.choice(n, size=min(count, n), replace=False))
+
+            world.payload.obc.manager.default_corrupt_hook = upset
+        elif ev.kind == "upload.truncate":
+            gateway.uploads.truncate += int(ev.magnitude)
+        elif ev.kind == "tm.drop":
+            arm_frame_drop(ncc.node, int(ev.magnitude), src_port=TC_PORT)
 
     # -- the mission process ----------------------------------------------
     def _campaign(self, ncc: NetworkControlCenter, rc: ReconfigAction):
@@ -501,7 +539,7 @@ class ScenarioRunner:
         )
         return result
 
-    def _mission(self, sim, rngs, world, ncc):
+    def _mission(self, sim, rngs, world, ncc, gateway):
         spec = self.spec
         probe = _obs_probe("scenario", name=spec.name)
         if spec.surge is not None:
@@ -516,7 +554,6 @@ class ScenarioRunner:
         by_frame: Dict[int, List[ReconfigAction]] = {}
         for rc in spec.reconfigs:
             by_frame.setdefault(rc.frame, []).append(rc)
-        struck: set = set()
         for f in range(spec.frames):
             for rc in by_frame.get(f, ()):
                 campaigns.append(
@@ -525,11 +562,11 @@ class ScenarioRunner:
                         name=f"reconfig.{rc.equipment}.{rc.function}",
                     )
                 )
-            for i, ev in enumerate(self.spec.faults):
-                if ev.kind in CHANNEL_FAULT_KINDS or i in struck or ev.frame != f:
-                    continue
-                struck.add(i)
-                self._strike_equipment(world, ev, seu_rng)
+            for ev in spec.faults:
+                if ev.kind == "seu.load" and f == ev.frame + ev.duration:
+                    world.payload.obc.manager.default_corrupt_hook = None
+                if ev.kind not in CHANNEL_FAULT_KINDS and ev.frame == f:
+                    self._strike(world, ncc, gateway, ev, seu_rng)
             self._frame(f, world, offer_rng, bits_rng, noise_rng, probe)
             yield sim.timeout(spec.frame_duration)
         # join outstanding reconfiguration campaigns and the telemetry
@@ -701,7 +738,8 @@ class ScenarioRunner:
             sim, rngs, world, ncc, gateway = self._build()
             tracer.set_clock(lambda: sim.now)
             mission = sim.process(
-                self._mission(sim, rngs, world, ncc), name=f"mission.{spec.name}"
+                self._mission(sim, rngs, world, ncc, gateway),
+                name=f"mission.{spec.name}",
             )
             limit = spec.frames * spec.frame_duration + CAMPAIGN_GRACE_S
             try:
@@ -779,6 +817,14 @@ class ScenarioRunner:
                 "trace_events": tracer.total,
             }
         )
+        # terminal latches (the hardware is gone) skip the golden load
+        golden_failures = [
+            e["equipment"]
+            for e in world.watchdog.entries
+            if not (e["loaded"] or e.get("terminal"))
+        ]
+        if golden_failures:
+            m["golden_load_failures"] = golden_failures
         if self._demand is not None:
             m["overload"] = self._demand.summary()
         if self._dtn is not None:
@@ -1003,10 +1049,26 @@ def result_violations(
             f"exactly-once broken: {issued} telecommands issued but "
             f"{gw['executed']} executed on board"
         )
+    if m.get("golden_load_failures"):
+        v.append(
+            f"safe mode without its golden image: {m['golden_load_failures']}"
+        )
     if spec.reconfigs:
         failed = [r["function"] for r in m["reconfigs"] if not r["success"]]
-        if failed:
+        if failed and not any(ev.kind in CAMPAIGN_FAULT_KINDS for ev in spec.faults):
             v.append(f"reconfiguration campaigns failed: {failed}")
+        # never bricked: a campaign a fault made fail still leaves its
+        # equipment carrying a personality (rolled back or golden)
+        bricked = sorted(
+            {
+                rc.equipment
+                for rc in spec.reconfigs
+                if rc.function in failed
+                and m["personalities"].get(rc.equipment) is None
+            }
+        )
+        if bricked:
+            v.append(f"bricked: {bricked} carry no personality after a failed campaign")
         if len(m["reconfigs"]) != len(spec.reconfigs):
             v.append(
                 f"only {len(m['reconfigs'])}/{len(spec.reconfigs)} planned "

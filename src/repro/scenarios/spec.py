@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
+    "CAMPAIGN_FAULT_KINDS",
     "CHANNEL_FAULT_KINDS",
     "EQUIPMENT_FAULT_KINDS",
     "FADE_SHAPES",
@@ -50,6 +51,10 @@ class ScenarioError(ValueError):
 CHANNEL_FAULT_KINDS = ("blank", "interference", "cfo")
 #: equipment faults: applied to the hardware once, at ``frame``
 EQUIPMENT_FAULT_KINDS = ("seu.decoder", "latchup.demod")
+#: campaign faults: stress the TC/TM control plane, not the traffic plane
+CAMPAIGN_FAULT_KINDS = ("seu.load", "upload.truncate", "tm.drop")
+#: fault kinds whose magnitude is a count, and the least count allowed
+_COUNTED_MAGNITUDE = {"seu.decoder": 0, "seu.load": 0, "upload.truncate": 1, "tm.drop": 1}
 #: supported fade profile shapes
 FADE_SHAPES = ("step", "ramp")
 
@@ -59,7 +64,7 @@ class TrafficMix:
     """Per-carrier burst occupancy for the MF-TDMA uplink.
 
     ``occupancy`` is the probability a carrier offers a burst in a given
-    frame (1.0 = every carrier every frame, the chaos-campaign load).
+    frame (1.0 = every carrier every frame).
     ``weights`` optionally biases it per carrier (carrier ``k`` offers a
     burst with probability ``occupancy * weights[k]``).
     """
@@ -181,7 +186,14 @@ class FaultEvent:
     once at ``frame``: ``seu.decoder`` upsets ``magnitude`` configuration
     bits of the shared decoder fabric (a whole number; 0 means the
     default of 200), ``latchup.demod`` permanently kills carrier
-    ``carrier``'s active demodulator unit.
+    ``carrier``'s active demodulator unit.  Campaign faults
+    (:data:`CAMPAIGN_FAULT_KINDS`) hit the reconfiguration path:
+    ``seu.load`` upsets ``magnitude`` configuration bits (0 means 32)
+    after every configuration load from ``frame`` to ``frame +
+    duration``; ``upload.truncate`` cuts the next ``magnitude`` uploads
+    landing on board after ``frame`` in half; ``tm.drop`` loses the
+    next ``magnitude`` telecommand replies reaching the ground after
+    ``frame``.
     """
 
     frame: int
@@ -193,19 +205,21 @@ class FaultEvent:
     def problems(self, frames: int, num_carriers: int, idx: int) -> List[str]:
         out = []
         tag = f"faults[{idx}]"
-        known = CHANNEL_FAULT_KINDS + EQUIPMENT_FAULT_KINDS
+        known = CHANNEL_FAULT_KINDS + EQUIPMENT_FAULT_KINDS + CAMPAIGN_FAULT_KINDS
         if self.kind not in known:
             out.append(f"{tag}.kind {self.kind!r} not in {known}")
         if not 0 <= self.frame < frames:
             out.append(f"{tag}.frame {self.frame} outside [0, {frames})")
         if self.duration < 1:
             out.append(f"{tag}.duration {self.duration} must be >= 1")
-        if self.kind == "seu.decoder" and not (
-            self.magnitude >= 0 and float(self.magnitude).is_integer()
+        least = _COUNTED_MAGNITUDE.get(self.kind)
+        if least is not None and not (
+            self.magnitude >= least and float(self.magnitude).is_integer()
         ):
+            unit = "upset bits" if least == 0 else "uploads or replies"
             out.append(
                 f"{tag}.magnitude {self.magnitude} must be a whole number "
-                "of upset bits >= 0"
+                f"of {unit} >= {least}"
             )
         needs_carrier = self.kind in CHANNEL_FAULT_KINDS or self.kind == "latchup.demod"
         if needs_carrier:
@@ -474,6 +488,7 @@ class ScenarioSpec:
         Fade depth in dB, plus one unit per active channel fault, plus
         one *permanent* unit per equipment fault already struck -- a
         monotone proxy that only moves when the injected stress moves.
+        Campaign faults add nothing: they never touch the traffic plane.
         """
         s = self.fade_db(frame)
         for ev in self.faults:
@@ -485,8 +500,11 @@ class ScenarioSpec:
 
     @property
     def fault_onset(self) -> Optional[int]:
-        """First frame any fault or fade bites (None for a clean mission)."""
-        starts = [ev.frame for ev in self.faults]
+        """First frame any traffic-plane fault or fade bites (None for a
+        clean traffic plane; campaign faults do not count)."""
+        starts = [
+            ev.frame for ev in self.faults if ev.kind not in CAMPAIGN_FAULT_KINDS
+        ]
         starts += [seg.start for seg in self.fades]
         return min(starts) if starts else None
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.net import IpPacket, Link, Node, UdpSocket
 from repro.net.ip import _checksum
-from repro.net.simnet import GEO_ONE_WAY_DELAY
+from repro.net.simnet import GEO_ONE_WAY_DELAY, arm_frame_drop
 from repro.sim import RngRegistry, Simulator
 
 
@@ -284,3 +284,53 @@ class TestUdp:
             UdpSocket(a.ip, 0)
         with pytest.raises(ValueError):
             UdpSocket(a.ip, 70000)
+
+
+class TestFrameDrop:
+    def _receiver(self, sim, node, port):
+        got = []
+        sock = UdpSocket(node.ip, port)
+
+        def rx():
+            while True:
+                data, _src = yield sock.recv()
+                got.append(data)
+
+        sim.process(rx())
+        return got
+
+    def test_frame_drop_drops_exactly_n_then_passes(self):
+        sim, a, b, _ = fresh(delay=0.1)
+        got = self._receiver(sim, b, 5000)
+        state = arm_frame_drop(b, count=2)
+        tx = UdpSocket(a.ip, 5001)
+        for i in range(5):
+            tx.sendto(bytes([i]), 2, 5000)
+        sim.run(until=10)
+        assert state == {"left": 0, "dropped": 2}
+        assert got == [b"\x02", b"\x03", b"\x04"]
+
+    def test_source_port_filter_drops_only_that_port(self):
+        sim, a, b, _ = fresh(delay=0.1)
+        got = self._receiver(sim, b, 5000)
+        state = arm_frame_drop(b, count=2, src_port=7000)
+        a.send_frame(b"not an IP frame")  # passes the filter untouched
+        other = UdpSocket(a.ip, 5001)
+        replies = UdpSocket(a.ip, 7000)
+        for i in range(3):
+            other.sendto(b"other %d" % i, 2, 5000)
+            replies.sendto(b"reply %d" % i, 2, 5000)
+        sim.run(until=10)
+        assert state == {"left": 0, "dropped": 2}
+        assert got == [b"other 0", b"other 1", b"other 2", b"reply 2"]
+        assert b.ip.stats["bad"] == 1
+
+    def test_chains_to_an_installed_tap(self):
+        sim, a, b, _ = fresh(delay=0.1)
+        seen = []
+        b.frame_tap = seen.append
+        arm_frame_drop(b, count=1)
+        a.send_frame(b"first")
+        a.send_frame(b"second")
+        sim.run(until=10)
+        assert seen == [b"second"]

@@ -14,7 +14,7 @@ from repro.robustness import (
     TcTransactionClient,
     TransactionError,
 )
-from repro.robustness.chaos import arm_blackhole, arm_frame_drop
+from repro.net.simnet import arm_frame_drop
 from repro.robustness.transactions import recv_within
 from repro.sim import Simulator
 
@@ -122,9 +122,9 @@ class TestTcTransactionClient:
         assert served["served"] == 1  # only the third copy arrived
 
     def test_dead_link_raises_bounded_retry_exhausted(self):
-        sim, ground, space, _ = linked_pair()
+        sim, ground, space, link = linked_pair()
         start_echo_server(sim, space)
-        arm_blackhole(space)  # satellite receiver is dead
+        link.set_up(False)  # the TC never reaches the satellite
         policy = RetryPolicy(max_attempts=4, base_delay=1.0, multiplier=2.0, jitter=0.0)
         client = TcTransactionClient(ground, 2, policy=policy)
         box = drive(sim, client.request(3, "reconfigure", {"equipment": "demod0"}))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.ncc.campaign import NetworkControlCenter
 from repro.scenarios import (
     FaultEvent,
     ReconfigAction,
@@ -101,6 +102,40 @@ def test_failed_campaign_surfaces_its_exception():
     assert result.error.startswith("KeyError")
     assert "decod.nope" in result.error
     assert any("decod.nope" in v for v in result_violations(result))
+
+
+def _wait_forever(self, *args, **kwargs):
+    yield self.sim.event()  # never succeeds: nothing left to run
+
+
+def _poll_forever(self, *args, **kwargs):
+    while True:  # keeps the clock moving until the time limit
+        yield self.sim.timeout(1.0)
+
+
+@pytest.mark.parametrize(
+    "hang, error",
+    [
+        (_wait_forever, "event heap drained before event fired"),
+        (_poll_forever, "time limit 904.0 exceeded"),
+    ],
+    ids=["wait", "poll"],
+)
+def test_hung_campaign_is_reported_not_waited_out(monkeypatch, hang, error):
+    """The no-hang invariant on a real hang: a campaign that never
+    returns ends the run with ``completed=False`` instead of stalling
+    the suite."""
+    monkeypatch.setattr(NetworkControlCenter, "reconfigure_equipment", hang)
+    spec = _tiny(
+        frames=8,
+        reconfigs=(
+            ReconfigAction(frame=2, equipment="decod0", function="decod.turbo"),
+        ),
+    )
+    result = run_scenario(spec)
+    assert not result.completed
+    assert error in result.error
+    assert result_violations(result) == [f"run did not complete: {result.error}"]
 
 
 def test_detection_latency_from_alarm_history():

@@ -199,6 +199,49 @@ class TestMixedFaultFrame:
             assert decoded[k] is not None and decoded[k]["crc_ok"]
 
 
+def _assert_same_value(got, ref, where):
+    """Float-identical comparison of one receive-result value."""
+    if hasattr(ref, "__dataclass_fields__"):
+        for name in ref.__dataclass_fields__:
+            _assert_same_value(
+                getattr(got, name), getattr(ref, name), f"{where}.{name}"
+            )
+    elif isinstance(ref, dict):
+        assert sorted(got) == sorted(ref), where
+        for key in ref:
+            _assert_same_value(got[key], ref[key], f"{where}.{key}")
+    elif isinstance(ref, np.ndarray):
+        np.testing.assert_array_equal(got, ref, err_msg=where)
+    else:
+        assert got == ref, where
+
+
+class TestMixedPersonalityFrame:
+    """A CDMA carrier next to TDMA carriers in one uplink frame."""
+
+    @pytest.mark.parametrize("num_carriers", [1, 2, 3])
+    def test_every_carrier_matches_its_own_scalar_receive(self, num_carriers):
+        reg = RngRegistry(11)
+        pl = booted_payload(num_carriers=num_carriers)
+        pl.demods[0].load("modem.cdma")
+        modems = [eq.behaviour() for eq in pl.demods]
+        sizes = [128] + [m.bits_per_burst for m in modems[1:]]
+        bits = [
+            reg.stream(f"c{k}").integers(0, 2, n).astype(np.uint8)
+            for k, n in enumerate(sizes)
+        ]
+        wide = pl.build_uplink(bits)
+        out = pl.process_uplink(wide, decode=True)
+        channels = pl.channelize(wide)
+        assert len(out["decoded"]) == num_carriers
+        for k, modem in enumerate(modems):
+            np.testing.assert_array_equal(out["bits"][k], bits[k])
+            scalar = modem.receive(channels[k], len(bits[k]))
+            np.testing.assert_array_equal(out["bits"][k], scalar["bits"])
+            ref = {key: scalar[key] for key in scalar if key != "bits"}
+            _assert_same_value(out["diagnostics"][k], ref, f"carrier {k}")
+
+
 class TestReturnLinkFrontDoor:
     """process_return_link: the payload's multi-user CDMA entry point."""
 

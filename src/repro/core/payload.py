@@ -7,9 +7,15 @@ side: re-modulation and DAC.  Every demodulator and the decoder are
 :class:`repro.core.equipment.ReconfigurableEquipment` instances -- the
 functions the paper's SDR concept targets.
 
-The payload also exposes a synthesis helper (:meth:`build_uplink`) that
-generates the matching MF-TDMA multiplex, so tests and benchmarks can
-run the chain end-to-end without an external signal source.
+Every modem personality -- TDMA, robust TDMA, CDMA -- is driven through
+one waveform interface: ``bits_per_burst``, ``transmit_batch(bits)`` and
+``receive_batch(samples, num_bits=None)``, whose scalar ``transmit`` /
+``receive`` are one-row views.  The payload never asks which waveform a
+carrier carries: carriers are grouped by loaded personality and each
+group is one batched call.  :func:`transmit_carriers` is the matching
+ground-side synthesis (used by :meth:`RegenerativePayload.build_uplink`
+and the scenario runner), so tests and benchmarks can run the chain
+end-to-end without an external signal source.
 """
 
 from __future__ import annotations
@@ -21,14 +27,22 @@ import numpy as np
 
 from ..dsp.adc import Adc, Dac
 from ..dsp.beamforming import Dbfn
+from ..dsp.cdma import CdmaModem, CdmaReturnBank
 from ..dsp.demux import PolyphaseChannelizer, multiplex_carriers
+from ..dsp.tdma import BurstSyncError, TdmaModem
 from ..fpga.device import Fpga
 from ..obs.probes import probe
-from .equipment import ReconfigurableEquipment
+from .equipment import EquipmentError, ReconfigurableEquipment
 from .obc import OnBoardController, Telecommand, Telemetry
 from .registry import FunctionRegistry, default_registry
 
-__all__ = ["PayloadConfig", "RegenerativePayload", "Platform", "PacketSwitch"]
+__all__ = [
+    "PayloadConfig",
+    "RegenerativePayload",
+    "Platform",
+    "PacketSwitch",
+    "transmit_carriers",
+]
 
 
 @dataclass(frozen=True)
@@ -184,9 +198,9 @@ class RegenerativePayload:
         """Attach a per-carrier health monitor bank to the live chain.
 
         Every subsequent :meth:`process_uplink` feeds each carrier's
-        receive diagnostics to ``bank.observe_burst`` and every
-        :meth:`decode_block` carrying a ``carrier`` feeds the CRC
-        outcome to ``bank.observe_decode`` -- the FDIR detection path.
+        receive diagnostics to ``bank.observe_burst`` and, with
+        ``decode=True``, each decoded carrier's CRC outcome to
+        ``bank.observe_decode`` -- the FDIR detection path.
         """
         self.health = bank
 
@@ -273,28 +287,16 @@ class RegenerativePayload:
         """Build the MF multiplex carrying one burst per carrier.
 
         Each carrier's burst is produced by that carrier's *current*
-        modem personality, so the synthesized signal always matches what
-        the demodulators expect.  TDMA carriers sharing a personality
-        are synthesized in one ``transmit_batch`` call.
+        modem personality through :func:`transmit_carriers`, so the
+        synthesized signal always matches what the demodulators expect.
         """
         cfg = self.config
         if len(bits_per_carrier) != cfg.num_carriers:
             raise ValueError(f"need bits for {cfg.num_carriers} carriers")
-        streams: List[Optional[np.ndarray]] = [None] * cfg.num_carriers
-        groups: Dict[Optional[str], tuple] = {}
-        for k, (eq, bits) in enumerate(zip(self.demods, bits_per_carrier)):
-            modem = eq.behaviour()
-            if hasattr(modem, "transmit_batch"):  # TDMA
-                groups.setdefault(eq.loaded_design, (modem, []))[1].append(k)
-            else:  # CDMA
-                streams[k] = modem.transmit(np.asarray(bits, dtype=np.uint8))
-        for modem, ks in groups.values():
-            rows = [np.asarray(bits_per_carrier[k], dtype=np.uint8).ravel() for k in ks]
-            stack = np.zeros((len(rows), max(len(r) for r in rows)), dtype=np.uint8)
-            for i, r in enumerate(rows):
-                stack[i, : len(r)] = r
-            for k, burst in zip(ks, modem.transmit_batch(stack)):
-                streams[k] = burst
+        streams = transmit_carriers(
+            [(eq.loaded_design, eq.behaviour()) for eq in self.demods],
+            bits_per_carrier,
+        )
         n = max(len(s) for s in streams)
         bb = np.zeros((cfg.num_carriers, n), dtype=np.complex128)
         for k, s in enumerate(streams):
@@ -331,44 +333,37 @@ class RegenerativePayload:
         return self.channelizer.process(x[:usable])
 
     def process_uplink(
-        self,
-        wideband: np.ndarray,
-        bits_expected: Optional[List[int]] = None,
-        beam: int = 0,
-        decode: bool = False,
+        self, wideband: np.ndarray, beam: int = 0, decode: bool = False
     ) -> Dict[str, object]:
         """Run the Fig. 2 Rx chain on a wideband block.
 
-        ``bits_expected[k]`` bounds how many payload bits to demodulate
-        on carrier ``k`` (defaults to each modem's burst capacity).
         With a multi-element front end, ``beam`` selects which DBFN
         output feeds the carrier DEMUX (one demod bank serves the chosen
         beam; a full multi-beam payload instantiates one payload per
         beam or time-shares the bank).
 
-        The demodulator bank runs batch-first: live TDMA carriers are
-        grouped by loaded personality and each group is demodulated in
-        **one** :meth:`~repro.dsp.tdma.TdmaModem.receive_batch` call
-        over its ``(C, n)`` channel stack; CDMA carriers keep their
-        per-carrier path.
+        The demodulator bank runs batch-first: live carriers are grouped
+        by loaded personality and each group is demodulated in **one**
+        ``receive_batch`` call over its ``(C, n)`` channel stack, each
+        carrier delivering its modem's ``bits_per_burst``.  TDMA and
+        CDMA carriers share the path.
 
         With ``decode=True`` the payload also regenerates every
         carrier's transport block **in one batched decoder call**: each
         successfully synchronized carrier's payload symbols are
         soft-demapped (noise variance from the per-burst M2M4 SNR
         estimate), the LLR blocks are stacked and fed through the
-        decoder personality's ``decode_batch`` via
-        :meth:`decode_blocks` -- the single-trellis-sweep hot path the
-        batching engine exists for.  Per-carrier diagnostics are
-        preserved, carriers that failed sync/equipment are *skipped*
-        (``decoded[k] is None``) so the FDIR health bank only sees CRC
-        outcomes for blocks that were really decoded.
+        decoder personality's ``decode_batch`` -- the single-trellis-sweep
+        hot path the batching engine exists for.  Per-carrier
+        diagnostics are preserved, carriers that failed sync/equipment
+        are *skipped* (``decoded[k] is None``) so the FDIR health bank
+        only sees CRC outcomes for blocks that were really decoded.
 
         Returns per-carrier demodulated bits plus chain diagnostics
         (and ``decoded`` when requested).
         """
         channels = self.channelize(wideband, beam)
-        results = self._demod_carriers(channels, bits_expected)
+        results = self._demod_carriers(channels)
         out_bits: List[np.ndarray] = [bits for bits, _ in results]
         diags: List[dict] = [diag for _, diag in results]
         if self.health is not None:
@@ -379,47 +374,38 @@ class RegenerativePayload:
             result["decoded"] = self._decode_uplink_blocks(diags)
         return result
 
-    def _demod_carriers(
-        self, channels: np.ndarray, bits_expected: Optional[List[int]]
-    ) -> List[tuple]:
+    def _demod_carriers(self, channels: np.ndarray) -> List[tuple]:
         """Every carrier's demodulation lane: ``[(bits, diagnostics)]``.
 
         Equipment and burst-sync faults are contained *per carrier*
         (silence plus a diagnostic for the FDIR detection path), so one
         carrier's failure can never abort another lane: a dead
-        demodulator is caught before its carrier joins a batch, and a
-        carrier that loses sync comes back from ``receive_batch`` as its
-        own row's :class:`~repro.dsp.tdma.BurstSyncError`.  Anything
-        else that raises is a genuine bug and propagates.
+        demodulator is caught before its carrier joins a group, and a
+        TDMA carrier that loses sync comes back from ``receive_batch``
+        as its own row's :class:`~repro.dsp.tdma.BurstSyncError`.
+        Anything else that raises is a genuine bug and propagates.
         """
-        from ..dsp.tdma import BurstSyncError
-        from .equipment import EquipmentError
-
         results: List[Optional[tuple]] = [None] * len(self.demods)
-        groups: Dict[tuple, tuple] = {}
+        groups: Dict[Optional[str], tuple] = {}
         for k, eq in enumerate(self.demods):
-            want = bits_expected[k] if bits_expected else None
             try:
                 modem = eq.behaviour()
             except EquipmentError as exc:
                 # fault containment: a dead demodulator (latch-up, SEU)
                 # silences its own carrier only -- the FDIR isolation
-                # ladder picks the diagnostic up from here
-                n = want or 128
-                results[k] = (np.zeros(n, dtype=np.uint8), {"equipment_failed": str(exc)})
+                # ladder picks the diagnostic up from here.  With no
+                # live modem to size it, the silence is one default burst.
+                silence = np.zeros(CdmaModem.bits_per_burst, dtype=np.uint8)
+                results[k] = (silence, {"equipment_failed": str(exc)})
                 continue
-            if hasattr(modem, "bits_per_burst"):  # TDMA
-                key = (eq.loaded_design, want)
-                groups.setdefault(key, (modem, []))[1].append(k)
-            else:  # CDMA
-                results[k] = _split_bits(modem.receive(channels[k], want or 128))
-        for (_design, want), (modem, ks) in groups.items():
-            for k, res in zip(ks, modem.receive_batch(channels[ks], num_bits=want)):
+            groups.setdefault(eq.loaded_design, (modem, []))[1].append(k)
+        for modem, ks in groups.values():
+            for k, res in zip(ks, modem.receive_batch(channels[ks])):
                 if isinstance(res, BurstSyncError):
                     # a carrier that failed burst sync delivers nothing; the
                     # payload reports it instead of aborting the other carriers
-                    n = want or modem.bits_per_burst
-                    results[k] = (np.zeros(n, dtype=np.uint8), {"sync_failed": str(res)})
+                    silence = np.zeros(modem.bits_per_burst, dtype=np.uint8)
+                    results[k] = (silence, {"sync_failed": str(res)})
                 else:
                     results[k] = _split_bits(res)
         return results
@@ -428,16 +414,16 @@ class RegenerativePayload:
         self,
         samples: np.ndarray,
         num_users: int,
-        num_bits: int = 128,
+        num_bits: int = CdmaModem.bits_per_burst,
         carrier: int = 0,
     ) -> Dict[str, object]:
         """Demodulate a multi-user CDMA return-link composite in one pass.
 
         The CDMA personality's multi-user front door: ``samples`` is one
         composite waveform carrying ``num_users`` code-multiplexed users
-        (consecutive OVSF branches above the loaded modem's
-        ``code_index``), and the whole bank is demodulated through the
-        batched return-link engine -- the matched filter runs once,
+        (consecutive Gold scrambling overlays above the loaded modem's
+        ``scrambling_shift``), and the whole bank is demodulated through
+        the batched return-link engine -- the matched filter runs once,
         acquisition is one FFT pass over all user codes, and tracking /
         despreading run in ``U``-wide lock-step
         (:class:`~repro.dsp.cdma.CdmaReturnBank`).  Per-user results are
@@ -445,42 +431,39 @@ class RegenerativePayload:
         same composite.
 
         Requires the carrier's demod to carry a CDMA personality
-        (``modem.cdma``).  Equipment faults are contained exactly like
-        :meth:`process_uplink`: a dead demodulator silences every user
-        of its carrier and reports a diagnostic instead of raising.
-        With an attached health bank, each user's diagnostics are
-        delivered as ``observe_burst(user_index, diag)`` -- the same
-        FDIR detection stream the scalar path produces.
+        (``modem.cdma``); anything else raises ``TypeError``.  Equipment
+        faults are contained exactly like :meth:`process_uplink`: a dead
+        demodulator silences every user of its carrier and reports a
+        diagnostic instead of raising.  With an attached health bank,
+        each user's diagnostics are delivered as
+        ``observe_burst(user_index, diag)`` -- the same FDIR detection
+        stream the scalar path produces.
 
         Returns ``{"bits": [per-user bits], "diagnostics": [per-user
         diagnostic dicts]}``.
         """
-        from ..dsp.cdma import CdmaReturnBank
-        from .equipment import EquipmentError
-
         if not 0 <= carrier < len(self.demods):
             raise ValueError(f"carrier {carrier} out of range")
-        eq = self.demods[carrier]
         try:
-            modem = eq.behaviour()
-            if hasattr(modem, "bits_per_burst") or not hasattr(modem, "config"):
+            modem = self.demods[carrier].behaviour()
+        except EquipmentError as exc:
+            results = [
+                (np.zeros(num_bits, dtype=np.uint8), {"equipment_failed": str(exc)})
+                for _ in range(num_users)
+            ]
+        else:
+            if not isinstance(modem, CdmaModem):
                 raise TypeError(
                     "process_return_link needs a CDMA personality "
                     f"(modem.cdma); carrier {carrier} carries "
                     f"{type(modem).__name__}"
                 )
             bank = CdmaReturnBank.for_users(num_users, modem.config)
-            results = bank.receive(np.asarray(samples), num_bits)
-        except EquipmentError as exc:
-            zeros = np.zeros(num_bits, dtype=np.uint8)
-            results = None
-            out_bits = [zeros.copy() for _ in range(num_users)]
-            diags: List[dict] = [
-                {"equipment_failed": str(exc)} for _ in range(num_users)
+            results = [
+                _split_bits(r) for r in bank.receive(np.asarray(samples), num_bits)
             ]
-        if results is not None:
-            out_bits = [r["bits"] for r in results]
-            diags = [{key: r[key] for key in r if key != "bits"} for r in results]
+        out_bits = [bits for bits, _ in results]
+        diags = [diag for _, diag in results]
         if self.health is not None:
             for u, diag in enumerate(diags):
                 self.health.observe_burst(u, diag)
@@ -489,10 +472,14 @@ class RegenerativePayload:
     def _decode_uplink_blocks(self, diags: List[dict]) -> List[Optional[dict]]:
         """Batched regeneration of all carriers' transport blocks.
 
-        Soft-demaps each synchronized carrier's payload symbols, stacks
-        the LLR blocks, and runs one :meth:`decode_blocks` call.
-        Carriers without usable symbols (sync/equipment failure, or too
-        few bits for the chain's ``physical_bits``) yield ``None``.
+        Soft-demaps each synchronized carrier's payload symbols with its
+        modem's constellation, stacks the LLR blocks and runs them
+        through the decoder personality's ``decode_batch`` in **one**
+        call: all carriers share a single trellis sweep instead of one
+        scalar decode each.  Carriers without usable symbols
+        (sync/equipment failure, or too few bits for the chain's
+        ``physical_bits``) yield ``None``; every decoded carrier's CRC
+        outcome goes to the attached health bank.
 
         A dead decoder (SEU, power-off) is contained here, mirroring
         fault containment on the demod side: every synchronized carrier
@@ -500,8 +487,6 @@ class RegenerativePayload:
         detection path sees the fault, and all carriers yield ``None``
         instead of the fault aborting the uplink.
         """
-        from .equipment import EquipmentError
-
         decoded: List[Optional[dict]] = [None] * len(diags)
         try:
             chain = self.decoder.behaviour()
@@ -511,17 +496,15 @@ class RegenerativePayload:
                     if diag.get("symbols") is not None:
                         self.health.observe_decode(k, False)
             return decoded
-        n_llr = int(getattr(chain, "physical_bits", 0))
-        if n_llr <= 0:
-            return decoded
+        n_llr = chain.physical_bits
         # one stacked soft demap per (constellation, burst length)
         groups: Dict[tuple, tuple] = {}
         for k, diag in enumerate(diags):
             syms = diag.get("symbols")
             if syms is None:
                 continue  # sync or equipment failure: nothing to decode
-            psk = getattr(self.demods[k].behaviour(), "psk", None)
-            if psk is None or len(syms) * psk.bits_per_symbol < n_llr:
+            psk = self.demods[k].behaviour().psk
+            if len(syms) * psk.bits_per_symbol < n_llr:
                 continue
             groups.setdefault((psk.order, len(syms)), (psk, []))[1].append(k)
         llrs: Dict[int, np.ndarray] = {}
@@ -538,75 +521,22 @@ class RegenerativePayload:
         if not llrs:
             return decoded
         carriers = sorted(llrs)
-        res = self.decode_blocks(
-            np.stack([llrs[k] for k in carriers]), carriers=carriers
-        )
-        crc = res["crc_ok"]
-        for i, k in enumerate(carriers):
-            decoded[k] = {
-                "bits": res["bits"][i],
-                "crc_ok": None if crc is None else bool(crc[i]),
-            }
-        return decoded
-
-    def decode_block(self, llr: np.ndarray, carrier: Optional[int] = None) -> dict:
-        """Run one transport block through the decoder personality.
-
-        ``carrier`` attributes the block to an uplink carrier so the
-        attached health bank's CRC-failure tracker sees the outcome.
-        """
-        result = self.decoder.behaviour().decode(llr)
-        if self.health is not None and carrier is not None:
-            self.health.observe_decode(carrier, bool(result.get("crc_ok")))
-        return result
-
-    def decode_blocks(
-        self, llrs: np.ndarray, carriers: Optional[List[int]] = None
-    ) -> dict:
-        """Run a ``(batch, physical_bits)`` stack of transport blocks
-        through the decoder personality in **one** batched call.
-
-        This is the payload's per-burst throughput hot path: all
-        carriers' LLR blocks share a single trellis sweep
-        (:meth:`repro.coding.TransportChain.decode_batch`) instead of
-        ``batch`` scalar decodes.  Falls back to looping ``decode`` for
-        personalities without a batched kernel.  ``carriers[i]``
-        attributes block ``i`` to an uplink carrier so the attached
-        health bank's CRC tracker sees each outcome (same FDIR gating
-        as :meth:`decode_block`).
-
-        Returns ``{"bits": (batch, transport_block), "crc_ok": bool
-        array or None}``.
-        """
-        llrs = np.asarray(llrs, dtype=np.float64)
-        if llrs.ndim != 2:
-            raise ValueError(f"expected a (batch, n) array, got shape {llrs.shape}")
-        if carriers is not None and len(carriers) != llrs.shape[0]:
-            raise ValueError("carriers must have one entry per block")
-        chain = self.decoder.behaviour()
-        if hasattr(chain, "decode_batch"):
-            result = chain.decode_batch(llrs)
-        else:  # foreign decoder personality: scalar fallback
-            rows = [chain.decode(row) for row in llrs]
-            crc_vals = [r.get("crc_ok") for r in rows]
-            result = {
-                "bits": np.stack([r["bits"] for r in rows]),
-                "crc_ok": (
-                    None
-                    if any(v is None for v in crc_vals)
-                    else np.asarray(crc_vals, dtype=bool)
-                ),
-            }
+        res = chain.decode_batch(np.stack([llrs[k] for k in carriers]))
         p = probe("perf.payload", stage="decode")
         if p is not None:
             p.count("decode_batches")
-            p.count("decode_blocks", llrs.shape[0])
-        if self.health is not None and carriers is not None:
-            crc = result.get("crc_ok")
-            for i, k in enumerate(carriers):
-                ok = bool(crc[i]) if crc is not None else False
-                self.health.observe_decode(k, ok)
-        return result
+            p.count("decode_blocks", len(carriers))
+        crc = res["crc_ok"]
+        for i, k in enumerate(carriers):
+            ok = None if crc is None else bool(crc[i])
+            decoded[k] = {"bits": res["bits"][i], "crc_ok": ok}
+            if self.health is not None:
+                self.health.observe_decode(k, bool(ok))
+        return decoded
+
+    def decode_block(self, llr: np.ndarray) -> dict:
+        """Run one transport block through the decoder personality."""
+        return self.decoder.behaviour().decode(llr)
 
     def route_packets(self, packets: List[bytes]) -> dict:
         """Baseband switching of regenerated packets."""
@@ -619,8 +549,8 @@ class RegenerativePayload:
 
         The Tx part of Fig. 2: regenerated packets are re-encoded by the
         decoder personality's encoder, re-modulated by the (TDMA) modem
-        personality, and quantized by the DAC.  Returns the downlink
-        samples plus the packets carried.
+        personality in one ``transmit_batch`` call, and quantized by the
+        DAC.  Returns the downlink samples plus the packets carried.
 
         Packets are fit into transport blocks (padded/truncated to the
         chain's block size) -- one burst per packet.
@@ -628,34 +558,49 @@ class RegenerativePayload:
         packets = self.switch.drain(port)
         chain = self.decoder.behaviour()
         modem = self.demods[port % len(self.demods)].behaviour()
-        if not hasattr(modem, "bits_per_burst"):
+        if not isinstance(modem, TdmaModem):
             raise ValueError(
                 "downlink modulation requires a TDMA personality on the Tx modem"
             )
-        bursts = []
+        if not packets:
+            samples = np.zeros(0, dtype=np.complex128)
+            return {"samples": samples, "packets": packets, "bursts": 0}
+        coded = []
         for packet in packets:
             bits = np.unpackbits(np.frombuffer(packet, dtype=np.uint8))
             block = np.zeros(chain.transport_block, dtype=np.uint8)
             n = min(len(bits), chain.transport_block)
             block[:n] = bits[:n]
-            coded = chain.encode(block)
-            burst_bits = coded[: modem.bits_per_burst]
-            if len(burst_bits) < modem.bits_per_burst:
-                burst_bits = np.concatenate([
-                    burst_bits,
-                    np.zeros(modem.bits_per_burst - len(burst_bits), dtype=np.uint8),
-                ])
-            bursts.append(modem.transmit(burst_bits))
-        if bursts:
-            samples = self.dac.convert(np.concatenate(bursts))
-        else:
-            samples = np.zeros(0, dtype=np.complex128)
-        return {"samples": samples, "packets": packets, "bursts": len(bursts)}
+            coded.append(chain.encode(block)[: modem.bits_per_burst])
+        bursts = modem.transmit_batch(np.stack(coded))
+        samples = self.dac.convert(bursts.ravel())
+        return {"samples": samples, "packets": packets, "bursts": len(packets)}
 
 
 def _split_bits(res: dict) -> tuple:
     """A receive result as ``(bits, diagnostics without the bits)``."""
     return res["bits"], {key: res[key] for key in res if key != "bits"}
+
+
+def transmit_carriers(carriers: List[tuple], bits: List[np.ndarray]) -> List[np.ndarray]:
+    """Synthesize one burst per carrier, batched by personality.
+
+    ``carriers[i]`` is the ``(design, modem)`` pair sending ``bits[i]``.
+    Carriers sharing a design name and a bit count are built in one
+    ``transmit_batch`` call; the bursts come back in carrier order.
+    """
+    if len(carriers) != len(bits):
+        raise ValueError("need one bit burst per carrier")
+    rows = [np.asarray(b, dtype=np.uint8).ravel() for b in bits]
+    groups: Dict[tuple, tuple] = {}
+    for i, ((design, modem), row) in enumerate(zip(carriers, rows)):
+        groups.setdefault((design, len(row)), (modem, []))[1].append(i)
+    bursts: List[Optional[np.ndarray]] = [None] * len(rows)
+    for modem, idx in groups.values():
+        stack = modem.transmit_batch(np.stack([rows[i] for i in idx]))
+        for i, burst in zip(idx, stack):
+            bursts[i] = burst
+    return bursts
 
 
 class Platform:

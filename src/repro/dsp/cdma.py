@@ -53,7 +53,7 @@ from scipy.signal import fftconvolve
 
 from ..caching import array_cache_key, cached_design, freeze
 from ..obs.probes import probe
-from .filters import srrc, upsample
+from .filters import srrc
 from .modem import PskModem, estimate_snr_m2m4
 from .carrier import carrier_lock_metric, data_aided_phase
 from .timing import HISTORY_MAXLEN
@@ -708,6 +708,17 @@ def _strobe_padding(sf: int, sps: int, num_symbols: int, gain: float) -> int:
     return int(np.ceil((sf + 2) * sps + gain * sps * num_symbols)) + 2
 
 
+def _check_num_bits(num_bits: int, psk: PskModem) -> None:
+    """Reject a burst payload that is negative or not whole symbols."""
+    if num_bits < 0:
+        raise ValueError(f"num_bits must be >= 0, got {num_bits}")
+    if num_bits % psk.bits_per_symbol:
+        raise ValueError(
+            f"num_bits {num_bits} is not a multiple of "
+            f"{psk.bits_per_symbol} bits per symbol"
+        )
+
+
 def _return_link_engine(
     mf: np.ndarray,
     codes: np.ndarray,
@@ -729,7 +740,10 @@ def _return_link_engine(
     settled despread all run through the batched kernels; the per-row
     outputs and diagnostics are identical to the scalar chain by
     construction (the scalar chain *is* this engine with one row).
+    Raises ``ValueError`` for a negative ``num_bits`` or one that is
+    not a whole number of symbols.
     """
+    _check_num_bits(num_bits, psk)
     codes2 = np.atleast_2d(np.asarray(codes, dtype=np.float64))
     sf = codes2.shape[-1]
     shared_mf = mf.ndim == 1
@@ -815,6 +829,8 @@ class CdmaModem:
 
     #: number of known pilot symbols prepended to every burst
     PILOT_SYMBOLS = 16
+    #: payload bits of one burst when the caller names no count
+    bits_per_burst = 128
 
     def __init__(self, config: CdmaConfig | None = None) -> None:
         self.config = config or CdmaConfig()
@@ -829,13 +845,33 @@ class CdmaModem:
 
     # -- transmit -------------------------------------------------------
     def transmit(self, bits: np.ndarray) -> np.ndarray:
-        """Modulate, spread and pulse-shape a bit burst."""
-        data = self.psk.modulate(np.asarray(bits, dtype=np.uint8))
-        symbols = np.concatenate([self.pilot, data])
-        chips = spread(symbols, self.code)
-        x = upsample(chips, self.config.chip_sps)
-        shaped = fftconvolve(x, self.pulse, mode="full")
-        return shaped
+        """Modulate, spread and pulse-shape a bit burst.
+
+        A one-row view of :meth:`transmit_batch`.
+        """
+        bits = np.asarray(bits, dtype=np.uint8).ravel()
+        return self.transmit_batch(bits[None, :])[0]
+
+    def transmit_batch(self, bits: np.ndarray) -> np.ndarray:
+        """Build a ``(B, num_tx_samples(n))`` stack of bursts in one pass.
+
+        Row ``r`` is the burst :meth:`transmit` builds from ``bits[r]``:
+        one stacked PSK map, one spread of ``[pilot | data]`` by the
+        spreading code and one axis-1 SRRC convolution.
+        """
+        bits = np.asarray(bits, dtype=np.uint8)
+        if bits.ndim != 2:
+            raise ValueError(f"expected a (B, nbits) bit stack, got shape {bits.shape}")
+        rows, nbits = bits.shape
+        _check_num_bits(nbits, self.psk)
+        data = self.psk.modulate(bits).reshape(rows, -1)
+        pilot = np.broadcast_to(self.pilot, (rows, len(self.pilot)))
+        symbols = np.concatenate([pilot, data], axis=1)
+        chips = (symbols[:, :, None] * self.code[None, None, :]).reshape(rows, -1)
+        sps = self.config.chip_sps
+        x = np.zeros((rows, chips.shape[1] * sps), dtype=chips.dtype)
+        x[:, ::sps] = chips
+        return fftconvolve(x, self.pulse[None, :], mode="full", axes=1)
 
     def num_tx_samples(self, num_bits: int) -> int:
         """Length of :meth:`transmit` output for ``num_bits`` input bits."""
@@ -843,18 +879,21 @@ class CdmaModem:
         return nsym * self.config.sf * self.config.chip_sps + len(self.pulse) - 1
 
     # -- receive ----------------------------------------------------------
-    def receive(self, samples: np.ndarray, num_bits: int) -> dict:
+    def receive(self, samples: np.ndarray, num_bits: int | None = None) -> dict:
         """Demodulate a burst produced by :meth:`transmit` (plus channel).
 
         Returns a dict with ``bits`` (hard decisions), ``symbols``
         (despread, de-rotated), ``acquisition`` (:class:`AcquisitionResult`),
         ``phase`` (estimated carrier phase) and ``dll_tau`` trajectory.
+        ``num_bits`` defaults to :attr:`bits_per_burst`.
         """
         return self.receive_batch(
             np.asarray(samples, dtype=np.complex128)[None, :], num_bits
         )[0]
 
-    def receive_batch(self, samples: np.ndarray, num_bits: int) -> list[dict]:
+    def receive_batch(
+        self, samples: np.ndarray, num_bits: int | None = None
+    ) -> list[dict]:
         """Demodulate a ``(B, nsamples)`` stack of bursts in one pass.
 
         The multi-burst hot path: the SRRC matched filter runs as one
@@ -863,8 +902,11 @@ class CdmaModem:
         lock-step and the settled despread as a single
         ``(B, nsym, sf)`` gather + reduction.  Returns one result dict
         per burst, bit-identical to :meth:`receive` on each row.
+        ``num_bits`` defaults to :attr:`bits_per_burst`.
         """
         cfg = self.config
+        if num_bits is None:
+            num_bits = self.bits_per_burst
         x = np.asarray(samples, dtype=np.complex128)
         if x.ndim != 2:
             raise ValueError("receive_batch expects a (B, nsamples) stack")
@@ -893,6 +935,7 @@ class CdmaModem:
         absorb the carrier phase, so no separate phase step is needed.
         """
         cfg = self.config
+        _check_num_bits(num_bits, self.psk)
         mf = fftconvolve(np.asarray(samples, dtype=np.complex128), self.pulse[::-1])
         gd = len(self.pulse) - 1
         nsym = self.PILOT_SYMBOLS + num_bits // self.psk.bits_per_symbol

@@ -47,6 +47,7 @@ import numpy as np
 
 from .. import obs
 from ..core.linkbudget import shared_uplink_cn
+from ..core.payload import transmit_carriers
 from ..dsp.demux import multiplex_carriers
 from ..dsp.modem import ebn0_to_sigma
 from ..ncc.campaign import (
@@ -616,7 +617,8 @@ class ScenarioRunner:
         # traced per frame so the golden hash covers payload *content*,
         # not just delivery counts
         content_crc = 0
-        burst_bits: Dict[str, Dict[int, np.ndarray]] = {}
+        senders: List[tuple] = []
+        burst_bits: List[np.ndarray] = []
         for k in active:
             eq = world.payload.demods[k]
             design = eq.loaded_design or "modem.tdma"
@@ -633,17 +635,13 @@ class ScenarioRunner:
             bb = np.zeros(modem.bits_per_burst, dtype=np.uint8)
             n = min(len(coded), modem.bits_per_burst)
             bb[:n] = coded[:n]
-            burst_bits.setdefault(design, {})[k] = bb
+            senders.append((design, modem))
+            burst_bits.append(bb)
             sent[k] = block
             offered[k] = has_data
             content_crc = zlib.crc32(block.tobytes(), content_crc)
-        # one ground-side synthesis call per personality
-        bursts: Dict[int, np.ndarray] = {}
-        for design, rows in burst_bits.items():
-            stack = world.ground(design).transmit_batch(np.stack(list(rows.values())))
-            bursts.update(zip(rows, stack))
-        for k in active:
-            s = bursts[k]
+        bursts = transmit_carriers(senders, burst_bits)
+        for k, s in zip(active, bursts):
             off = cfo.get(k, 0.0)
             if off:
                 s = s * np.exp(2j * np.pi * off * np.arange(len(s)))

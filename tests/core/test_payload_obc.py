@@ -242,6 +242,34 @@ class TestMixedPersonalityFrame:
             _assert_same_value(out["diagnostics"][k], ref, f"carrier {k}")
 
 
+class TestTransmitCarriers:
+    def test_groups_match_per_carrier_transmit(self):
+        """Mixed personalities and bit counts, bursts in carrier order."""
+        from repro.core.payload import transmit_carriers
+        from repro.dsp.cdma import CdmaModem
+        from repro.dsp.tdma import TdmaModem
+
+        tdma, cdma = TdmaModem(), CdmaModem()
+        carriers = [
+            ("modem.cdma", cdma),
+            ("modem.tdma", tdma),
+            ("modem.cdma", cdma),
+            ("modem.tdma", tdma),
+            ("modem.cdma", cdma),
+        ]
+        rng = np.random.default_rng(5)
+        bits = [
+            rng.integers(0, 2, n).astype(np.uint8)
+            for n in (128, tdma.bits_per_burst, 64, 40, 128)
+        ]
+        bursts = transmit_carriers(carriers, bits)
+        assert len(bursts) == len(carriers)
+        for (_, modem), b, burst in zip(carriers, bits, bursts):
+            np.testing.assert_array_equal(burst, modem.transmit(b))
+        with pytest.raises(ValueError):
+            transmit_carriers(carriers, bits[:2])
+
+
 class TestReturnLinkFrontDoor:
     """process_return_link: the payload's multi-user CDMA entry point."""
 

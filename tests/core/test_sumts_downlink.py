@@ -97,6 +97,27 @@ class TestDownlinkTx:
         got = decoded["bits"][: len(sent_bits)]
         assert np.mean(got != sent_bits) < 0.05
 
+    def test_one_batch_equals_per_packet_bursts(self):
+        """Three packets: the batched downlink is the DAC over each
+        packet's own ``transmit`` burst, concatenated in order."""
+        pl = self._payload()
+        packets = [b"\x00" + bytes([i]) * (5 + 7 * i) for i in range(3)]
+        pl.route_packets(packets)
+        out = pl.build_downlink(0)
+        chain = pl.decoder.behaviour()
+        modem = pl.demods[0].behaviour()
+        bursts = []
+        for packet in packets:
+            bits = np.unpackbits(np.frombuffer(packet[1:], dtype=np.uint8))
+            block = np.zeros(chain.transport_block, dtype=np.uint8)
+            block[: len(bits)] = bits[: chain.transport_block]
+            bursts.append(modem.transmit(chain.encode(block)[: modem.bits_per_burst]))
+        assert out["bursts"] == 3
+        assert out["packets"] == [p[1:] for p in packets]
+        np.testing.assert_array_equal(
+            out["samples"], pl.dac.convert(np.concatenate(bursts))
+        )
+
     def test_requires_tdma_tx_personality(self):
         pl = self._payload()
         pl.demods[0].load("modem.cdma")

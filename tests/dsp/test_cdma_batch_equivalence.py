@@ -254,3 +254,90 @@ class TestReturnBankEquivalence:
         bank = CdmaReturnBank.for_users(2, CdmaConfig(sf=16))
         with pytest.raises(ValueError):
             bank.receive(np.zeros((2, 4096), dtype=complex), 16)
+
+
+class TestTransmitBatchEquivalence:
+    @pytest.mark.parametrize("sf", [16, 64])
+    def test_rows_match_looped_transmit(self, sf):
+        """Each stacked row equals transmit on its bits, and equals the
+        spread -> upsample -> SRRC chain built from the public kernels."""
+        from scipy.signal import fftconvolve
+
+        from repro.dsp.cdma import spread
+        from repro.dsp.filters import upsample
+
+        modem = CdmaModem(CdmaConfig(sf=sf))
+        rng = _rng("tx-batch", sf)
+        bits = rng.integers(0, 2, (4, modem.bits_per_burst)).astype(np.uint8)
+        stack = modem.transmit_batch(bits)
+        assert stack.shape == (4, modem.num_tx_samples(modem.bits_per_burst))
+        for row, b in zip(stack, bits):
+            np.testing.assert_array_equal(row, modem.transmit(b))
+            symbols = np.concatenate([modem.pilot, modem.psk.modulate(b)])
+            chips = upsample(spread(symbols, modem.code), modem.config.chip_sps)
+            np.testing.assert_array_equal(row, fftconvolve(chips, modem.pulse))
+
+    def test_rejects_bad_stacks(self):
+        modem = CdmaModem()
+        with pytest.raises(ValueError, match="bit stack"):
+            modem.transmit_batch(np.zeros(8, dtype=np.uint8))
+        with pytest.raises(ValueError, match="multiple"):
+            modem.transmit_batch(np.zeros((2, 3), dtype=np.uint8))
+
+
+class TestNumBitsContract:
+    """CDMA receive returns exactly ``num_bits`` or rejects the count."""
+
+    def _burst(self, sf=16):
+        modem = CdmaModem(CdmaConfig(sf=sf))
+        bits = _rng("contract", sf).integers(0, 2, 128).astype(np.uint8)
+        return modem, modem.transmit(bits), bits
+
+    def test_omitted_num_bits_is_bits_per_burst(self):
+        modem, tx, bits = self._burst()
+        assert CdmaModem.bits_per_burst == 128
+        stack = np.stack([tx, tx])
+        default = modem.receive_batch(stack)
+        explicit = modem.receive_batch(stack, modem.bits_per_burst)
+        for got, ref in zip(default, explicit):
+            assert len(got["bits"]) == modem.bits_per_burst
+            _assert_result_identical(got, ref)
+        np.testing.assert_array_equal(modem.receive(tx)["bits"], bits)
+
+    @pytest.mark.parametrize("num_bits", [3, 127])
+    def test_partial_symbol_rejected(self, num_bits):
+        modem, tx, _ = self._burst()
+        with pytest.raises(ValueError, match="not a multiple of 2 bits"):
+            modem.receive(tx, num_bits)
+        with pytest.raises(ValueError, match="not a multiple of 2 bits"):
+            modem.receive_batch(tx[None, :], num_bits)
+        with pytest.raises(ValueError, match="not a multiple of 2 bits"):
+            modem.receive_rake(tx, num_bits)
+
+    def test_negative_count_rejected_by_name(self):
+        modem, tx, _ = self._burst()
+        with pytest.raises(ValueError, match="num_bits must be >= 0"):
+            modem.receive(tx, -4)
+
+    @pytest.mark.parametrize("num_bits", [-4, 3, 127])
+    def test_bank_and_payload_front_door(self, num_bits):
+        from repro.core import PayloadConfig, RegenerativePayload
+
+        bank = CdmaReturnBank.for_users(2, CdmaConfig(sf=16))
+        comp = bank.transmit([np.zeros(128, dtype=np.uint8)] * 2)
+        with pytest.raises(ValueError, match="num_bits"):
+            bank.receive(comp, num_bits)
+        pl = RegenerativePayload(
+            PayloadConfig(
+                num_carriers=1, fpga_rows=8, fpga_cols=8, fpga_bits_per_clb=32
+            )
+        )
+        pl.boot(modem="modem.cdma")
+        with pytest.raises(ValueError, match="num_bits"):
+            pl.process_return_link(comp, num_users=2, num_bits=num_bits)
+
+    @pytest.mark.parametrize("num_bits", [2, 126])
+    def test_whole_symbol_counts_return_exactly_num_bits(self, num_bits):
+        modem, tx, bits = self._burst()
+        out = modem.receive(tx, num_bits)
+        np.testing.assert_array_equal(out["bits"], bits[:num_bits])

@@ -198,6 +198,8 @@ class ConvolutionalCode:
                 f"got {received.shape[1]}"
             )
         nb = received.shape[0]
+        if nb == 0:
+            return np.zeros((0, num_bits), dtype=np.uint8)
         llr = self._to_llr(received, soft).reshape(nb, total, self.n_out)
         ns = self.num_states
         half = ns // 2

@@ -19,7 +19,10 @@ implements:
   relabelling the backward states by 3-bit reversal gives both
   recursions the same two-predecessor structure, so one step is one
   add and one max over a ``(2, 2, batch, 8)`` stack (see
-  ``docs/performance.md``, "Trellis kernels").
+  ``docs/performance.md``, "Trellis kernels");
+- early stopping: given a ``stop`` test (the transport CRC), a block is
+  retired once its decision repeats and passes it, and the remaining
+  blocks iterate on compacted arrays.
 """
 
 from __future__ import annotations
@@ -390,7 +393,7 @@ class TurboCode:
             return bits[0], [h[0] for h in history]
         return self.decode_batch(llr[None, :])[0]
 
-    def decode_batch(self, llr: np.ndarray, return_iterations: bool = False):
+    def decode_batch(self, llr: np.ndarray, return_iterations: bool = False, stop=None):
         """Batched iterative turbo decoding.
 
         ``llr`` is a ``(batch, 3K + 12)`` stack of channel LLR blocks
@@ -399,7 +402,19 @@ class TurboCode:
         array (plus a list of per-iteration ``(batch, K)`` decisions
         when ``return_iterations`` is set), bit-identical to looping
         :meth:`decode` over the rows.
+
+        ``stop`` enables early stopping: a callable mapping a
+        ``(rows, K)`` decision array to a boolean row mask (the
+        transport chain passes its CRC check).  After every iteration
+        but the last, each live row's decision is formed with the final
+        formula; a row whose decision equals its previous iteration's
+        and passes ``stop`` is retired with that decision, and the
+        remaining rows run on compacted arrays.  The SISO works row by
+        row, so a row that is never retired decodes bit-identically to
+        ``stop=None``.
         """
+        if stop is not None and return_iterations:
+            raise ValueError("stop and return_iterations are mutually exclusive")
         llr = np.asarray(llr, dtype=np.float64)
         if llr.ndim != 2:
             raise ValueError(f"expected a (batch, n) array, got shape {llr.shape}")
@@ -422,7 +437,12 @@ class TurboCode:
         lsys_i = lsys[:, self.interleaver]
         apr1 = np.zeros((nb, k))
         history = []
-        for _ in range(self.iterations):
+        bits = np.empty((nb, k), dtype=np.uint8)
+        rows = np.arange(nb)  # batch index of every live row
+        prev = None
+        iterations_run = 0
+        for it in range(self.iterations):
+            iterations_run += len(rows)
             ext1 = self._siso_batch(lsys, lz1, apr1, t1s, t1p)
             ext1 *= self.ext_scale
             apr2 = ext1[:, self.interleaver]
@@ -433,14 +453,32 @@ class TurboCode:
             if return_iterations:
                 post = lsys + ext1 + ext2_de
                 history.append((post < 0).astype(np.uint8))
-        posterior = lsys + apr1 + ext1
-        bits = (posterior < 0).astype(np.uint8)
+            if stop is None or it == self.iterations - 1:
+                continue
+            dec = (lsys + apr1 + ext1 < 0).astype(np.uint8)
+            if prev is not None:
+                done = (dec == prev).all(axis=1)
+                if done.any():
+                    done[done] = stop(dec[done])
+                if done.any():
+                    bits[rows[done]] = dec[done]
+                    keep = ~done
+                    rows, dec, lsys, lz1, lz2, lsys_i, apr1, t1s, t1p, t2s, t2p = (
+                        a[keep]
+                        for a in (rows, dec, lsys, lz1, lz2, lsys_i, apr1, t1s, t1p, t2s, t2p)
+                    )
+                    if not len(rows):
+                        break
+            prev = dec
+        if len(rows):
+            bits[rows] = lsys + apr1 + ext1 < 0
 
         p = probe("perf.turbo", k=str(k))
         if p is not None:
             p.count("batches")
             p.count("blocks", nb)
             p.count("bits", nb * k)
+            p.count("iterations", iterations_run)
         if return_iterations:
             return bits, history
         return bits

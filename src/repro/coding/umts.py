@@ -110,7 +110,8 @@ class TransportChain:
     conv_code:
         Override the convolutional code (default UMTS rate 1/3).
     turbo_iterations:
-        Decoder iterations for the turbo personality.
+        Decoder iterations for the turbo personality (at most: with a
+        CRC, a block stops once its decision repeats and passes it).
     """
 
     def __init__(
@@ -125,6 +126,8 @@ class TransportChain:
         self.scheme = CodingScheme(scheme)
         if transport_block < 1:
             raise ValueError("transport_block must be >= 1")
+        if physical_bits is not None and physical_bits < 1:
+            raise ValueError("physical_bits must be >= 1")
         self.transport_block = transport_block
         self.crc = crc
         self.conv_code = conv_code
@@ -138,9 +141,14 @@ class TransportChain:
             self._coded_bits = conv_code.encoded_length(self._msg_bits)
             self.turbo = None
         else:
+            if not 40 <= self._msg_bits <= 5114:
+                raise ValueError(
+                    "turbo transport_block plus CRC must be in [40, 5114] bits, "
+                    f"got {transport_block} + {self._msg_bits - transport_block}"
+                )
             self.turbo = TurboCode(self._msg_bits, iterations=turbo_iterations)
             self._coded_bits = self.turbo.encoded_length
-        self.physical_bits = physical_bits or self._coded_bits
+        self.physical_bits = self._coded_bits if physical_bits is None else physical_bits
         conv = None
         if self.scheme is CodingScheme.CONVOLUTIONAL:
             conv = (tuple(f"{g:o}" for g in conv_code.generators), conv_code.k)
@@ -231,7 +239,9 @@ class TransportChain:
         :meth:`TurboCode.decode_batch`).  Returns ``{"bits", "crc_ok"}``
         where ``bits`` is ``(batch, transport_block)`` and ``crc_ok`` a
         boolean array (or ``None`` without CRC), bit-identical to
-        looping :meth:`decode` over the rows.
+        looping :meth:`decode` over the rows.  With a CRC, the turbo
+        decoder retires a row early once its decision repeats and passes
+        the CRC (``TurboCode.decode_batch(stop=...)``).
 
         A row holding any non-finite LLR (``nan``, ``+-inf``) is
         reported ``crc_ok = False``: the max-based decoders turn it into
@@ -252,7 +262,8 @@ class TransportChain:
         elif self.scheme is CodingScheme.CONVOLUTIONAL:
             msg = self.conv_code.decode_batch(soft, self._msg_bits, soft=True)
         else:
-            msg = self.turbo.decode_batch(soft)
+            stop = self.crc.check_batch if self.crc else None
+            msg = self.turbo.decode_batch(soft, stop=stop)
         crc_ok = None
         if self.crc:
             crc_ok = self.crc.check_batch(msg) & np.isfinite(llr).all(axis=1)

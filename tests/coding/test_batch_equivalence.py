@@ -163,6 +163,13 @@ class TestTransportChainBatchEquivalence:
             assert scalar["crc_ok"], f"clean-channel block {i} failed CRC"
             np.testing.assert_array_equal(scalar["bits"], msgs[i])
 
+    @pytest.mark.parametrize("scheme", list(CodingScheme), ids=lambda s: s.value)
+    def test_empty_batch(self, scheme):
+        chain = TransportChain(scheme, transport_block=24)
+        out = chain.decode_batch(np.zeros((0, chain.physical_bits)))
+        assert out["bits"].shape == (0, 24)
+        assert out["crc_ok"].shape == (0,)
+
     def test_all_erasure(self):
         chain = TransportChain(
             CodingScheme.CONVOLUTIONAL, transport_block=50, physical_bits=512

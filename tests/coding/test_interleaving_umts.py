@@ -173,3 +173,16 @@ class TestTransportChain:
             ch.encode(np.zeros(5, dtype=np.uint8))
         with pytest.raises(ValueError):
             ch.decode(np.zeros(5))
+
+    @pytest.mark.parametrize("scheme", list(CodingScheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("physical_bits", [0, -5])
+    def test_physical_bits_validation(self, scheme, physical_bits):
+        with pytest.raises(ValueError, match="physical_bits must be >= 1"):
+            TransportChain(scheme, transport_block=40, physical_bits=physical_bits)
+
+    @pytest.mark.parametrize("bad, good", [(23, 24), (5099, 5098)])
+    def test_turbo_block_size_names_transport_block(self, bad, good):
+        """transport_block + CRC-16 must fit the turbo interleaver's [40, 5114]."""
+        with pytest.raises(ValueError, match="transport_block"):
+            TransportChain(CodingScheme.TURBO, transport_block=bad)
+        assert TransportChain(CodingScheme.TURBO, transport_block=good).turbo.k == good + 16

@@ -864,6 +864,8 @@ class CdmaModem:
             raise ValueError(f"expected a (B, nbits) bit stack, got shape {bits.shape}")
         rows, nbits = bits.shape
         _check_num_bits(nbits, self.psk)
+        if not rows:
+            return np.zeros((0, self.num_tx_samples(nbits)), dtype=np.complex128)
         data = self.psk.modulate(bits).reshape(rows, -1)
         pilot = np.broadcast_to(self.pilot, (rows, len(self.pilot)))
         symbols = np.concatenate([pilot, data], axis=1)
@@ -910,6 +912,9 @@ class CdmaModem:
         x = np.asarray(samples, dtype=np.complex128)
         if x.ndim != 2:
             raise ValueError("receive_batch expects a (B, nsamples) stack")
+        if not len(x):
+            _check_num_bits(num_bits, self.psk)
+            return []
         mf = fftconvolve(x, self.pulse[::-1][None, :], mode="full", axes=[1])
         # group delay of pulse + matched filter = len(pulse)-1 samples
         out = _return_link_engine(

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft as sp_fft
 
+from ..caching import cached_design, freeze
 from .filters import srrc
 from .modem import PskModem, estimate_snr_m2m4
 from .carrier import carrier_lock_metric, frequency_estimate
@@ -43,6 +44,18 @@ _UW_BITS = np.array(
      0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0, 1, 0],
     dtype=np.uint8,
 )
+
+
+@cached_design("dsp.srrc_spectrum", maxsize=32)
+def _srrc_spectrum(
+    beta: float, sps: int, span: int, nfft: int, matched: bool
+) -> np.ndarray:
+    """Length-``nfft`` spectrum of the SRRC pulse (``matched``: of its
+    time reverse).  It is the FFT of the *real* taps, the same spectrum
+    ``scipy.signal.fftconvolve`` computes, so filtering with it is
+    float-identical to that call."""
+    taps = srrc(beta, sps, span)
+    return freeze(sp_fft.fft(taps[::-1] if matched else taps, nfft))
 
 
 def default_uw(psk: PskModem, length: int = 20) -> np.ndarray:
@@ -214,6 +227,7 @@ class TdmaModem:
         self.sps = sps
         self.psk = PskModem(modulation)
         self.pulse = srrc(beta, sps, span)
+        self._srrc = (beta, sps, span)
         self.timing = timing
         self.cfo_recovery = cfo_recovery
         self.uw = default_uw(self.psk, self.burst.uw)
@@ -250,6 +264,8 @@ class TdmaModem:
             raise ValueError(
                 f"{nbits} bits exceed burst capacity {self.bits_per_burst}"
             )
+        if not rows:
+            return np.zeros((0, self.num_tx_samples()), dtype=np.complex128)
         padded = np.zeros((rows, self.bits_per_burst), dtype=np.uint8)
         padded[:, :nbits] = bits
         payload = self.psk.modulate(padded).reshape(rows, -1)
@@ -257,7 +273,17 @@ class TdmaModem:
         heads = np.concatenate([self.preamble, self.uw])
         x[:, : len(heads) * self.sps : self.sps] = heads
         x[:, len(heads) * self.sps :: self.sps] = payload
-        return fftconvolve(x, self.pulse[None, :], mode="full", axes=1)
+        return self._filter(x, matched=False)
+
+    def _filter(self, x: np.ndarray, matched: bool) -> np.ndarray:
+        """Full axis-1 convolution of a ``(C, n)`` stack with the SRRC
+        pulse (``matched``: with its time reverse), against the cached
+        pulse spectrum."""
+        n = x.shape[1] + len(self.pulse) - 1
+        nfft = sp_fft.next_fast_len(n, False)
+        buf = sp_fft.fft(x, nfft, axis=1)
+        buf *= _srrc_spectrum(*self._srrc, nfft, matched)
+        return sp_fft.ifft(buf, axis=1, overwrite_x=True)[:, :n]
 
     def num_tx_samples(self) -> int:
         """Length of a transmitted burst in samples."""
@@ -326,72 +352,101 @@ class TdmaModem:
         filter, one symbol-rate spectral line per row (serving both the
         Oerder&Meyr timing phase and the timing-lock metric), one
         gathered cubic interpolation over the padded strobe grid, one
-        UW correlation per strobe count, then stacked phase, demap,
-        carrier-lock and M2M4 estimates.  The Gardner loop and the CFO
-        estimator stay per row.
+        UW search over the zero-padded stack of every row's symbols,
+        then stacked phase, demap, carrier-lock and M2M4 estimates.
+        The Gardner loop and the CFO estimator stay per row.
 
         Returns one entry per row: the :meth:`receive` result dict, or
-        the :class:`BurstSyncError` that row failed with -- a truncated
-        or unsynchronizable row fails alone.  Every row's floats are
-        identical to a one-row call on it.
+        the :class:`BurstSyncError` that row failed with -- a truncated,
+        non-finite or unsynchronizable row fails alone.  Every row's
+        floats are identical to a one-row call on it.
         """
         num_bits = self._check_num_bits(num_bits)
         x = np.asarray(samples, dtype=np.complex128)
         if x.ndim != 2:
             raise ValueError(f"expected a (C, n) burst stack, got shape {x.shape}")
+        if not len(x):
+            return []
         sps = self.sps
-        mf = fftconvolve(x, self.pulse[None, ::-1], axes=1)
+        # a non-finite row poisons only its own row of the filter
+        with np.errstate(invalid="ignore", over="ignore"):
+            mf = self._filter(x, matched=True)
         if self.timing_mode == "oerder-meyr" and mf.shape[1] < 4 * sps:
             raise ValueError("burst too short for a timing estimate")
+        results: list = [None] * len(x)
+        finite = np.isfinite(mf).all(axis=1)
+        if not finite.all():
+            # fail those rows here, and zero them so that no NaN or inf
+            # reaches the timing line or the strobe-count cast
+            mf[~finite] = 0.0
+            for r in np.flatnonzero(~finite):
+                results[r] = BurstSyncError("burst has non-finite samples")
         c1, c0 = timing_line(mf, sps)
         lock = line_lock(c1, c0)
-        results: list = [None] * len(x)
-        by_count: dict[int, list[int]] = {}
         recovered = self._recover_timing(mf, c1)
+        rows, row_syms, tdiags = [], [], []
         for r, (syms, tdiag) in enumerate(recovered):
+            if results[r] is not None:
+                continue
             # optional feedforward CFO removal on the recovered symbols:
             # an M-power FFT estimate, resolvable to +-1/(2M) cycles/symbol
             if self.cfo_recovery and len(syms) >= 8:
                 cfo = frequency_estimate(syms, order=self.psk.order)
                 syms = syms * np.exp(-2j * np.pi * cfo * np.arange(len(syms)))
                 tdiag["cfo"] = cfo
-                recovered[r] = (syms, tdiag)
             if len(syms) < self.burst.total:
                 results[r] = BurstSyncError(
                     "burst truncated: not enough recovered symbols"
                 )
             else:
-                by_count.setdefault(len(syms), []).append(r)
-        # rows with equal strobe counts share one UW correlation (its FFT
-        # size follows the count, so mixing counts would change floats)
-        for rows in by_count.values():
-            synced = self._sync_rows(
-                np.stack([recovered[r][0] for r in rows]),
-                lock[rows],
-                [recovered[r][1] for r in rows],
-                num_bits,
-            )
-            for r, res in zip(rows, synced):
-                results[r] = res
+                rows.append(r)
+                row_syms.append(syms)
+                tdiags.append(tdiag)
+        if not rows:
+            return results
+        # every synchronizable row, whatever its strobe count, goes
+        # through one UW search on a zero-padded stack
+        counts = np.array([len(syms) for syms in row_syms])
+        stack = np.zeros((len(rows), counts.max()), dtype=np.complex128)
+        for i, syms in enumerate(row_syms):
+            stack[i, : counts[i]] = syms
+        synced = self._sync_rows(stack, counts, lock[rows], tdiags, num_bits)
+        for r, res in zip(rows, synced):
+            results[r] = res
         return results
 
     def _sync_rows(
-        self, syms: np.ndarray, lock: np.ndarray, tdiags: list, num_bits: int
+        self,
+        syms: np.ndarray,
+        counts: np.ndarray,
+        lock: np.ndarray,
+        tdiags: list,
+        num_bits: int,
     ) -> list:
-        """UW search, phase, demap and health estimates on equal-length
-        rows; ``lock`` and ``tdiags`` are the rows' timing results."""
+        """UW search, phase, demap and health estimates on a zero-padded
+        symbol stack whose row ``r`` holds ``counts[r]`` symbols;
+        ``lock`` and ``tdiags`` are the rows' timing results."""
         uw = self.uw
         nuw = len(uw)
         npay = self.burst.payload
         # correlate conj(uw) against each symbol stream, over symbol
-        # offsets and the M-fold phase ambiguity
-        corr = fftconvolve(syms, np.conj(uw[::-1])[None, :], mode="valid", axes=1)
-        energy = np.stack(
-            [np.convolve(np.abs(row) ** 2, np.ones(nuw), mode="valid") for row in syms]
-        )
+        # offsets and the M-fold phase ambiguity.  Direct form, one
+        # shifted slice per UW tap in a fixed order: every element sees
+        # the same additions whatever the stack's shape, so a row's
+        # floats do not depend on the rows stacked with it.
+        span = syms.shape[1] - nuw + 1
+        taps = np.conj(uw)
+        sq = np.abs(syms) ** 2
+        corr = syms[:, :span] * taps[0]
+        energy = sq[:, :span].copy()
+        for i in range(1, nuw):
+            corr += syms[:, i : i + span] * taps[i]
+            energy += sq[:, i : i + span]
         metric = np.abs(corr) / np.maximum(np.sqrt(energy * nuw), 1e-30)
+        # offsets whose UW window runs into a row's padding are no match
+        metric[np.arange(span) > (counts - nuw)[:, None]] = -1.0
         pos = np.argmax(metric, axis=1)
-        ok = np.flatnonzero(pos + nuw + npay <= syms.shape[1])
+        ok = np.flatnonzero(pos + nuw + npay <= counts)
         out: list = [
             BurstSyncError("burst truncated after UW") for _ in range(len(syms))
         ]

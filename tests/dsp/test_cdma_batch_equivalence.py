@@ -277,6 +277,16 @@ class TestTransmitBatchEquivalence:
             chips = upsample(spread(symbols, modem.code), modem.config.chip_sps)
             np.testing.assert_array_equal(row, fftconvolve(chips, modem.pulse))
 
+    def test_empty_stacks(self):
+        modem = CdmaModem()
+        out = modem.transmit_batch(np.zeros((0, modem.bits_per_burst), dtype=np.uint8))
+        assert out.shape == (0, modem.num_tx_samples(modem.bits_per_burst))
+        assert out.dtype == np.complex128
+        n = modem.num_tx_samples(modem.bits_per_burst)
+        assert modem.receive_batch(np.zeros((0, n), dtype=complex)) == []
+        with pytest.raises(ValueError, match="multiple"):
+            modem.receive_batch(np.zeros((0, n), dtype=complex), num_bits=3)
+
     def test_rejects_bad_stacks(self):
         modem = CdmaModem()
         with pytest.raises(ValueError, match="bit stack"):

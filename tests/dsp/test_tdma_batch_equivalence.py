@@ -10,9 +10,14 @@ must be **float-identical**.
 
 The kernel is also pinned against the per-carrier implementation it
 replaced, kept verbatim below (``_ref_*``): the burst modem, the
-timing helpers it called, and the ground-side multiplexer loop.
+timing helpers it called, and the ground-side multiplexer loop.  The
+one exception is the UW search: the reference computes it in the
+direct form the kernel defines (``_uw_metric_direct``), and the
+verbatim FFT form (``_uw_metric_fft``) is held to the same decisions
+and a last-bit tolerance on ``uw_metric``.
 """
 
+import warnings
 import zlib
 
 import numpy as np
@@ -92,7 +97,29 @@ def _ref_recover_timing(self, mf):
     }
 
 
-def _ref_receive(self, samples, num_bits=None):
+def _uw_metric_direct(syms, uw):
+    """The UW search's correlation and window energy in direct form, one
+    shifted slice per UW tap in tap order -- the definition the kernel
+    implements (the verbatim FFT form is ``_uw_metric_fft``)."""
+    nuw = len(uw)
+    span = len(syms) - nuw + 1
+    sq = np.abs(syms) ** 2
+    corr = syms[:span] * np.conj(uw[0])
+    energy = sq[:span].copy()
+    for i in range(1, nuw):
+        corr += syms[i : i + span] * np.conj(uw[i])
+        energy += sq[i : i + span]
+    return np.abs(corr) / np.maximum(np.sqrt(energy * nuw), 1e-30)
+
+
+def _uw_metric_fft(syms, uw):
+    nuw = len(uw)
+    corr = fftconvolve(syms, np.conj(uw[::-1]), mode="valid")
+    energy = np.convolve(np.abs(syms) ** 2, np.ones(nuw), mode="valid")
+    return np.abs(corr) / np.maximum(np.sqrt(energy * nuw), 1e-30)
+
+
+def _ref_receive(self, samples, num_bits=None, uw_search=_uw_metric_direct):
     if num_bits is None:
         num_bits = self.bits_per_burst
     if num_bits > self.bits_per_burst:
@@ -107,9 +134,7 @@ def _ref_receive(self, samples, num_bits=None):
     nuw = len(uw)
     if len(syms) < self.burst.total:
         raise BurstSyncError("burst truncated: not enough recovered symbols")
-    corr = fftconvolve(syms, np.conj(uw[::-1]), mode="valid")
-    energy = np.convolve(np.abs(syms) ** 2, np.ones(nuw), mode="valid")
-    metric = np.abs(corr) / np.maximum(np.sqrt(energy * nuw), 1e-30)
+    metric = uw_search(syms, uw)
     pos = int(np.argmax(metric))
     uw_metric = float(metric[pos])
     start = pos + nuw
@@ -318,6 +343,80 @@ class TestReceiveBatchEquivalence:
         stack, _ = _stack(modem, rng, rows=rows, sigma=0.15, delays=delays)
         _check_stack(modem, stack, num_bits)
 
+    def test_one_sync_pass_per_stack(self, monkeypatch):
+        """Rows with different strobe counts share one UW search, and
+        each row still matches its one-row call to the float."""
+        modem = TdmaModem(BURST, timing="oerder-meyr")
+        rng = _rng("one-pass")
+        stack, _ = _stack(modem, rng, rows=6, sigma=0.05, delays=[0, 1, 2, 3, 1, 2])
+        calls = []
+        sync = TdmaModem._sync_rows
+
+        def spy(self, syms, *args):
+            calls.append(syms.shape)
+            return sync(self, syms, *args)
+
+        monkeypatch.setattr(TdmaModem, "_sync_rows", spy)
+        batched = modem.receive_batch(stack)
+        assert calls == [(6, max(_strobe_counts(modem, stack, batched)))]
+        assert len(_strobe_counts(modem, stack, batched)) == 2
+        for r, row in enumerate(stack):
+            _assert_same(batched[r], _outcome(modem.receive, row))
+
+    @pytest.mark.parametrize("kind", ["clean", "noisy", "noise-only", "ragged"])
+    def test_uw_search_matches_fft_form(self, kind):
+        """The direct-form UW search makes the FFT form's decisions; its
+        ``uw_metric`` differs at most in the last bits."""
+        burst = BurstFormat(preamble=16, uw=16, payload=96)
+        modem = TdmaModem(burst, timing="oerder-meyr")
+        rng = _rng("fft-form", kind)
+        if kind == "noise-only":
+            n = modem.num_tx_samples()
+            stack = 0.3 * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)))
+        else:
+            sigma = {"clean": 0.0, "noisy": 0.3, "ragged": 0.05}[kind]
+            stack, _ = _stack(modem, rng, rows=6, sigma=sigma, delays=[0, 1, 2, 3, 5, 7])
+            if kind == "ragged":  # the traffic world's 143/144-strobe rows
+                stack = stack[:, : modem.num_tx_samples()]
+        batched = modem.receive_batch(stack)
+        if kind == "ragged":
+            assert _strobe_counts(modem, stack, batched) == {143, 144}
+        for r, row in enumerate(stack):
+            ref = _outcome(_ref_receive, modem, row, None, _uw_metric_fft)
+            got = batched[r]
+            if isinstance(ref, Exception):
+                assert type(got) is type(ref) and str(got) == str(ref)
+                continue
+            assert got["uw_position"] == ref["uw_position"]
+            np.testing.assert_array_equal(got["bits"], ref["bits"])
+            assert got["uw_metric"] == pytest.approx(ref["uw_metric"], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("poison", ["nan-row", "one-inf"])
+    def test_non_finite_row_fails_alone(self, poison):
+        """A NaN or inf row fails with its own error, warns nothing, and
+        leaves the other rows as their one-row calls."""
+        modem = TdmaModem(BURST, timing="oerder-meyr")
+        rng = _rng("non-finite")
+        stack, bits = _stack(modem, rng, rows=3, sigma=0.05, delays=[0, 1, 2])
+        if poison == "nan-row":
+            stack[1] = np.nan
+        else:
+            stack[1, 40] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched = modem.receive_batch(stack)
+            with pytest.raises(BurstSyncError, match="non-finite"):
+                modem.receive(stack[1])
+        assert isinstance(batched[1], BurstSyncError)
+        for r in (0, 2):
+            _assert_same(batched[r], _outcome(modem.receive, stack[r]))
+            np.testing.assert_array_equal(batched[r]["bits"], bits[r])
+
+    @pytest.mark.parametrize("timing", ["oerder-meyr", "gardner"])
+    def test_empty_stack(self, timing):
+        modem = TdmaModem(BURST, timing=timing)
+        assert modem.receive_batch(np.zeros((0, modem.num_tx_samples()), complex)) == []
+
     def test_rejects_non_stacks(self):
         modem = TdmaModem(BURST)
         with pytest.raises(ValueError):
@@ -348,6 +447,13 @@ class TestSynthesisEquivalence:
         )
         with pytest.raises(ValueError):
             modem.transmit_batch(np.zeros((2, modem.bits_per_burst + 1)))
+
+    def test_transmit_batch_empty_stack(self):
+        modem = TdmaModem(BURST)
+        for nbits in (0, 10, modem.bits_per_burst):
+            out = modem.transmit_batch(np.zeros((0, nbits), dtype=np.uint8))
+            assert out.shape == (0, modem.num_tx_samples())
+            assert out.dtype == np.complex128
 
     @pytest.mark.parametrize("m", [2, 3, 8, 16])
     def test_multiplex_matches_loop(self, m):

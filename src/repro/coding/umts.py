@@ -183,15 +183,16 @@ class TransportChain:
         return _chain_generator(*self._design)
 
     def encode(self, bits: np.ndarray) -> np.ndarray:
-        """CRC-attach, encode, rate-match and interleave one block.
+        """Encode ``(..., transport_block)`` bits: CRC, code, rate-match, interleave.
 
         One GF(2) product with :attr:`generator`, bit-identical to
-        running the stages one after another.
+        running the stages one block after another.
         """
-        bits = np.asarray(bits).astype(np.uint8).ravel()
-        if len(bits) != self.transport_block:
+        bits = np.asarray(bits).astype(np.uint8)
+        if bits.shape[-1:] != (self.transport_block,):
             raise ValueError(
-                f"expected {self.transport_block} bits, got {len(bits)}"
+                f"expected {self.transport_block} bits on the last axis, "
+                f"got shape {bits.shape}"
             )
         return gf2_matmul(bits, self.generator)
 

@@ -565,14 +565,12 @@ class RegenerativePayload:
         if not packets:
             samples = np.zeros(0, dtype=np.complex128)
             return {"samples": samples, "packets": packets, "bursts": 0}
-        coded = []
-        for packet in packets:
+        blocks = np.zeros((len(packets), chain.transport_block), dtype=np.uint8)
+        for block, packet in zip(blocks, packets):
             bits = np.unpackbits(np.frombuffer(packet, dtype=np.uint8))
-            block = np.zeros(chain.transport_block, dtype=np.uint8)
             n = min(len(bits), chain.transport_block)
             block[:n] = bits[:n]
-            coded.append(chain.encode(block)[: modem.bits_per_burst])
-        bursts = modem.transmit_batch(np.stack(coded))
+        bursts = modem.transmit_batch(chain.encode(blocks)[:, : modem.bits_per_burst])
         samples = self.dac.convert(bursts.ravel())
         return {"samples": samples, "packets": packets, "bursts": len(packets)}
 

@@ -20,8 +20,11 @@ semantics are supposed to coincide and reports whether they did:
   (BD) TC virtual channels, which must deliver the identical SDU
   sequence over a clean link.
 
-A disagreement in any of them is a real defect, not a tolerance issue:
-these pairs are deterministic given the seed.
+The two uplink oracles synthesize their frames with the mission's own
+ground segment, :func:`~repro.scenarios.runner.ground_uplink`, so they
+check the code path every scenario runs.  A disagreement in any of
+them is a real defect, not a tolerance issue: these pairs are
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ from typing import List
 
 import numpy as np
 
-from ..dsp.demux import multiplex_carriers
+from ..dsp.channel import awgn
 from ..dsp.modem import ebn0_to_sigma
 from ..net.simnet import Link, Node
 from ..net.tmtc import TmtcLayer
 from ..sim import RngRegistry, Simulator, derive_seed
+from .runner import ground_uplink
 from .world import build_traffic_world
 
 __all__ = [
@@ -92,31 +96,11 @@ class BatchScalarDecodeOracle:
             bits_rng = rngs.stream(f"bits.{personality}")
             noise_rng = rngs.stream(f"noise.{personality}")
             chain = world.payload.decoder.behaviour()
-            modem = world.ground("modem.tdma")
             n_car = world.num_carriers
+            sigma = ebn0_to_sigma(12.0, 1, 1.0)
             for _f in range(self.frames):
-                sent = {}
-                streams = {}
-                for k in range(n_car):
-                    block = bits_rng.integers(
-                        0, 2, chain.transport_block
-                    ).astype(np.uint8)
-                    coded = chain.encode(block)
-                    bb = np.zeros(modem.bits_per_burst, dtype=np.uint8)
-                    bb[: len(coded)] = coded[: modem.bits_per_burst]
-                    s = modem.transmit(bb)
-                    sigma = ebn0_to_sigma(12.0, 1, 1.0)
-                    s = s + sigma * (
-                        noise_rng.standard_normal(len(s))
-                        + 1j * noise_rng.standard_normal(len(s))
-                    )
-                    sent[k] = block
-                    streams[k] = s
-                n = max(len(s) for s in streams.values())
-                mat = np.zeros((n_car, n), dtype=np.complex128)
-                for k, s in streams.items():
-                    mat[k, : len(s)] = s
-                wide = multiplex_carriers(mat, n_car)
+                sent = bits_rng.integers(0, 2, (n_car, chain.transport_block))
+                wide = ground_uplink(world, range(n_car), sent, sigma, noise_rng)
                 out = world.payload.process_uplink(wide, decode=True)
                 for k in range(n_car):
                     diag = out["diagnostics"][k]
@@ -225,11 +209,7 @@ class CdmaBatchScalarOracle:
             for u in range(self.num_users)
         ]
         composite = bank.transmit(sent)
-        noise = rngs.stream("channel")
-        composite = composite + 0.05 * (
-            noise.standard_normal(len(composite))
-            + 1j * noise.standard_normal(len(composite))
-        )
+        composite = awgn(composite, 0.05, rngs.stream("channel"))
         banked = bank.receive(composite, self.num_bits)
         for u in range(self.num_users):
             cases += 1
@@ -245,13 +225,7 @@ class CdmaBatchScalarOracle:
             bits = rngs.stream(f"burst{b}").integers(
                 0, 2, self.num_bits
             ).astype(np.uint8)
-            tx = modem.transmit(bits)
-            n = rngs.stream(f"bnoise{b}")
-            bursts.append(
-                tx
-                + 0.08
-                * (n.standard_normal(len(tx)) + 1j * n.standard_normal(len(tx)))
-            )
+            bursts.append(awgn(modem.transmit(bits), 0.08, rngs.stream(f"bnoise{b}")))
         stack = np.stack(bursts)
         batched = modem.receive_batch(stack, self.num_bits)
         for b in range(len(bursts)):
@@ -324,22 +298,12 @@ class TdmaBatchScalarOracle:
         sigma = ebn0_to_sigma(12.0, 1, 1.0)
         mismatches: List[str] = []
         cases = 0
+        carriers = range(self.num_carriers)
         for f in range(self.frames):
-            streams = []
-            for k, eq in enumerate(payload.demods):
-                modem = world.ground(eq.loaded_design)
-                coded = chain.encode(
-                    bits_rng.integers(0, 2, chain.transport_block).astype(np.uint8)
-                )
-                bb = np.zeros(modem.bits_per_burst, dtype=np.uint8)
-                bb[: len(coded)] = coded[: modem.bits_per_burst]
-                s = modem.transmit(bb)
-                noise = sigma * (
-                    noise_rng.standard_normal(len(s))
-                    + 1j * noise_rng.standard_normal(len(s))
-                )
-                streams.append(noise if k == self.BLANK else s + noise)
-            wide = multiplex_carriers(np.stack(streams), self.num_carriers)
+            blocks = bits_rng.integers(0, 2, (len(carriers), chain.transport_block))
+            wide = ground_uplink(
+                world, carriers, blocks, sigma, noise_rng, blank={self.BLANK}
+            )
             out = payload.process_uplink(wide)
             channels = payload.channelize(wide)
             for k, eq in enumerate(payload.demods):
@@ -382,13 +346,8 @@ class ModemABOracle:
             sigma = ebn0_to_sigma(20.0, 1, 1.0)
             results = {}
             for label, modem in (("baseline", a), ("robust", b)):
-                s = modem.transmit(bb)
                 # identical noise realization for both personalities
-                noise_rng = rngs.stream(f"noise.{t}")
-                s = s + sigma * (
-                    noise_rng.standard_normal(len(s))
-                    + 1j * noise_rng.standard_normal(len(s))
-                )
+                s = awgn(modem.transmit(bb), sigma, rngs.stream(f"noise.{t}"))
                 results[label] = modem.receive(s)["bits"]
             cases += 1
             if not np.array_equal(results["baseline"], bb):

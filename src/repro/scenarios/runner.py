@@ -11,8 +11,10 @@ The runner assembles the *whole* stack for one mission timeline:
   rate and bit-error rate -- on which the reconfiguration plan runs as
   real §3 campaigns (upload + store + reconfigure, retried and
   deduplicated by the robustness layer);
-- the discrete-event kernel pacing MF-TDMA frames, with campaign
-  processes running *concurrently* in simulated time;
+- the discrete-event kernel pacing MF-TDMA frames, each frame's
+  terminals sending through :func:`ground_uplink` (the one ground
+  segment, which the uplink differential oracles drive too), with
+  campaign processes running *concurrently* in simulated time;
 - campaign faults on that control plane: configuration upsets after
   every load, uploads landing truncated, telecommand replies lost;
 - with a surge profile, the demand plane (admission, CoDel class
@@ -48,6 +50,7 @@ import numpy as np
 from .. import obs
 from ..core.linkbudget import shared_uplink_cn
 from ..core.payload import transmit_carriers
+from ..dsp.channel import awgn
 from ..dsp.demux import multiplex_carriers
 from ..dsp.modem import ebn0_to_sigma
 from ..ncc.campaign import (
@@ -93,6 +96,7 @@ __all__ = [
     "P0_GOODPUT_FLOOR",
     "ScenarioResult",
     "ScenarioRunner",
+    "ground_uplink",
     "result_violations",
     "run_scenario",
 ]
@@ -434,6 +438,65 @@ class _TruncatingUploads(BoundedUploadStore):
         super().__setitem__(key, value)
 
 
+def _uplink_coding(world: TrafficWorld) -> str:
+    """The loaded decoder design, or ``decod.conv`` while it has none."""
+    return world.payload.decoder.loaded_design or "decod.conv"
+
+
+def ground_uplink(
+    world: TrafficWorld,
+    carriers,
+    blocks: np.ndarray,
+    sigma: float,
+    noise_rng,
+    *,
+    boost=None,
+    cfo=None,
+    blank=(),
+) -> np.ndarray:
+    """The ground segment of one MF-TDMA frame: the wideband uplink block.
+
+    Carrier ``carriers[i]`` sends transport block ``blocks[i]``: the
+    ``(C, k)`` stack is coded in one call by the ground twin of the
+    loaded decoder, each coded block is zero-filled into one burst of
+    the ground twin of that carrier's loaded modem, and the bursts are
+    synthesized together.  Per carrier, in carrier order: a carrier
+    frequency offset of ``cfo[k]`` cycles/sample, then complex AWGN
+    of per-dimension std ``sigma`` raised by ``boost[k]`` dB; a
+    carrier in ``blank`` sends the noise alone.  Carriers not listed
+    stay silent in the frequency multiplex.
+
+    Raises ``ValueError`` when a coded block does not fit its burst.
+    """
+    boost = boost or {}
+    cfo = cfo or {}
+    coding = _uplink_coding(world)
+    senders, burst_bits = [], []
+    for k, row in zip(carriers, world.ground(coding).encode(blocks)):
+        design = world.payload.demods[k].loaded_design or "modem.tdma"
+        modem = world.ground(design)
+        if len(row) > modem.bits_per_burst:
+            raise ValueError(
+                f"carrier {k}: {coding} codes {len(row)} bits, more than "
+                f"the {modem.bits_per_burst}-bit burst of {design}"
+            )
+        bb = np.zeros(modem.bits_per_burst, dtype=np.uint8)
+        bb[: len(row)] = row
+        senders.append((design, modem))
+        burst_bits.append(bb)
+    bursts = transmit_carriers(senders, burst_bits)
+    n_car = world.num_carriers
+    mat = np.zeros((n_car, max(len(s) for s in bursts)), dtype=np.complex128)
+    for k, s in zip(carriers, bursts):
+        if k in blank:
+            s = np.zeros_like(s)
+        elif cfo.get(k, 0.0):
+            s = s * np.exp(2j * np.pi * cfo[k] * np.arange(len(s)))
+        sigma_k = sigma * 10.0 ** (boost.get(k, 0.0) / 20.0)
+        mat[k, : len(s)] = awgn(s, sigma_k, noise_rng)
+    return multiplex_carriers(mat, n_car)
+
+
 class ScenarioRunner:
     """Compile one spec onto the kernel and run it end to end."""
 
@@ -608,58 +671,33 @@ class ScenarioRunner:
                 f, len(active), failing=not world.payload.decoder.operational
             )
         frame_ok = len(active) == expected_final
-        dec_design = world.payload.decoder.loaded_design or "decod.conv"
-        chain = world.ground(dec_design)
-        sent: Dict[int, np.ndarray] = {}
-        offered: Dict[int, bool] = {}
-        streams: Dict[int, np.ndarray] = {}
+        # idle carriers still carry a keep-alive burst (random fill,
+        # same signal statistics as traffic) so the health monitors
+        # keep seeing sync -- real MF-TDMA slots are never silent
+        # unless the carrier is shed
+        offered = {
+            k: bool(offer_rng.random() < spec.traffic.probability(k))
+            for k in active
+        }
+        k_tb = world.ground(_uplink_coding(world)).transport_block
+        blocks = bits_rng.integers(0, 2, (len(active), k_tb)).astype(np.uint8)
+        sent = dict(zip(active, blocks))
         # rolling checksum of what was sent and what was regenerated:
         # traced per frame so the golden hash covers payload *content*,
         # not just delivery counts
-        content_crc = 0
-        senders: List[tuple] = []
-        burst_bits: List[np.ndarray] = []
-        for k in active:
-            eq = world.payload.demods[k]
-            design = eq.loaded_design or "modem.tdma"
-            modem = world.ground(design)
-            # idle carriers still carry a keep-alive burst (random fill,
-            # same signal statistics as traffic) so the health monitors
-            # keep seeing sync -- real MF-TDMA slots are never silent
-            # unless the carrier is shed
-            has_data = bool(offer_rng.random() < spec.traffic.probability(k))
-            block = bits_rng.integers(0, 2, chain.transport_block).astype(
-                np.uint8
-            )
-            coded = chain.encode(block)
-            bb = np.zeros(modem.bits_per_burst, dtype=np.uint8)
-            n = min(len(coded), modem.bits_per_burst)
-            bb[:n] = coded[:n]
-            senders.append((design, modem))
-            burst_bits.append(bb)
-            sent[k] = block
-            offered[k] = has_data
-            content_crc = zlib.crc32(block.tobytes(), content_crc)
-        bursts = transmit_carriers(senders, burst_bits)
-        for k, s in zip(active, bursts):
-            off = cfo.get(k, 0.0)
-            if off:
-                s = s * np.exp(2j * np.pi * off * np.arange(len(s)))
-            sigma = ebn0_to_sigma(cn, 1, 1.0)
-            sigma *= 10.0 ** (boost.get(k, 0.0) / 20.0)
-            noise = sigma * (
-                noise_rng.standard_normal(len(s))
-                + 1j * noise_rng.standard_normal(len(s))
-            )
-            s = noise if k in blank else s + noise
-            streams[k] = s
+        content_crc = zlib.crc32(blocks.tobytes())
         delivered_now = 0
-        if streams:
-            n = max(len(s) for s in streams.values())
-            mat = np.zeros((n_car, n), dtype=np.complex128)
-            for k, s in streams.items():
-                mat[k, : len(s)] = s
-            wide = multiplex_carriers(mat, n_car)
+        if active:
+            wide = ground_uplink(
+                world,
+                active,
+                blocks,
+                ebn0_to_sigma(cn, 1, 1.0),
+                noise_rng,
+                boost=boost,
+                cfo=cfo,
+                blank=blank,
+            )
             out = world.payload.process_uplink(wide, decode=True)
             for k in active:
                 verdict = world.bank.monitor(k).last

@@ -170,12 +170,23 @@ def test_chain_encode_matches_reference(scheme, transport_block, physical):
         assert got.dtype == ref.dtype == np.uint8
         np.testing.assert_array_equal(got, ref)
     assert chain.generator.shape == (transport_block, chain.physical_bits)
+    # a stack of blocks encodes in one call, row for row
+    stacked = chain.encode(blocks)
+    np.testing.assert_array_equal(
+        stacked, np.stack([chain.encode(block) for block in blocks])
+    )
+    np.testing.assert_array_equal(
+        chain.encode(blocks.reshape(6, 7, transport_block)),
+        stacked.reshape(6, 7, chain.physical_bits),
+    )
 
 
 def test_chain_encode_validates_length():
     chain = TransportChain(CodingScheme.CONVOLUTIONAL, transport_block=40)
     with pytest.raises(ValueError):
         chain.encode(np.zeros(39, dtype=np.uint8))
+    with pytest.raises(ValueError, match="last axis"):
+        chain.encode(np.zeros((40, 39), dtype=np.uint8))
 
 
 def test_chain_without_crc_matches_reference():

@@ -1,12 +1,17 @@
 """Runner-level behaviour: determinism regression, invariant reporting,
-exactly-once TC accounting, and the no-unseeded-RNG source audit."""
+exactly-once TC accounting, the ground segment's contract, and the
+no-unseeded-RNG source audit."""
 
 import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro.scenarios.runner as runner_mod
+from repro.coding import TransportChain
+from repro.dsp.demux import multiplex_carriers
 from repro.ncc.campaign import NetworkControlCenter
 from repro.scenarios import (
     FaultEvent,
@@ -16,6 +21,8 @@ from repro.scenarios import (
     result_violations,
     run_scenario,
 )
+from repro.scenarios.runner import ground_uplink
+from repro.scenarios.world import build_traffic_world
 
 pytestmark = pytest.mark.scenario
 
@@ -182,6 +189,92 @@ def test_decoder_seu_recovers_via_fdir():
     result = run_scenario(spec)
     assert result_violations(result) == []
     assert result.metrics["actions"].get("decoder_reload", 0) >= 1
+
+
+def _blocks(world, seed=0):
+    k = world.payload.decoder.behaviour().transport_block
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, (world.num_carriers, k)).astype(np.uint8)
+
+
+@pytest.mark.parametrize("decoder", ["decod.conv", "decod.turbo", "decod.none"])
+def test_ground_uplink_noiseless_is_the_payload_uplink(decoder):
+    """At sigma=0 the ground segment is the payload's own uplink
+    synthesis, bit for bit; a coded block shorter than its burst (turbo:
+    180 of 192 bits) is zero-filled."""
+    world = build_traffic_world()
+    world.payload.decoder.load(decoder)
+    chain = world.payload.decoder.behaviour()
+    blocks = _blocks(world)
+    bpb = world.payload.demods[0].behaviour().bits_per_burst
+    coded = [np.pad(c, (0, bpb - len(c))) for c in chain.encode(blocks)]
+    wide = ground_uplink(
+        world, range(world.num_carriers), blocks, 0.0, np.random.default_rng(1)
+    )
+    np.testing.assert_array_equal(wide, world.payload.build_uplink(coded))
+
+
+def test_ground_uplink_draws_noise_per_carrier_in_order():
+    """Each listed carrier draws ``2 x`` its burst length from the noise
+    stream, real then imaginary, in carrier order; a blanked carrier
+    sends the noise alone and an unlisted one stays silent."""
+    world = build_traffic_world(num_carriers=4)
+    carriers, sigma, boost = [0, 2, 3], 0.3, {2: 6.0}
+    blocks = _blocks(world)[: len(carriers)]
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    wide = ground_uplink(
+        world, carriers, blocks, sigma, rng, boost=boost, blank=set(carriers)
+    )
+    modem = world.ground("modem.tdma")
+    n = len(modem.transmit(np.zeros(modem.bits_per_burst, dtype=np.uint8)))
+    mat = np.zeros((4, n), dtype=np.complex128)
+    for k in carriers:
+        s = sigma * 10.0 ** (boost.get(k, 0.0) / 20.0)
+        mat[k] = s * (twin.standard_normal(n) + 1j * twin.standard_normal(n))
+    np.testing.assert_array_equal(wide, multiplex_carriers(mat, 4))
+    assert rng.standard_normal() == twin.standard_normal()
+
+
+def test_frame_loop_encodes_and_multiplexes_once_per_frame(monkeypatch):
+    """The mission's uplink is one encode and one multiplex per frame,
+    through the names the end-to-end span recorder wraps."""
+    calls = {"multiplex": 0, "encode": 0}
+    multiplex, encode = runner_mod.multiplex_carriers, TransportChain.encode
+
+    def counting_multiplex(*args):
+        calls["multiplex"] += 1
+        return multiplex(*args)
+
+    def counting_encode(self, bits):
+        calls["encode"] += 1
+        return encode(self, bits)
+
+    monkeypatch.setattr(runner_mod, "multiplex_carriers", counting_multiplex)
+    monkeypatch.setattr(TransportChain, "encode", counting_encode)
+    frames = 5
+    result = run_scenario(_tiny(frames=frames))
+    assert result.completed
+    assert result.active_history == [3] * frames
+    assert calls == {"multiplex": frames, "encode": frames}
+
+
+def test_coded_block_longer_than_its_burst_fails_the_run():
+    """A campaign that loads a modem whose burst cannot carry the coded
+    block (CDMA: 128 bits < 192 convolutionally coded bits) ends the
+    run with the sizes named, instead of silently truncating bursts."""
+    spec = _tiny(
+        frames=8,
+        reconfigs=(
+            ReconfigAction(
+                frame=2, equipment="demod1", function="modem.cdma", protocol="ftp"
+            ),
+        ),
+    )
+    result = run_scenario(spec)
+    assert not result.completed
+    assert result.error.startswith("ValueError")
+    assert "modem.cdma" in result.error
+    assert "192" in result.error and "128" in result.error
 
 
 def test_no_unseeded_rng_in_src():

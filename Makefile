@@ -28,8 +28,9 @@ test-overload:  ## demand-plane overload control: admission, backpressure, deadl
 test-perf:  ## batched burst-processing throughput baseline + MF-TDMA batched==scalar suite + GF(2) bit kernels + fused trellis kernels (prints tables)
 	$(PYTHON) -m pytest -m perf tests/dsp/test_tdma_batch_equivalence.py tests/fpga/test_edac_equivalence.py tests/coding/test_encode_equivalence.py tests/coding/test_trellis_equivalence.py benchmarks/bench_perf_burst_batch.py benchmarks/bench_perf_bitkernels.py benchmarks/bench_perf_trellis.py -s
 
-test-cdma-perf:  ## batched CDMA return-link engine: equivalence suite + bursts/sec speedup gates
+test-cdma-perf:  ## batched CDMA return-link engine: equivalence suite + bursts/sec speedup gates + DLL pull-in/jitter reference
 	$(PYTHON) -m pytest -m perf tests/dsp/test_cdma_batch_equivalence.py benchmarks/bench_perf_cdma_batch.py -s
+	$(PYTHON) -m pytest benchmarks/bench_c8_cdma_acq.py -s
 
 test-scenarios:  ## mission-scenario conformance: golden corpus, differential oracles, seeded soak sweeps
 	$(PYTHON) -m pytest -m scenario tests/scenarios/

@@ -381,8 +381,10 @@ class RegenerativePayload:
         (silence plus a diagnostic for the FDIR detection path), so one
         carrier's failure can never abort another lane: a dead
         demodulator is caught before its carrier joins a group, and a
-        TDMA carrier that loses sync comes back from ``receive_batch``
-        as its own row's :class:`~repro.dsp.tdma.BurstSyncError`.
+        carrier that loses sync (a TDMA burst with no unique word, or
+        any burst with non-finite samples) comes back from
+        ``receive_batch`` as its own row's
+        :class:`~repro.dsp.tdma.BurstSyncError`.
         Anything else that raises is a genuine bug and propagates.
         """
         results: List[Optional[tuple]] = [None] * len(self.demods)

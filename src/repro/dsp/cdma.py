@@ -21,13 +21,21 @@ batched == scalar *by construction*):
 - :func:`acquire` delegates to :func:`acquire_bank`, which correlates a
   stack of user codes against shared chip samples in one
   reshape + axis-FFT pass using cached ``conj(fft(code))`` tables;
+- every despread is a **chip sum**: with a whole number ``sps`` of
+  samples per chip, all chips of one strobe share the interpolation
+  fraction ``f`` of its start ``b + f``, so the linear-interpolated
+  despread is ``((1 - f) D[b] + f D[b + 1]) / sf`` with
+  ``D[m] = sum_j x[m + j sps] c_j`` -- the integrate-and-dump of a
+  hardware correlator at one sampling phase.  ``Dll`` and
+  ``RakeReceiver`` reject any other ``sps``;
 - :class:`Dll` tracking runs through :func:`_block_dll_track`, which
-  forms the early/prompt/late triple as one strided gather plus a
-  single ``(3, sf)``-shaped despread reduction per symbol, batched
-  across bursts/users;
-- the settled (``gain=0``) despread grid is fully deterministic, so it
-  collapses into **one** gather + reduction over the whole burst
-  (:func:`_settled_despread`), which is also the GEMM-shaped rake
+  forms only the early and late correlators, as one ``(B, 2, 2, sf)``
+  gather and one reduction per symbol, batched across bursts/users;
+  the prompt symbols are one despread at the recorded strobes;
+- the settled (``gain=0``) despread grid is fully deterministic: one
+  base and one fraction per row, so each interpolator tap's chips are
+  a strided ``(nsym, sf)`` view of the row and the whole burst is two
+  reductions (:func:`_settled_despread`), which is also the rake
   (:meth:`RakeReceiver.despread_fingers`);
 - :meth:`CdmaModem.receive_batch` demodulates a ``(B, nsamples)`` stack
   of bursts and :class:`CdmaReturnBank` demodulates U code-multiplexed
@@ -36,10 +44,10 @@ batched == scalar *by construction*):
   (metrics only, never trace events).
 
 All despread reductions use numpy's pairwise last-axis sum rather than
-a BLAS matvec: the pairwise blocking depends only on ``sf``, so results
-are bit-identical for any leading batch shape -- which the
-batched == scalar contract requires (BLAS kernels pick accumulation
-order by operand shape).
+a BLAS matvec, ``matmul`` or ``einsum``: the pairwise blocking depends
+only on ``sf``, so results are bit-identical for any leading batch
+shape -- which the batched == scalar contract requires (BLAS kernels
+pick accumulation order by operand shape).
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from ..obs.probes import probe
 from .filters import srrc
 from .modem import PskModem, estimate_snr_m2m4
 from .carrier import carrier_lock_metric, data_aided_phase
+from .tdma import BurstSyncError
 from .timing import HISTORY_MAXLEN
 
 __all__ = [
@@ -373,8 +382,32 @@ def mean_acquisition_time(
 # ---------------------------------------------------------------------------
 
 
+def _whole_sps(sps: int) -> int:
+    """``sps`` as an ``int``: the chip-sum kernels need whole samples/chip."""
+    if isinstance(sps, (bool, np.bool_)) or not isinstance(sps, (int, np.integer)):
+        raise ValueError(
+            f"sps must be a whole number of samples per chip, got {sps!r}"
+        )
+    return int(sps)
+
+
+def _chip_taps(sf: int, sps: int) -> np.ndarray:
+    """``(2, sf)`` offsets ``t + j sps`` of the two interpolator taps."""
+    return np.arange(2)[:, None] + np.arange(sf) * sps
+
+
+def _check_strobe_span(lo: int, hi: int, n: int) -> None:
+    """Reject a strobe span ``[lo, hi]`` that leaves an ``n``-sample buffer."""
+    if lo < 0 or hi > n - 1:
+        raise ValueError(
+            f"chip strobe span [{lo}, {hi}] runs outside the "
+            f"{n}-sample buffer (burst truncated, or code timing ran "
+            "off the end of the signal)"
+        )
+
+
 def _interp_despread(
-    x: np.ndarray, codes: np.ndarray, starts: np.ndarray, sps: float
+    x: np.ndarray, codes: np.ndarray, starts: np.ndarray, sps: int
 ) -> np.ndarray:
     """Linear-interpolated chip-strobe despreading at a grid of starts.
 
@@ -384,41 +417,38 @@ def _interp_despread(
     shared ``(sf,)`` code or per-row ``(B, sf)`` codes.  Returns one
     despread symbol per start, shape ``starts.shape``.
 
-    The whole grid is gathered in one strided fancy-index (base and
-    base+1 taps of the linear interpolator) and reduced against the
-    code in a single ``(..., sf)`` pass.  The required sample span is
-    validated **up front**: a strobe grid running off either end of the
-    buffer raises instead of silently duplicating the edge sample into
-    the correlation (which corrupts the despread symbol -- the old
-    ``clip`` behaviour).
+    With an integer ``sps`` every chip of one strobe shares the
+    fraction ``f`` of its start ``b + f``, so the despread is the
+    two-tap interpolation ``((1 - f) D[b] + f D[b + 1]) / sf`` of the
+    chip sums ``D[m] = sum_j x[m + j sps] c_j``.  The whole grid is one
+    ``(..., 2, sf)`` gather and one reduction against the code.  The
+    required sample span is validated **up front**: a strobe grid
+    running off either end of the buffer raises instead of silently
+    duplicating the edge sample into the correlation (which corrupts
+    the despread symbol -- the old ``clip`` behaviour).
     """
     starts = np.asarray(starts, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.float64)
     sf = codes.shape[-1]
-    n = x.shape[-1]
-    idx = starts[..., None] + np.arange(sf) * sps  # (..., sf)
-    base = np.floor(idx).astype(np.int64)
-    if idx.size:
-        lo = int(base.min())
-        hi = int(base.max()) + 1  # the interpolator's second tap
-        if lo < 0 or hi > n - 1:
-            raise ValueError(
-                f"chip strobe span [{lo}, {hi}] runs outside the "
-                f"{n}-sample buffer (burst truncated, or code timing ran "
-                "off the end of the signal)"
-            )
-    frac = idx - base
-    if x.ndim == 1:
-        samples = x[base] * (1.0 - frac) + x[base + 1] * frac
-    else:
-        rows = np.arange(x.shape[0]).reshape((-1,) + (1,) * (base.ndim - 1))
-        samples = x[rows, base] * (1.0 - frac) + x[rows, base + 1] * frac
-    if codes.ndim > 1:
-        codes = codes.reshape(
-            codes.shape[:1] + (1,) * (starts.ndim - 1) + (sf,)
+    base = np.floor(starts)
+    frac = starts - base
+    base = base.astype(np.int64)
+    if base.size:
+        # the last chip's interpolator reads its base + 1 tap
+        _check_strobe_span(
+            int(base.min()), int(base.max()) + (sf - 1) * sps + 1, x.shape[-1]
         )
+    idx = base[..., None, None] + _chip_taps(sf, sps)  # (..., 2, sf)
+    if x.ndim == 1:
+        chips = x[idx]
+    else:
+        rows = np.arange(x.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
+        chips = x[rows, idx]
+    if codes.ndim > 1:
+        codes = codes.reshape(codes.shape[:1] + (1,) * starts.ndim + (sf,))
     # pairwise last-axis reduction: bit-identical for any batch shape
-    return (samples * codes).sum(axis=-1) / sf
+    d = (chips * codes).sum(axis=-1)
+    return ((1.0 - frac) * d[..., 0] + frac * d[..., 1]) / sf
 
 
 def _settled_despread(
@@ -426,21 +456,42 @@ def _settled_despread(
     codes: np.ndarray,
     starts: np.ndarray,
     num_symbols: int,
-    sps: float,
+    sps: int,
     sf: int,
 ) -> np.ndarray:
     """Despread whole bursts on a settled (deterministic) strobe grid.
 
-    With the loop gain at zero the strobe positions are a pure affine
-    grid, so the per-symbol tracking loop collapses into one
-    ``(B, num_symbols, sf)`` gather + reduction.  Returns
-    ``(B, num_symbols)`` symbols.
+    With the loop gain at zero the strobes of row ``r`` sit at
+    ``starts[r] + k sf sps``: one base ``b`` and one fraction ``f`` per
+    row.  Each interpolator tap's ``(num_symbols, sf)`` chip matrix is
+    then a strided view ``row[b + t :: sps]``, so the whole burst is
+    two reductions with no index arrays.  ``x`` is a shared ``(n,)``
+    stream or a ``(B, n)`` stack; returns ``(B, num_symbols)`` symbols.
     """
+    starts = np.asarray(starts, dtype=np.float64)
+    codes = np.asarray(codes, dtype=np.float64)
+    base = np.floor(starts)
+    frac = starts - base
+    base = base.astype(np.int64)
     span = sf * sps
-    grid = np.asarray(starts, dtype=np.float64)[:, None] + span * np.arange(
-        num_symbols
-    )
-    return _interp_despread(x, codes, grid, sps)
+    if base.size and num_symbols:
+        _check_strobe_span(
+            int(base.min()),
+            int(base.max()) + num_symbols * span - sps + 1,
+            x.shape[-1],
+        )
+    out = np.empty((len(starts), num_symbols), dtype=np.complex128)
+    for r, (b, f) in enumerate(zip(base.tolist(), frac.tolist())):
+        row = x if x.ndim == 1 else x[r]
+        code = codes if codes.ndim == 1 else codes[r]
+        # one strided (num_symbols, sf) chip view per interpolator tap;
+        # pairwise last-axis reduction: bit-identical for any batch shape
+        d0, d1 = (
+            (row[t : t + num_symbols * span : sps].reshape(-1, sf) * code).sum(axis=-1)
+            for t in (b, b + 1)
+        )
+        out[r] = ((1.0 - f) * d0 + f * d1) / sf
+    return out
 
 
 def _block_dll_track(
@@ -454,37 +505,63 @@ def _block_dll_track(
     gain: float,
     delta: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Early/prompt/late DLL tracking for a block of bursts in lock-step.
+    """Early-late DLL tracking for a block of bursts in lock-step.
 
     ``x`` is shared ``(n,)`` samples or a ``(B, n)`` stack; ``starts``
     the ``(B,)`` initial strobe positions (timing estimate included)
     and ``base_refs`` the ``(B,)`` reference positions the timing-error
-    trajectory is measured against.  Per symbol the three correlators
-    of every burst are formed by **one** strided gather + ``(B, 3, sf)``
-    despread reduction; only the loop recursion itself stays serial in
-    time.  Returns ``(prompt (B, num_symbols), tau_path
-    (num_symbols, B))``.
+    trajectory is measured against.  Per symbol only the early and late
+    correlators are formed, as chip sums at one sampling phase: one
+    ``floor`` of the ``(B, 2)`` strobe starts, one ``(B, 2, 2, sf)``
+    gather and one reduction; only the loop recursion itself stays
+    serial in time.  Returns ``(strobes (B, num_symbols), tau_path
+    (num_symbols, B))``: the prompt strobe position of every symbol
+    and the timing-error trajectory.
     """
     nb = len(starts)
     half = delta * sps / 2.0
     span = sf * sps
+    n = x.shape[-1]
     pos = np.asarray(starts, dtype=np.float64).copy()
     base = np.asarray(base_refs, dtype=np.float64)
-    offsets = np.array([0.0, -half, half])
-    out = np.empty((nb, num_symbols), dtype=np.complex128)
-    tau_path = np.empty((num_symbols, nb))
+    offsets = np.array([-half, half])
+    # gather offsets into the flattened samples by row, interpolator tap
+    # and chip; adding the (B, 2) early/late bases gives the
+    # (B, 2, 2, sf) index
+    taps = _chip_taps(sf, sps)
+    if x.ndim == 2:
+        taps = np.arange(nb)[:, None, None, None] * n + taps
+    flat = x.reshape(-1)
+    code = codes if codes.ndim == 1 else codes[:, None, None, :]
+    track = np.empty((num_symbols + 1, nb))
+    track[0] = pos
     for k in range(num_symbols):
-        epl = _interp_despread(x, codes, pos[:, None] + offsets, sps)  # (B, 3)
-        p_e = np.abs(epl[:, 1]) ** 2
-        p_l = np.abs(epl[:, 2]) ** 2
+        el = pos[:, None] + offsets  # (B, 2): early, late
+        b = np.floor(el)
+        f = el - b
+        # a strobe off its row reads a wrong sample here, and the span
+        # check after the loop rejects the whole track
+        chips = flat.take(b.astype(np.int64)[:, :, None, None] + taps, mode="clip")
+        # pairwise last-axis reduction: bit-identical for any batch shape
+        d = (chips * code).sum(axis=-1)
+        p = np.abs(((1.0 - f) * d[..., 0] + f * d[..., 1]) / sf) ** 2
+        p_e, p_l = p[:, 0], p[:, 1]
         norm = p_e + p_l
-        live = norm > 1e-30
         # late stronger => strobe is early => advance the position
-        err = np.where(live, (p_l - p_e) / np.where(live, norm, 1.0), 0.0)
+        err = np.divide(p_l - p_e, norm, out=np.zeros(nb), where=norm > 1e-30)
         pos += gain * err * sps + span
-        out[:, k] = epl[:, 0]
-        tau_path[k] = pos - base - (k + 1) * span
-    return out, tau_path
+        track[k + 1] = pos
+    strobes = track[:-1]
+    if num_symbols and nb:
+        # the first symbol whose early or late strobe left the buffer
+        b = np.floor(strobes[:, :, None] + offsets).astype(np.int64)
+        lo = b.min(axis=(1, 2))
+        hi = b.max(axis=(1, 2)) + (sf - 1) * sps + 1
+        bad = np.flatnonzero((lo < 0) | (hi > n - 1))
+        if len(bad):
+            _check_strobe_span(int(lo[bad[0]]), int(hi[bad[0]]), n)
+    steps = np.arange(1, num_symbols + 1)[:, None] * span
+    return strobes.T, track[1:] - base - steps
 
 
 class Dll:
@@ -497,7 +574,9 @@ class Dll:
     sampling phase.  :meth:`process` runs through the block kernels
     (:func:`_block_dll_track` / :func:`_settled_despread`) with a
     one-burst batch, so scalar and batched tracking agree by
-    construction.
+    construction; with ``gain > 0`` the prompt symbols are one despread
+    at the strobes the loop took.  ``sps`` must be a whole number of
+    samples per chip (``ValueError`` otherwise).
     """
 
     def __init__(
@@ -507,6 +586,7 @@ class Dll:
         delta: float = 1.0,
         gain: float = 0.1,
     ) -> None:
+        sps = _whole_sps(sps)
         if sps < 2:
             raise ValueError("DLL needs >= 2 samples/chip")
         if not 0.0 < delta <= 2.0:
@@ -543,7 +623,7 @@ class Dll:
         x = np.asarray(x, dtype=np.complex128)
         if self.gain == 0.0:
             # settled loop: the strobe grid is a deterministic affine
-            # grid, one gather + reduction for the whole burst
+            # grid, two strided chip-sum reductions for the whole burst
             out = _settled_despread(
                 x,
                 self.code,
@@ -554,7 +634,7 @@ class Dll:
             )[0]
             self.tau_history.extend([float(self.tau)] * num_symbols)
             return out
-        out, tau_path = _block_dll_track(
+        strobes, tau_path = _block_dll_track(
             x,
             self.code,
             np.array([start + self.tau]),
@@ -568,7 +648,8 @@ class Dll:
         self.tau_history.extend(float(v) for v in tau_path[:, 0])
         if num_symbols:
             self.tau = float(tau_path[-1, 0])
-        return out[0]
+        # the prompt despread at every strobe the loop took
+        return _interp_despread(x, self.code, strobes[0], self.sps)
 
 
 @dataclass
@@ -606,6 +687,7 @@ class RakeReceiver:
     acquisition statistic (peaks above a fraction of the main peak),
     despreads each finger independently, estimates per-finger complex
     amplitudes from a known pilot, and maximal-ratio combines.
+    ``sps`` must be a whole number of samples per chip.
     """
 
     def __init__(
@@ -615,6 +697,7 @@ class RakeReceiver:
         max_fingers: int = 4,
         finger_threshold: float = 0.2,
     ) -> None:
+        sps = _whole_sps(sps)
         if max_fingers < 1:
             raise ValueError("need at least one finger")
         if not 0.0 < finger_threshold < 1.0:
@@ -656,10 +739,9 @@ class RakeReceiver:
     ) -> np.ndarray:
         """Despread each finger; returns (num_fingers, num_symbols).
 
-        The per-finger settled DLLs of the scalar implementation are
-        one ``(fingers, num_symbols, sf)`` gather + reduction: every
-        finger's strobe grid is deterministic (``gain = 0``), offset
-        from ``base_start`` by its code phase.
+        Every finger is a settled DLL (``gain = 0``) whose strobe grid
+        is offset from ``base_start`` by its code phase, so each finger
+        is two strided chip-sum reductions (:func:`_settled_despread`).
         """
         if not self.finger_phases:
             raise RuntimeError("call find_fingers() first")
@@ -887,23 +969,30 @@ class CdmaModem:
         Returns a dict with ``bits`` (hard decisions), ``symbols``
         (despread, de-rotated), ``acquisition`` (:class:`AcquisitionResult`),
         ``phase`` (estimated carrier phase) and ``dll_tau`` trajectory.
-        ``num_bits`` defaults to :attr:`bits_per_burst`.
+        ``num_bits`` defaults to :attr:`bits_per_burst`.  A one-row
+        view of :meth:`receive_batch`; raises :class:`BurstSyncError`
+        for a burst with non-finite samples.
         """
-        return self.receive_batch(
+        res = self.receive_batch(
             np.asarray(samples, dtype=np.complex128)[None, :], num_bits
         )[0]
+        if isinstance(res, BurstSyncError):
+            raise res
+        return res
 
     def receive_batch(
         self, samples: np.ndarray, num_bits: int | None = None
-    ) -> list[dict]:
+    ) -> list[dict | BurstSyncError]:
         """Demodulate a ``(B, nsamples)`` stack of bursts in one pass.
 
         The multi-burst hot path: the SRRC matched filter runs as one
         batched convolution, acquisition as one reshape + axis-FFT over
-        every burst's code periods, DLL tracking in ``B``-wide
-        lock-step and the settled despread as a single
-        ``(B, nsym, sf)`` gather + reduction.  Returns one result dict
-        per burst, bit-identical to :meth:`receive` on each row.
+        every burst's code periods, the early-late DLL in ``B``-wide
+        lock-step on chip sums, and the settled despread as two strided
+        chip-sum reductions per burst.  Returns one entry per burst:
+        the :meth:`receive` result dict, bit-identical to
+        :meth:`receive` on that row, or the :class:`BurstSyncError` of
+        a row with non-finite samples, which fails alone.
         ``num_bits`` defaults to :attr:`bits_per_burst`.
         """
         cfg = self.config
@@ -915,9 +1004,14 @@ class CdmaModem:
         if not len(x):
             _check_num_bits(num_bits, self.psk)
             return []
-        mf = fftconvolve(x, self.pulse[::-1][None, :], mode="full", axes=[1])
+        # a non-finite row poisons only its own row of the filter
+        with np.errstate(invalid="ignore", over="ignore"):
+            mf = fftconvolve(x, self.pulse[::-1][None, :], mode="full", axes=[1])
+        finite = np.isfinite(mf).all(axis=1)
+        # zero a failed row so that no NaN or inf reaches acquisition
+        mf[~finite] = 0.0
         # group delay of pulse + matched filter = len(pulse)-1 samples
-        out = _return_link_engine(
+        out: list = _return_link_engine(
             mf,
             self.code,
             self.psk,
@@ -926,6 +1020,8 @@ class CdmaModem:
             num_bits,
             group_delay=len(self.pulse) - 1,
         )
+        for r in np.flatnonzero(~finite):
+            out[r] = BurstSyncError("burst has non-finite samples")
         _count_cdma_metrics("burst", cfg.sf, len(out), num_bits)
         return out
 
@@ -977,11 +1073,11 @@ class CdmaReturnBank:
     :meth:`receive` demodulates *all* of them from one composite
     waveform: the matched filter runs **once**, every user's code phase
     is found in one :func:`acquire_bank` FFT pass over shared chip
-    samples, all DLLs track in ``U``-wide lock-step and the settled
-    despread is a single ``(U, nsym, sf)`` gather + reduction.  Per-user
-    results -- bits, symbols and FDIR diagnostics -- are identical to
-    running each user's scalar :meth:`CdmaModem.receive` on the same
-    composite samples.
+    samples, all early-late DLLs track in ``U``-wide lock-step on chip
+    sums and the settled despread is two strided chip-sum reductions
+    per user.  Per-user results -- bits, symbols and FDIR diagnostics
+    -- are identical to running each user's scalar
+    :meth:`CdmaModem.receive` on the same composite samples.
     """
 
     def __init__(self, configs: Sequence[CdmaConfig]) -> None:

@@ -241,6 +241,29 @@ class TestMixedPersonalityFrame:
             ref = {key: scalar[key] for key in scalar if key != "bits"}
             _assert_same_value(out["diagnostics"][k], ref, f"carrier {k}")
 
+    def test_non_finite_cdma_carrier_fails_sync_alone(self, monkeypatch):
+        """A CDMA carrier with a NaN sample reports ``sync_failed`` and
+        delivers silence; the other CDMA carrier of its group decodes."""
+        reg = RngRegistry(12)
+        pl = booted_payload(num_carriers=2)
+        for eq in pl.demods:
+            eq.load("modem.cdma")
+        bits = [reg.stream(f"c{k}").integers(0, 2, 128).astype(np.uint8) for k in range(2)]
+        wide = pl.build_uplink(bits)
+        channelize = pl.channelize
+
+        def poison(wideband, beam=0):
+            channels = channelize(wideband, beam).copy()
+            channels[1, 50] = np.nan
+            return channels
+
+        monkeypatch.setattr(pl, "channelize", poison)
+        out = pl.process_uplink(wide)
+        assert "non-finite" in out["diagnostics"][1]["sync_failed"]
+        assert not np.any(out["bits"][1])
+        assert "sync_failed" not in out["diagnostics"][0]
+        np.testing.assert_array_equal(out["bits"][0], bits[0])
+
 
 class TestTransmitCarriers:
     def test_groups_match_per_carrier_transmit(self):

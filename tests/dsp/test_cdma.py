@@ -11,6 +11,7 @@ from repro.dsp.cdma import (
     CdmaConfig,
     CdmaModem,
     Dll,
+    RakeReceiver,
     acquire,
     despread,
     gold_code,
@@ -282,6 +283,16 @@ class TestDll:
             Dll(code, sps=1)
         with pytest.raises(ValueError):
             Dll(code, sps=4, delta=3.0)
+        # the chip-sum kernels read every chip of a strobe at one
+        # fraction, so a samples-per-chip that is not a whole number is
+        # rejected by name instead of despreading off the chip grid
+        for sps in (2.5, 4.0, "4", True):
+            with pytest.raises(ValueError, match="sps"):
+                Dll(code, sps=sps, gain=0.1)
+            with pytest.raises(ValueError, match="sps"):
+                RakeReceiver(code, sps=sps)
+        assert type(Dll(code, sps=np.int64(4)).sps) is int
+        assert type(RakeReceiver(code, sps=np.int64(4)).sps) is int
 
     def test_truncated_burst_raises_instead_of_clipping(self):
         """Regression: strobes off the buffer end must raise, not clip.

@@ -11,8 +11,15 @@ must be **float-identical**, not merely close -- across spreading
 factors, oversampling ratios, rake finger counts and the degenerate
 corners (undetected acquisition on pure noise, a single-symbol payload,
 all-zero bits).
+
+The chip-sum kernels are also pinned against the per-chip despread and
+the three-correlator DLL they replaced (``_ref_interp_despread``,
+``_ref_dll_track``).  Those comparisons use tolerances fixed up front
+(1e-12 relative on symbols, 1e-9 samples on the timing path), because
+the chip sums re-associate the per-chip arithmetic.
 """
 
+import warnings
 import zlib
 
 import numpy as np
@@ -26,9 +33,14 @@ from repro.dsp.cdma import (
     CdmaReturnBank,
     Dll,
     RakeReceiver,
+    _block_dll_track,
+    _interp_despread,
     acquire,
     acquire_bank,
+    spread,
 )
+from repro.dsp.filters import srrc, upsample
+from repro.dsp.tdma import BurstSyncError
 
 pytestmark = pytest.mark.perf
 
@@ -67,6 +79,54 @@ def _assert_result_identical(got: dict, ref: dict) -> None:
         ra.detected,
     )
     np.testing.assert_array_equal(ga.statistics, ra.statistics)
+
+
+def _ref_interp_despread(x, codes, starts, sps):
+    """The per-chip despread kernel before the chip-sum rewrite, verbatim
+    apart from the span check: every chip is interpolated at its own
+    ``floor`` and fraction, then reduced against the code."""
+    starts = np.asarray(starts, dtype=np.float64)
+    codes = np.asarray(codes, dtype=np.float64)
+    sf = codes.shape[-1]
+    idx = starts[..., None] + np.arange(sf) * sps  # (..., sf)
+    base = np.floor(idx).astype(np.int64)
+    frac = idx - base
+    if x.ndim == 1:
+        samples = x[base] * (1.0 - frac) + x[base + 1] * frac
+    else:
+        rows = np.arange(x.shape[0]).reshape((-1,) + (1,) * (base.ndim - 1))
+        samples = x[rows, base] * (1.0 - frac) + x[rows, base + 1] * frac
+    if codes.ndim > 1:
+        codes = codes.reshape(
+            codes.shape[:1] + (1,) * (starts.ndim - 1) + (sf,)
+        )
+    return (samples * codes).sum(axis=-1) / sf
+
+
+def _ref_dll_track(x, codes, starts, base_refs, num_symbols, sps, sf, gain, delta):
+    """The three-correlator (early/prompt/late) block DLL before the
+    chip-sum rewrite, verbatim.  Returns ``(prompt (B, num_symbols),
+    tau_path (num_symbols, B))``."""
+    nb = len(starts)
+    half = delta * sps / 2.0
+    span = sf * sps
+    pos = np.asarray(starts, dtype=np.float64).copy()
+    base = np.asarray(base_refs, dtype=np.float64)
+    offsets = np.array([0.0, -half, half])
+    out = np.empty((nb, num_symbols), dtype=np.complex128)
+    tau_path = np.empty((num_symbols, nb))
+    for k in range(num_symbols):
+        epl = _ref_interp_despread(x, codes, pos[:, None] + offsets, sps)  # (B, 3)
+        p_e = np.abs(epl[:, 1]) ** 2
+        p_l = np.abs(epl[:, 2]) ** 2
+        norm = p_e + p_l
+        live = norm > 1e-30
+        # late stronger => strobe is early => advance the position
+        err = np.where(live, (p_l - p_e) / np.where(live, norm, 1.0), 0.0)
+        pos += gain * err * sps + span
+        out[:, k] = epl[:, 0]
+        tau_path[k] = pos - base - (k + 1) * span
+    return out, tau_path
 
 
 class TestReceiveBatchEquivalence:
@@ -157,6 +217,124 @@ class TestReceiveBatchEquivalence:
             _assert_result_identical(wide[i], narrow)
 
 
+    @pytest.mark.parametrize("poison", ["nan-row", "inf-sample"])
+    def test_non_finite_row_fails_alone(self, poison):
+        """A NaN or inf row fails with its own error, warns nothing, and
+        leaves the other rows as their one-row calls."""
+        modem = CdmaModem(CdmaConfig(sf=16))
+        rng = _rng("non-finite", poison)
+        stack, sent = _noisy_stack(modem, rng, nb=3, num_bits=64, sigma=0.1)
+        if poison == "nan-row":
+            stack[1] = np.nan
+        else:
+            stack[1, 40] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched = modem.receive_batch(stack, 64)
+            with pytest.raises(BurstSyncError, match="non-finite"):
+                modem.receive(stack[1], 64)
+        assert isinstance(batched[1], BurstSyncError)
+        for r in (0, 2):
+            _assert_result_identical(batched[r], modem.receive(stack[r], 64))
+            np.testing.assert_array_equal(batched[r]["bits"], sent[r])
+
+
+class TestDllTrackReference:
+    """The early/late-only chip-sum DLL against the three-correlator
+    kernel it replaced: the same loop, summed in another order."""
+
+    SF = 32
+
+    def _mf(self, seed, nsym, sigma, rows=1):
+        """Matched-filtered QPSK bursts, zero-padded past the tail."""
+        cfg = CdmaConfig(sf=self.SF)
+        code = cfg.spreading_code()
+        sps = cfg.chip_sps
+        pulse = srrc(cfg.beta, sps, cfg.span)
+        rng = _rng("dll-ref", seed, sigma)
+        out = []
+        for _ in range(rows):
+            sym = np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, nsym)))
+            x = np.convolve(upsample(spread(sym, code), sps), pulse)
+            x = x + sigma * (
+                rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
+            )
+            mf = np.convolve(x, pulse[::-1])
+            out.append(np.concatenate([mf, np.zeros(self.SF * sps)]))
+        return code, sps, len(pulse) - 1, np.stack(out)
+
+    @pytest.mark.parametrize(
+        "case, sigma, early",
+        [("clean", 0.0, 0.0), ("noisy", 0.3, 0.0), ("half-chip-early", 0.05, 0.5)],
+    )
+    def test_scalar_dll_matches_reference(self, case, sigma, early):
+        nsym = 120
+        code, sps, gd, mf = self._mf(case, nsym, sigma)
+        start = gd - early * sps
+        ref, ref_tau = _ref_dll_track(
+            mf[0], code, np.array([start]), np.array([start]), nsym, sps,
+            self.SF, 0.15, 1.0,
+        )
+        dll = Dll(code, sps=sps, gain=0.15)
+        got = dll.process(mf[0], start, nsym)
+        np.testing.assert_allclose(
+            np.array(dll.tau_history), ref_tau[:, 0], rtol=0, atol=1e-9
+        )
+        np.testing.assert_allclose(got, ref[0], rtol=1e-12, atol=0)
+        if early:
+            # the loop really pulled in the half-chip offset
+            assert abs(dll.tau - early * sps) < 0.35 * sps
+
+    def test_stack_and_shared_row_match_reference(self):
+        """A ``(B, n)`` stack with one code, and one shared row with
+        per-user codes (the return bank's layout)."""
+        nsym = 40
+        code, sps, gd, mf = self._mf("stack", nsym, 0.1, rows=3)
+        starts = gd + np.array([0.0, -1.5, 1.25])
+        ref, ref_tau = _ref_dll_track(
+            mf, code, starts, starts, nsym, sps, self.SF, 0.1, 1.0
+        )
+        strobes, tau = _block_dll_track(
+            mf, code, starts, starts, nsym, sps, self.SF, 0.1, 1.0
+        )
+        np.testing.assert_allclose(tau, ref_tau, rtol=0, atol=1e-9)
+        prompt = _interp_despread(mf, code, strobes, sps)
+        np.testing.assert_allclose(prompt, ref, rtol=1e-12, atol=0)
+
+        codes = np.stack(
+            [CdmaConfig(sf=self.SF, scrambling_shift=u).spreading_code() for u in range(3)]
+        )
+        shared = mf.sum(axis=0)
+        ref, ref_tau = _ref_dll_track(
+            shared, codes, starts, starts, nsym, sps, self.SF, 0.1, 1.0
+        )
+        strobes, tau = _block_dll_track(
+            shared, codes, starts, starts, nsym, sps, self.SF, 0.1, 1.0
+        )
+        np.testing.assert_allclose(tau, ref_tau, rtol=0, atol=1e-9)
+        prompt = _interp_despread(shared, codes, strobes, sps)
+        np.testing.assert_allclose(prompt, ref, rtol=1e-12, atol=0)
+
+    def test_two_correlators_per_symbol(self):
+        """Each loop step gathers the early and late chip sums only:
+        one ``(B, 2, 2, sf)`` read of (correlator, tap, chip) per symbol."""
+
+        class Spy(np.ndarray):
+            gathers: list = []
+
+            def take(self, indices, *args, **kwargs):
+                Spy.gathers.append(np.shape(indices))
+                return np.asarray(self).take(indices, *args, **kwargs)
+
+        nsym = 10
+        code, sps, gd, mf = self._mf("spy", nsym, 0.1, rows=2)
+        starts = np.full(2, float(gd))
+        _block_dll_track(
+            mf.view(Spy), code, starts, starts, nsym, sps, self.SF, 0.1, 1.0
+        )
+        assert Spy.gathers == [(2, 2, 2, self.SF)] * nsym
+
+
 class TestAcquireBankEquivalence:
     @pytest.mark.parametrize("sf", [8, 16, 64])
     def test_bank_matches_per_code(self, sf):
@@ -212,6 +390,36 @@ class TestRakeGemmEquivalence:
                 samples = mf[lo] * (1.0 - frac) + mf[lo + 1] * frac
                 ref = np.sum(samples * code) / sf
                 assert got[f, k] == complex(ref)
+
+    @pytest.mark.parametrize("base", [11.37, 11.999999999])
+    @pytest.mark.parametrize("num_fingers", [1, 3])
+    def test_fractional_base_matches_per_chip_reference(self, base, num_fingers):
+        """A fractional base weights the interpolator's ``base + 1`` tap:
+        the chip-sum despread of ``despread_fingers`` and
+        ``Dll._despread_at`` equals the per-chip interpolation (summed
+        in another order, so within 1e-12 relative)."""
+        sf, sps, nsym = 16, 4, 12
+        code = CdmaConfig(sf=sf).spreading_code()
+        rng = _rng("rake-frac", base, num_fingers)
+        n = (nsym + sf) * sf * sps
+        mf = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rake = RakeReceiver(code, sps=sps, max_fingers=num_fingers)
+        rake.finger_phases = list(range(num_fingers))
+        dll = Dll(code, sps=sps, gain=0.0)
+        got = rake.despread_fingers(mf, base, nsym)
+        for f, phase in enumerate(rake.finger_phases):
+            for k in range(nsym):
+                start = base + phase * sps + k * sf * sps
+                ref = _ref_interp_despread(mf, code, np.array(start), sps)
+                np.testing.assert_allclose(got[f, k], ref, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(
+                    dll._despread_at(mf, start), ref, rtol=1e-12, atol=0
+                )
+                # the second tap really carries weight here
+                floor_only = _ref_interp_despread(
+                    mf, code, np.array(np.floor(start)), sps
+                )
+                assert abs(ref - floor_only) > 1e-9 * abs(ref)
 
     def test_scalar_dll_settled_matches_kernel(self):
         """Dll(gain=0).process goes through the same settled kernel."""

@@ -13,8 +13,8 @@ test:
 fast-test:
 	$(PYTHON) -m pytest tests/ -m "not slow"
 
-test-obs:  ## observability layer: metrics, tracing, golden traces, fault injection
-	$(PYTHON) -m pytest tests/obs/ tests/sim/test_kernel_properties.py
+test-obs:  ## observability layer and simulation kernel: metrics, tracing, golden traces, fault injection, kernel and RNG streams
+	$(PYTHON) -m pytest tests/obs/ tests/sim/
 
 test-robustness:  ## fault-tolerance layer: retry, TC/TM transactions, watchdog, TC/TM scenario sweep
 	$(PYTHON) -m pytest tests/robustness/ tests/scenarios/test_tctm_sweep.py

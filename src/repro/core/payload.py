@@ -190,9 +190,6 @@ class RegenerativePayload:
         #: ``observe_burst(carrier, diag)`` / ``observe_decode(carrier,
         #: ok)``, e.g. :class:`repro.robustness.fdir.HealthMonitorBank`)
         self.health = None
-        #: optional per-carrier MF-TDMA burst request queues (CoDel);
-        #: ``None`` until :meth:`attach_burst_queues`
-        self.burst_queues = None
 
     def attach_health(self, bank) -> None:
         """Attach a per-carrier health monitor bank to the live chain.
@@ -203,58 +200,6 @@ class RegenerativePayload:
         ``bank.observe_decode`` -- the FDIR detection path.
         """
         self.health = bank
-
-    # -- overload control ---------------------------------------------------
-    def attach_burst_queues(
-        self,
-        clock,
-        capacity: int = 64,
-        target: float = 0.5,
-        interval: float = 2.0,
-    ) -> None:
-        """Give each carrier a bounded CoDel queue of burst requests.
-
-        The MF-TDMA slot plan serves one burst per carrier per frame;
-        anything offered beyond that has to wait, and under sustained
-        surge "wait" must not mean "forever".  Each carrier's queue is
-        bounded (backpressure at ``capacity``) and CoDel-shed on
-        sojourn time, so a standing backlog melts instead of serving
-        requests whose useful lifetime has already passed.
-
-        ``clock`` is a zero-arg callable returning simulated seconds
-        (``lambda: sim.now``).  After attachment, feed demand through
-        :meth:`offer_burst` and drain one request per frame with
-        :meth:`next_burst`.
-        """
-        from ..robustness.overload.queues import CoDelQueue
-
-        self.burst_queues = [
-            CoDelQueue(
-                clock,
-                capacity=capacity,
-                target=target,
-                interval=interval,
-                name=f"burst{k}",
-            )
-            for k in range(self.config.num_carriers)
-        ]
-
-    def offer_burst(self, carrier: int, request) -> bool:
-        """Queue one burst request for a carrier (False = backpressure)."""
-        if self.burst_queues is None:
-            raise RuntimeError("attach_burst_queues first")
-        return self.burst_queues[carrier].offer(request)
-
-    def next_burst(self, carrier: int):
-        """The next surviving burst request for a carrier (or None).
-
-        CoDel shedding happens here, at dequeue: requests that sat in a
-        standing queue past the sojourn target are shed and counted on
-        the queue's stats rather than returned.
-        """
-        if self.burst_queues is None:
-            raise RuntimeError("attach_burst_queues first")
-        return self.burst_queues[carrier].poll()
 
     # -- bring-up ---------------------------------------------------------
     def boot(self, modem: str = "modem.tdma", decoder: str = "decod.conv") -> None:
@@ -438,8 +383,8 @@ class RegenerativePayload:
         demodulator silences every user of its carrier and reports a
         diagnostic instead of raising.  With an attached health bank,
         each user's diagnostics are delivered as
-        ``observe_burst(user_index, diag)`` -- the same FDIR detection
-        stream the scalar path produces.
+        ``observe_burst(carrier, diag)``: every user of the composite
+        feeds the health monitor of the carrier it arrived on.
 
         Returns ``{"bits": [per-user bits], "diagnostics": [per-user
         diagnostic dicts]}``.
@@ -467,8 +412,8 @@ class RegenerativePayload:
         out_bits = [bits for bits, _ in results]
         diags = [diag for _, diag in results]
         if self.health is not None:
-            for u, diag in enumerate(diags):
-                self.health.observe_burst(u, diag)
+            for diag in diags:
+                self.health.observe_burst(carrier, diag)
         return {"bits": out_bits, "diagnostics": diags}
 
     def _decode_uplink_blocks(self, diags: List[dict]) -> List[Optional[dict]]:

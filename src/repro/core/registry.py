@@ -14,6 +14,7 @@ together in §2.3:
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -56,12 +57,7 @@ class FunctionDesign:
 
     def bitstream_for(self, rows: int, cols: int, bits_per_clb: int) -> Bitstream:
         """Render a deterministic configuration image for a geometry."""
-        seed = abs(hash((self.name, self.version, rows, cols, bits_per_clb))) % (
-            2**32
-        )
-        # hash() is salted per-process; derive a stable seed instead
-        import zlib
-
+        # a CRC of the design tag, not hash() (salted per process)
         tag = f"{self.name}:{self.version}:{rows}x{cols}x{bits_per_clb}"
         seed = zlib.crc32(tag.encode())
         rng = np.random.Generator(np.random.PCG64(seed))

@@ -801,6 +801,13 @@ def _check_num_bits(num_bits: int, psk: PskModem) -> None:
         )
 
 
+#: return-link DLL loop gain and early/late spacing (chips), and the
+#: acquisition detection threshold (peak over mean correlation level)
+_DLL_GAIN = 0.1
+_DLL_DELTA = 1.0
+_ACQ_THRESHOLD = 3.0
+
+
 def _return_link_engine(
     mf: np.ndarray,
     codes: np.ndarray,
@@ -809,9 +816,6 @@ def _return_link_engine(
     sps: int,
     num_bits: int,
     group_delay: int,
-    dll_gain: float = 0.1,
-    dll_delta: float = 1.0,
-    threshold: float = 3.0,
 ) -> list[dict]:
     """Shared batched demodulation chain over matched-filtered samples.
 
@@ -840,11 +844,11 @@ def _return_link_engine(
         raise ValueError("burst shorter than the acquisition window")
     chip_samples = mfrows[:, group_delay : group_delay + k * sf * sps : sps]
     stats = _noncoherent_stats(chip_samples, codes2, k)
-    acqs = [_result_from_stat(stats[r], threshold) for r in range(rows)]
+    acqs = [_result_from_stat(stats[r], _ACQ_THRESHOLD) for r in range(rows)]
     starts = group_delay + np.array([a.phase for a in acqs], np.float64) * sps
 
     # Zero-pad the filter tail so late code phases stay despreadable.
-    pad = _strobe_padding(sf, sps, nsym, dll_gain)
+    pad = _strobe_padding(sf, sps, nsym, _DLL_GAIN)
     mfp = np.concatenate(
         [mfrows, np.zeros((mfrows.shape[0], pad), dtype=mfrows.dtype)], axis=1
     )
@@ -855,7 +859,7 @@ def _return_link_engine(
     # timing error over the burst, then despread the whole burst at the
     # settled timing so the pilot symbols are clean too.
     _, tau_path = _block_dll_track(
-        xk, track_codes, starts, starts, nsym, sps, sf, dll_gain, dll_delta
+        xk, track_codes, starts, starts, nsym, sps, sf, _DLL_GAIN, _DLL_DELTA
     )
     symbols = _settled_despread(
         xk, track_codes, starts + tau_path[-1], nsym, sps, sf

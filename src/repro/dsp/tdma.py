@@ -201,12 +201,13 @@ class TdmaModem:
         SRRC roll-off / span.
     modulation:
         PSK order (default QPSK).
-    timing:
-        ``"oerder-meyr"``, ``"gardner"`` or ``"auto"`` (paper rule:
-        feedforward for short bursts, feedback for long ones).
+
+    Timing recovery follows the paper's rule: feedforward for short
+    bursts, the feedback loop for bursts longer than
+    :attr:`AUTO_THRESHOLD` symbols.
     """
 
-    #: burst length (symbols) above which "auto" picks the Gardner loop
+    #: burst length (symbols) above which the Gardner loop is used
     AUTO_THRESHOLD = 512
 
     def __init__(
@@ -216,11 +217,8 @@ class TdmaModem:
         beta: float = 0.35,
         span: int = 8,
         modulation: int = 4,
-        timing: str = "auto",
         cfo_recovery: bool = False,
     ) -> None:
-        if timing not in ("oerder-meyr", "gardner", "auto"):
-            raise ValueError(f"unknown timing mode {timing!r}")
         if sps < 3:
             raise ValueError("TDMA modem needs sps >= 3")
         self.burst = burst or BurstFormat()
@@ -228,7 +226,6 @@ class TdmaModem:
         self.psk = PskModem(modulation)
         self.pulse = srrc(beta, sps, span)
         self._srrc = (beta, sps, span)
-        self.timing = timing
         self.cfo_recovery = cfo_recovery
         self.uw = default_uw(self.psk, self.burst.uw)
         # Alternating preamble (1010...) maximizes timing-line energy.
@@ -292,9 +289,7 @@ class TdmaModem:
     # -- receive ----------------------------------------------------------
     @property
     def timing_mode(self) -> str:
-        """The timing recovery in use (``"auto"`` resolved by burst length)."""
-        if self.timing != "auto":
-            return self.timing
+        """The timing recovery in use, chosen by burst length."""
         return "gardner" if self.burst.total > self.AUTO_THRESHOLD else "oerder-meyr"
 
     def _check_num_bits(self, num_bits: int | None) -> int:

@@ -3,16 +3,15 @@
 Three small, zero-dependency pieces:
 
 - :mod:`repro.obs.metrics` -- labeled Counter/Gauge/Histogram series
-  behind a :class:`Registry` with snapshot / reset / export-to-dict;
+  behind a :class:`Registry` with reset / export-to-dict;
 - :mod:`repro.obs.trace` -- a ring-buffer structured event
-  :class:`Tracer` keyed on simulated time, with span support and a
-  canonical, hashable serialization (the *golden-trace* regression
-  oracle);
-- :mod:`repro.obs.probes` -- the enable/disable switch and the
+  :class:`Tracer` keyed on simulated time, with a canonical, hashable
+  serialization (the *golden-trace* regression oracle);
+- :mod:`repro.obs.probes` -- the :func:`session` switch and the
   :func:`probe` hook instrumented subsystems call at construction.
 
-Observability is **off by default** and costs a ``None`` check per hot
-operation while off.  Typical test usage::
+Observability is **off outside a session** and costs a ``None`` check
+per hot operation while off.  Typical test usage::
 
     from repro import obs
 
@@ -36,17 +35,8 @@ from .metrics import (
     MetricError,
     Registry,
 )
-from .probes import (
-    Probe,
-    disable,
-    enable,
-    get_registry,
-    get_tracer,
-    is_enabled,
-    probe,
-    session,
-)
-from .trace import Span, TraceEvent, Tracer
+from .probes import Probe, probe, session
+from .trace import TraceEvent, Tracer
 
 __all__ = [
     "Counter",
@@ -56,14 +46,8 @@ __all__ = [
     "MetricError",
     "Probe",
     "Registry",
-    "Span",
     "TraceEvent",
     "Tracer",
-    "disable",
-    "enable",
-    "get_registry",
-    "get_tracer",
-    "is_enabled",
     "probe",
     "session",
 ]

@@ -6,15 +6,16 @@ zero-dependency and allocation-light:
 
 - a :class:`Registry` owns named metrics; each metric owns label-keyed
   *series* (``metric.labels(link="uplink").inc()``);
-- :meth:`Registry.export` / :meth:`Registry.snapshot` produce plain
-  nested dicts (JSON-able, sorted-key friendly) so benchmarks can diff
-  counters across runs;
+- :meth:`Registry.export` produces a plain nested dict (JSON-able,
+  sorted-key friendly, isolated from later updates) so benchmarks can
+  diff counters across runs;
 - label cardinality is bounded: past ``max_series`` distinct label
   combinations a metric folds further combinations into a single
   ``__overflow__`` series instead of growing (or crashing) without
-  bound -- instrumentation must never take the host down;
-- :data:`NULL_REGISTRY` is a no-op stand-in used while observability is
-  disabled, so call sites never need ``if enabled`` around metric math.
+  bound -- instrumentation must never take the host down.
+
+While observability is off no registry exists at all: instrumented code
+holds a ``None`` probe (see :mod:`repro.obs.probes`).
 
 Naming convention (see ``docs/observability.md``): dotted
 ``<subsystem>.<noun>`` series names, e.g. ``sim.kernel.events_fired``,
@@ -30,7 +31,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricError",
-    "NULL_REGISTRY",
     "Registry",
     "DEFAULT_BUCKETS",
 ]
@@ -261,7 +261,7 @@ class Histogram(_Metric):
 
 
 class Registry:
-    """Process-wide metric registry with snapshot / reset / export.
+    """Metric registry of one observability session, with export / reset.
 
     Re-requesting a metric with the same name returns the existing
     instance; re-requesting with a *different* type or label set raises
@@ -334,10 +334,6 @@ class Registry:
         """Fresh nested dict of every metric (safe to mutate / JSON-dump)."""
         return {name: m.export() for name, m in sorted(self._metrics.items())}
 
-    def snapshot(self) -> dict:
-        """Alias of :meth:`export`; the result is isolated from later updates."""
-        return self.export()
-
     def reset(self) -> None:
         """Zero every metric (registrations survive, series are dropped)."""
         for m in self._metrics.values():
@@ -346,94 +342,3 @@ class Registry:
     def clear(self) -> None:
         """Forget every metric entirely."""
         self._metrics.clear()
-
-
-class _NullSeries:
-    """Absorbs every update; reused for all null metric kinds."""
-
-    __slots__ = ()
-    value = 0
-
-    def inc(self, n=1):
-        pass
-
-    def dec(self, n=1):
-        pass
-
-    def set(self, v):
-        pass
-
-    def observe(self, v):
-        pass
-
-    def export(self):
-        return 0
-
-
-_NULL_SERIES = _NullSeries()
-
-
-class _NullMetric:
-    __slots__ = ()
-    value = 0
-
-    def labels(self, **kw):
-        return _NULL_SERIES
-
-    def inc(self, n=1):
-        pass
-
-    def dec(self, n=1):
-        pass
-
-    def set(self, v):
-        pass
-
-    def observe(self, v):
-        pass
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class _NullRegistry:
-    """Registry stand-in while observability is disabled (all no-ops)."""
-
-    __slots__ = ()
-
-    def counter(self, name, label_names=()):
-        return _NULL_METRIC
-
-    def gauge(self, name, label_names=()):
-        return _NULL_METRIC
-
-    def histogram(self, name, label_names=(), buckets=DEFAULT_BUCKETS):
-        return _NULL_METRIC
-
-    def value(self, name, /, **label_values):
-        return None
-
-    def names(self):
-        return []
-
-    def get(self, name):
-        return None
-
-    def __contains__(self, name):
-        return False
-
-    def export(self):
-        return {}
-
-    def snapshot(self):
-        return {}
-
-    def reset(self):
-        pass
-
-    def clear(self):
-        pass
-
-
-#: Shared no-op registry used while observability is off.
-NULL_REGISTRY = _NullRegistry()

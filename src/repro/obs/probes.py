@@ -5,22 +5,21 @@ directly; at construction time it asks for a :func:`probe`:
 
     self._probe = probe("net.link", link=name)
 
-While observability is **disabled** (the default) :func:`probe` returns
-``None``, so the per-operation cost in hot paths is one attribute load
-plus a ``None`` check:
+Outside a :func:`session` (the default) :func:`probe` returns ``None``,
+so the per-operation cost in hot paths is one attribute load plus a
+``None`` check:
 
     p = self._probe
     if p is not None:
         p.count("frames")
 
-While **enabled** (:func:`enable` / :func:`session`), a :class:`Probe`
-binds cached metric series from the active registry (series names are
-``<subsystem>.<name>``, labeled with the probe's labels) and forwards
-trace events to the active tracer.
+Inside a session, a :class:`Probe` binds cached metric series from the
+session's registry (series names are ``<subsystem>.<name>``, labeled
+with the probe's labels) and forwards trace events to its tracer.
 
-Enable/disable is process-wide and takes effect for objects constructed
-*afterwards*; tests use the :func:`session` context manager to get an
-isolated registry + tracer and restore the previous state on exit.
+:func:`session` is the only switch.  It is process-wide, takes effect
+for objects constructed *inside* it, and restores the previous state
+on exit, so sessions nest.
 """
 
 from __future__ import annotations
@@ -28,87 +27,46 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict, Optional
 
-from .metrics import NULL_REGISTRY, Registry
-from .trace import NULL_TRACER, Span, Tracer
+from .metrics import Registry
+from .trace import Tracer
 
-__all__ = [
-    "Probe",
-    "disable",
-    "enable",
-    "get_registry",
-    "get_tracer",
-    "is_enabled",
-    "probe",
-    "session",
-]
+__all__ = ["Probe", "probe", "session"]
 
 
 class _State:
-    __slots__ = ("registry", "tracer", "enabled")
+    """The active session's registry and tracer (both ``None`` outside one)."""
+
+    __slots__ = ("registry", "tracer")
 
     def __init__(self) -> None:
-        self.registry = NULL_REGISTRY
-        self.tracer = NULL_TRACER
-        self.enabled = False
+        self.registry: Optional[Registry] = None
+        self.tracer: Optional[Tracer] = None
 
 
 _STATE = _State()
-
-
-def enable(
-    registry: Optional[Registry] = None, tracer: Optional[Tracer] = None
-) -> tuple:
-    """Switch observability on; returns ``(registry, tracer)``.
-
-    Fresh instances are created when not supplied.  Only objects
-    constructed *after* this call pick up probes.
-    """
-    _STATE.registry = registry if registry is not None else Registry()
-    _STATE.tracer = tracer if tracer is not None else Tracer()
-    _STATE.enabled = True
-    return _STATE.registry, _STATE.tracer
-
-
-def disable() -> None:
-    """Switch observability off (new objects get no-op probes)."""
-    _STATE.registry = NULL_REGISTRY
-    _STATE.tracer = NULL_TRACER
-    _STATE.enabled = False
-
-
-def is_enabled() -> bool:
-    """True while a real registry/tracer are active."""
-    return _STATE.enabled
-
-
-def get_registry():
-    """The active registry (a silent no-op registry while disabled)."""
-    return _STATE.registry
-
-
-def get_tracer():
-    """The active tracer (a silent no-op tracer while disabled)."""
-    return _STATE.tracer
 
 
 @contextmanager
 def session(
     registry: Optional[Registry] = None, tracer: Optional[Tracer] = None
 ):
-    """Context manager: enable an isolated observability session.
+    """Context manager: switch observability on for an isolated session.
 
-    Yields ``(registry, tracer)`` and restores the previous state on
-    exit -- the test-suite idiom::
+    Yields ``(registry, tracer)`` -- fresh instances unless supplied --
+    and restores the previous state on exit.  Only objects constructed
+    inside the session pick up probes::
 
         with obs.session() as (reg, tr):
             ... build simulator & run ...
         assert reg.value("net.tcp.retransmits", ...) > 0
     """
-    prev = (_STATE.registry, _STATE.tracer, _STATE.enabled)
+    prev = (_STATE.registry, _STATE.tracer)
+    _STATE.registry = registry if registry is not None else Registry()
+    _STATE.tracer = tracer if tracer is not None else Tracer()
     try:
-        yield enable(registry, tracer)
+        yield _STATE.registry, _STATE.tracer
     finally:
-        _STATE.registry, _STATE.tracer, _STATE.enabled = prev
+        _STATE.registry, _STATE.tracer = prev
 
 
 class Probe:
@@ -188,20 +146,13 @@ class Probe:
             fields = merged
         self._tracer.emit(kind, t=t, **fields)
 
-    def span(self, kind: str, t: Optional[float] = None, **fields: Any) -> Span:
-        if self.labels:
-            merged = dict(self.labels)
-            merged.update(fields)
-            fields = merged
-        return self._tracer.span(kind, t=t, **fields)
-
 
 def probe(subsystem: str, **labels: Any) -> Optional[Probe]:
-    """A probe bound to the active session, or ``None`` while disabled.
+    """A probe bound to the active session, or ``None`` outside one.
 
     Call once at object construction and keep the result; hot paths then
     pay only a ``None`` check when observability is off.
     """
-    if not _STATE.enabled:
+    if _STATE.registry is None:
         return None
     return Probe(subsystem, labels, _STATE.registry, _STATE.tracer)

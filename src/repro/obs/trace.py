@@ -10,9 +10,8 @@ output and :meth:`Tracer.hash` doubles as a regression oracle: two runs
 with the same seed must hash identically, and a behaviour change shows
 up as a hash change long before anyone eyeballs a log.
 
-Span support (:meth:`Tracer.span`) brackets an operation with
-``<kind>.begin`` / ``<kind>.end`` events and records the simulated
-duration on the end event.
+Events are points in simulated time; a subsystem that needs an
+interval emits its own start and end events.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import hashlib
 import json
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-__all__ = ["NULL_TRACER", "Span", "TraceEvent", "Tracer"]
+__all__ = ["TraceEvent", "Tracer"]
 
 
 class TraceEvent:
@@ -51,32 +50,6 @@ class TraceEvent:
         return f"TraceEvent({self.canonical_line()})"
 
 
-class Span:
-    """An open operation bracket; call :meth:`end` (or use ``with``)."""
-
-    __slots__ = ("_tracer", "kind", "t0", "_closed")
-
-    def __init__(self, tracer: "Tracer", kind: str, t0: float):
-        self._tracer = tracer
-        self.kind = kind
-        self.t0 = t0
-        self._closed = False
-
-    def end(self, t: Optional[float] = None, **fields: Any) -> None:
-        """Emit the ``.end`` event carrying the simulated duration."""
-        if self._closed:
-            return
-        self._closed = True
-        t = self._tracer._time(t)
-        self._tracer.emit(f"{self.kind}.end", t=t, dur=t - self.t0, **fields)
-
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.end(ok=exc_type is None)
-
-
 class Tracer:
     """Bounded, deterministic structured-event recorder.
 
@@ -87,7 +60,7 @@ class Tracer:
         :attr:`dropped`) once the buffer is full.
     clock:
         Optional zero-arg callable returning the current simulated time,
-        used when ``emit``/``span`` are called without an explicit
+        used when ``emit`` is called without an explicit
         ``t``.  Defaults to a constant ``0.0`` (untimed subsystems such
         as :mod:`repro.core.reconfig` trace at t=0 and rely on ``seq``
         for ordering).
@@ -125,12 +98,6 @@ class Tracer:
         self._head = (self._head + 1) % self.capacity
         self.total += 1
         return ev
-
-    def span(self, kind: str, t: Optional[float] = None, **fields: Any) -> Span:
-        """Emit ``<kind>.begin`` and return an open :class:`Span`."""
-        t = self._time(t)
-        self.emit(f"{kind}.begin", t=t, **fields)
-        return Span(self, kind, t)
 
     # -- reading -----------------------------------------------------------
     def __len__(self) -> int:
@@ -180,58 +147,3 @@ class Tracer:
         for ev in self.events():
             counts[ev.kind] = counts.get(ev.kind, 0) + 1
         return dict(sorted(counts.items()))
-
-
-class _NullTracer:
-    """Tracer stand-in while observability is disabled (all no-ops)."""
-
-    __slots__ = ()
-    total = 0
-    dropped = 0
-    capacity = 0
-
-    def emit(self, kind, t=None, **fields):
-        return None
-
-    def span(self, kind, t=None, **fields):
-        return _NULL_SPAN
-
-    def set_clock(self, clock):
-        pass
-
-    def events(self):
-        return iter(())
-
-    def __len__(self):
-        return 0
-
-    def clear(self):
-        pass
-
-    def canonical(self):
-        return b""
-
-    def hash(self):
-        return ""
-
-    def kind_counts(self):
-        return {}
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def end(self, t=None, **fields):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-#: Shared no-op tracer used while observability is off.
-NULL_TRACER = _NullTracer()

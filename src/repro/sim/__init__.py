@@ -3,7 +3,7 @@
 A small, deterministic, generator-based discrete-event engine in the style
 of SimPy, used as the substrate for the reconfiguration network stack
 (:mod:`repro.net`), the on-board controller (:mod:`repro.core`) and the
-radiation campaigns (:mod:`repro.radiation`).
+scenario runner's mission clock (:mod:`repro.scenarios`).
 
 Public API
 ----------
@@ -11,37 +11,30 @@ Public API
 - :class:`Event` -- one-shot event that processes can wait on.
 - :class:`Timeout` -- event that fires after a simulated delay.
 - :class:`Process` -- generator-based coroutine driven by the simulator.
-- :class:`Store` -- FIFO channel with blocking ``get``/``put``.
-- :class:`Interrupt` -- exception thrown into an interrupted process.
+- :class:`AnyOf` -- fires with the first of several events.
+- :class:`Store` -- unbounded FIFO channel with a blocking ``get``.
 - :mod:`repro.sim.rng` -- named, reproducible random streams.
 """
 
 from .kernel import (
-    AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
-    Resource,
     Simulator,
     SimulatorError,
     Store,
     Timeout,
 )
-from .rng import RngRegistry, derive_seed, stream
+from .rng import RngRegistry, derive_seed
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
-    "Resource",
     "RngRegistry",
     "derive_seed",
     "Simulator",
     "SimulatorError",
     "Store",
     "Timeout",
-    "stream",
 ]

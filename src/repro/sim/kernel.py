@@ -18,7 +18,8 @@ Processes may yield:
 
 - an :class:`Event` (including :class:`Timeout`) -- resume when it fires,
 - another :class:`Process` -- resume when that process terminates,
-- :class:`AnyOf` / :class:`AllOf` -- composite wait conditions.
+- :class:`AnyOf` -- resume when the first of several events fires
+  (the timeout race of a blocking receive).
 
 Failures propagate: if a waited-on event fails, the exception is thrown
 into the waiting generator at the ``yield``.
@@ -32,12 +33,9 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from ..obs.probes import probe as _obs_probe
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
-    "Resource",
     "Simulator",
     "SimulatorError",
     "Store",
@@ -47,17 +45,6 @@ __all__ = [
 
 class SimulatorError(RuntimeError):
     """Raised for misuse of the kernel (double-trigger, bad yield, ...)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value given by the interrupter.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event states
@@ -160,56 +147,33 @@ class Timeout(Event):
         sim._schedule(self, delay)
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite waits."""
+class AnyOf(Event):
+    """Fires when the first of its events fires (fails on first failure).
 
-    __slots__ = ("_events", "_n_fired")
+    The value is a dict of every already-fired, successful event to its
+    value; an empty ``AnyOf`` fires at once with ``{}``.
+    """
+
+    __slots__ = ("_events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
         self._events = list(events)
-        self._n_fired = 0
         if not self._events:
-            self.succeed(self._collect())
+            self.succeed({})
             return
         for ev in self._events:
             ev.add_callback(self._on_fire)
-
-    def _collect(self) -> dict[Event, Any]:
-        return {ev: ev.value for ev in self._events if ev.processed and ev.ok}
-
-    def _on_fire(self, ev: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires when the first of its events fires (fails on first failure)."""
-
-    __slots__ = ()
 
     def _on_fire(self, ev: Event) -> None:
         if self.triggered:
             return
         if ev.ok:
-            self.succeed(self._collect())
+            self.succeed(
+                {e: e.value for e in self._events if e.processed and e.ok}
+            )
         else:
             self.fail(ev.value)
-
-
-class AllOf(_Condition):
-    """Fires when all of its events have fired (fails on first failure)."""
-
-    __slots__ = ()
-
-    def _on_fire(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev.ok:
-            self.fail(ev.value)
-            return
-        self._n_fired += 1
-        if self._n_fired == len(self._events):
-            self.succeed(self._collect())
 
 
 class Process(Event):
@@ -220,14 +184,13 @@ class Process(Event):
     ``yield proc`` to join on it.
     """
 
-    __slots__ = ("_gen", "_waiting_on", "name", "_t_started")
+    __slots__ = ("_gen", "name", "_t_started")
 
     def __init__(
         self, sim: "Simulator", gen: Generator[Any, Any, Any], name: str = ""
     ) -> None:
         super().__init__(sim)
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
         self.name = name or getattr(gen, "__name__", "process")
         self._t_started = sim.now
         p = sim._probe
@@ -245,21 +208,6 @@ class Process(Event):
         """True while the generator has not terminated."""
         return self._state == _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield."""
-        if not self.is_alive:
-            raise SimulatorError(f"cannot interrupt dead process {self.name!r}")
-        waited = self._waiting_on
-        if waited is not None and waited.callbacks is not None:
-            try:
-                waited.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        intr = Event(self.sim)
-        intr.add_callback(self._resume_interrupt)
-        intr.succeed(Interrupt(cause))
-
     def _note_end(self, ok: bool) -> None:
         """Account process termination on the kernel probe (if any)."""
         p = self.sim._probe
@@ -270,15 +218,8 @@ class Process(Event):
             p.event("proc.end", t=self.sim.now, name=self.name, ok=ok)
 
     # -- driving --------------------------------------------------------
-    def _resume_interrupt(self, ev: Event) -> None:
-        self._step(ev.value, throw=True)
-
     def _resume(self, ev: Event) -> None:
-        self._waiting_on = None
-        if ev.ok:
-            self._step(ev.value, throw=False)
-        else:
-            self._step(ev.value, throw=True)
+        self._step(ev.value, throw=not ev.ok)
 
     def _step(self, value: Any, throw: bool) -> None:
         try:
@@ -289,12 +230,6 @@ class Process(Event):
         except StopIteration as stop:
             if self._state == _PENDING:
                 self.succeed(stop.value)
-                self._note_end(ok=True)
-            return
-        except Interrupt:
-            # process chose not to handle its interrupt: treat as clean exit
-            if self._state == _PENDING:
-                self.succeed(None)
                 self._note_end(ok=True)
             return
         except Exception as exc:
@@ -311,7 +246,6 @@ class Process(Event):
                 self.fail(exc)
                 self._note_end(ok=False)
             return
-        self._waiting_on = ev
         ev.add_callback(self._resume)
 
     def _as_event(self, target: Any) -> Event:
@@ -319,25 +253,22 @@ class Process(Event):
             return target
         raise SimulatorError(
             f"process {self.name!r} yielded non-event {target!r}; yield an "
-            "Event, Timeout, Process, AnyOf or AllOf"
+            "Event, Timeout, Process or AnyOf"
         )
 
 
 class Store:
-    """Unbounded-by-default FIFO channel with blocking get/put.
+    """Unbounded FIFO channel.
 
     ``put(item)`` and ``get()`` both return events the caller must yield.
-    When ``capacity`` is finite, ``put`` blocks while the store is full.
+    A put is accepted at once: its event is scheduled before the event
+    of the getter (if any) that the item is handed to.
     """
 
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.capacity = capacity
         self.items: list[Any] = []
         self._getters: list[Event] = []
-        self._putters: list[tuple[Event, Any]] = []
 
     def __len__(self) -> int:
         return len(self.items)
@@ -345,15 +276,20 @@ class Store:
     def put(self, item: Any) -> Event:
         """Return an event that fires once ``item`` has been accepted."""
         ev = Event(self.sim)
-        self._putters.append((ev, item))
-        self._dispatch()
+        ev.succeed(None)
+        if self._getters:
+            self._getters.pop(0).succeed(item)
+        else:
+            self.items.append(item)
         return ev
 
     def get(self) -> Event:
         """Return an event that fires with the next item."""
         ev = Event(self.sim)
-        self._getters.append(ev)
-        self._dispatch()
+        if self.items:
+            ev.succeed(self.items.pop(0))
+        else:
+            self._getters.append(ev)
         return ev
 
     def cancel_get(self, ev: Event) -> bool:
@@ -367,62 +303,6 @@ class Store:
             return True
         except ValueError:
             return False
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and len(self.items) < self.capacity:
-                ev, item = self._putters.pop(0)
-                self.items.append(item)
-                ev.succeed(None)
-                progressed = True
-            while self._getters and self.items:
-                ev = self._getters.pop(0)
-                ev.succeed(self.items.pop(0))
-                progressed = True
-
-
-class Resource:
-    """Counted resource with FIFO waiting (e.g. a shared config port).
-
-    §4.4's payload variants share scarce interfaces -- one JTAG
-    configuration port serving several FPGAs, one memory bus -- so
-    concurrent users must serialize.  ``acquire()`` returns an event to
-    yield; ``release()`` hands the slot to the next waiter.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: list[Event] = []
-
-    def acquire(self) -> Event:
-        """Event firing once a slot is held (immediately if free)."""
-        ev = Event(self.sim)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed(self)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        """Free one slot; wakes the oldest waiter."""
-        if self.in_use <= 0:
-            raise SimulatorError("release() without a held slot")
-        if self._waiters:
-            self._waiters.pop(0).succeed(self)
-        else:
-            self.in_use -= 1
-
-    @property
-    def queued(self) -> int:
-        """Processes waiting for a slot."""
-        return len(self._waiters)
 
 
 class Simulator:
@@ -458,10 +338,6 @@ class Simulator:
     def process(self, gen: Generator[Any, Any, Any], name: str = "") -> Process:
         """Register a generator as a process starting at the current time."""
         return Process(self, gen, name=name)
-
-    def store(self, capacity: float = float("inf")) -> Store:
-        """Create a FIFO :class:`Store` bound to this simulator."""
-        return Store(self, capacity)
 
     def call_at(self, time: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` at absolute simulated ``time``."""

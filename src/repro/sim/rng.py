@@ -21,7 +21,7 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["RngRegistry", "derive_seed", "stream"]
+__all__ = ["RngRegistry", "derive_seed"]
 
 
 def derive_seed(base: int, *tags: str) -> int:
@@ -64,18 +64,3 @@ class RngRegistry:
     def reset(self) -> None:
         """Drop all streams; next access re-creates them from scratch."""
         self._streams.clear()
-
-
-_default = RngRegistry(seed=0)
-
-
-def stream(name: str, seed: int | None = None) -> np.random.Generator:
-    """Module-level convenience: a stream from the default registry.
-
-    Passing ``seed`` rebuilds the default registry with that seed (and
-    clears previously created streams).
-    """
-    global _default
-    if seed is not None:
-        _default = RngRegistry(seed=seed)
-    return _default.stream(name)

@@ -296,16 +296,16 @@ class TestTransmitCarriers:
 class TestReturnLinkFrontDoor:
     """process_return_link: the payload's multi-user CDMA entry point."""
 
-    def _cdma_payload(self):
-        pl = booted_payload(num_carriers=1)
-        pl.demods[0].load("modem.cdma")
+    def _cdma_payload(self, num_carriers=1, carrier=0):
+        pl = booted_payload(num_carriers=num_carriers)
+        pl.demods[carrier].load("modem.cdma")
         return pl
 
-    def _composite(self, pl, num_users, num_bits, seed=31):
+    def _composite(self, pl, num_users, num_bits, seed=31, carrier=0):
         from repro.dsp.cdma import CdmaReturnBank
 
         reg = RngRegistry(seed)
-        base = pl.demods[0].behaviour().config
+        base = pl.demods[carrier].behaviour().config
         bank = CdmaReturnBank.for_users(num_users, base)
         sent = [
             reg.stream(f"u{u}").integers(0, 2, num_bits).astype(np.uint8)
@@ -347,10 +347,24 @@ class TestReturnLinkFrontDoor:
         sink = Sink()
         pl.attach_health(sink)
         out = pl.process_return_link(comp, num_users=2, num_bits=32)
-        assert [k for k, _ in sink.seen] == [0, 1]
-        for (u, diag), ref in zip(sink.seen, out["diagnostics"]):
+        assert [k for k, _ in sink.seen] == [0, 0]
+        for (_, diag), ref in zip(sink.seen, out["diagnostics"]):
             assert diag is ref
             assert "carrier_lock" in diag and "acq_metric" in diag
+
+    def test_health_booked_on_the_receiving_carrier(self):
+        """Three users on carrier 1 of a two-carrier payload all feed
+        carrier 1's monitor; carrier 0's monitor sees nothing."""
+        from repro.robustness.fdir import HealthMonitorBank
+
+        pl = self._cdma_payload(num_carriers=2, carrier=1)
+        _, _, comp = self._composite(pl, num_users=3, num_bits=32, carrier=1)
+        health = HealthMonitorBank(2)
+        pl.attach_health(health)
+        out = pl.process_return_link(comp, num_users=3, num_bits=32, carrier=1)
+        assert len(out["diagnostics"]) == 3
+        assert health.monitor(1).bursts == 3
+        assert health.monitor(0).bursts == 0
 
     def test_tdma_personality_rejected(self):
         pl = booted_payload(num_carriers=1)  # boots modem.tdma

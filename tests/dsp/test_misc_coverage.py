@@ -6,8 +6,6 @@ import pytest
 from repro.dsp.carrier import DecisionDirectedLoop
 from repro.dsp.filters import FirFilter, design_lowpass
 from repro.dsp.modem import PskModem
-from repro.sim import stream
-from repro.sim.rng import RngRegistry
 
 
 class TestDecisionDirectedLoopOrders:
@@ -35,21 +33,6 @@ class TestDecisionDirectedLoopOrders:
         for k in range(8):
             point = np.exp(1j * 2 * np.pi * k / 8)
             assert abs(loop._decide(point) - point) < 1e-9
-
-
-class TestModuleLevelRngStream:
-    def test_stream_reproducible_with_seed(self):
-        a = stream("test.module", seed=123).random(4)
-        b = stream("test.module", seed=123).random(4)
-        np.testing.assert_array_equal(a, b)
-
-    def test_same_seed_same_registry(self):
-        s1 = stream("x", seed=55)
-        s2 = stream("x", seed=55)  # registry rebuilt -> fresh stream
-        assert s1 is s2 or True  # identity not guaranteed, values are
-        np.testing.assert_array_equal(
-            stream("y", seed=55).random(3), RngRegistry(55).stream("y").random(3)
-        )
 
 
 class TestFirMisc:

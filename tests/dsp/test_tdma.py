@@ -100,7 +100,7 @@ class TestTdmaModem:
         assert len(tm.transmit(np.zeros(8, dtype=np.uint8))) == tm.num_tx_samples()
 
     def test_auto_picks_gardner_for_long_bursts(self):
-        tm = TdmaModem(burst=BurstFormat(payload=600), timing="auto")
+        tm = TdmaModem(burst=BurstFormat(payload=600))
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, tm.bits_per_burst).astype(np.uint8)
         out = tm.receive(tm.transmit(bits))
@@ -109,23 +109,20 @@ class TestTdmaModem:
         assert out["uw_metric"] > 0.8
 
     def test_auto_picks_om_for_short_bursts(self):
-        tm = TdmaModem(timing="auto")
+        tm = TdmaModem()
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, tm.bits_per_burst).astype(np.uint8)
         out = tm.receive(tm.transmit(bits))
         assert out["timing_mode"] == "oerder-meyr"
 
     def test_explicit_gardner_mode(self):
-        tm = TdmaModem(timing="gardner", burst=BurstFormat(preamble=128, payload=512))
+        """A long preamble lets the Gardner loop settle before the payload."""
+        tm = TdmaModem(burst=BurstFormat(preamble=128, payload=512))
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, tm.bits_per_burst).astype(np.uint8)
         out = tm.receive(tm.transmit(bits))
         assert out["timing_mode"] == "gardner"
         assert np.mean(out["bits"] != bits) < 0.02
-
-    def test_invalid_timing_mode(self):
-        with pytest.raises(ValueError):
-            TdmaModem(timing="magic")
 
     def test_invalid_sps(self):
         with pytest.raises(ValueError):

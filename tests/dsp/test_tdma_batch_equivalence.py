@@ -36,6 +36,10 @@ from repro.dsp.timing import GardnerLoop, fold_timing_offset
 pytestmark = pytest.mark.perf
 
 BURST = BurstFormat(preamble=16, uw=16, payload=48)
+#: a burst past ``TdmaModem.AUTO_THRESHOLD`` symbols, received by the Gardner loop
+LONG_BURST = BurstFormat(preamble=16, uw=16, payload=496)
+#: the burst format that selects each timing recovery
+TIMING_BURSTS = {"oerder-meyr": BURST, "gardner": LONG_BURST}
 
 
 # -- the replaced per-carrier implementation, verbatim ------------------------
@@ -82,9 +86,7 @@ def _ref_timing_lock_metric(x, sps):
 
 
 def _ref_recover_timing(self, mf):
-    mode = self.timing
-    if mode == "auto":
-        mode = "gardner" if self.burst.total > self.AUTO_THRESHOLD else "oerder-meyr"
+    mode = "gardner" if self.burst.total > self.AUTO_THRESHOLD else "oerder-meyr"
     if mode == "oerder-meyr":
         syms, tau = _ref_oerder_meyr_recover(mf, self.sps)
         return syms, {"timing_mode": mode, "tau": tau}
@@ -252,18 +254,18 @@ class TestReceiveBatchEquivalence:
     @pytest.mark.parametrize("sps", [3, 4, 8])
     @pytest.mark.parametrize("timing", ["oerder-meyr", "gardner"])
     def test_stack_matches_rows_and_reference(self, modulation, sps, timing):
-        modem = TdmaModem(BURST, sps=sps, modulation=modulation, timing=timing)
+        modem = TdmaModem(TIMING_BURSTS[timing], sps=sps, modulation=modulation)
         rng = _rng("stack", modulation, sps, timing)
         stack, bits = _stack(modem, rng, rows=4, sigma=0.05, delays=[0, 1, 2, 3])
         batched = _check_stack(modem, stack)
-        if timing == "oerder-meyr":  # a 80-symbol burst is short for Gardner
+        if timing == "oerder-meyr":  # the Gardner loop may still be pulling in
             for r in range(4):
                 np.testing.assert_array_equal(batched[r]["bits"], bits[r])
 
     def test_ragged_strobe_counts(self):
         """Rows of one stack interpolate different strobe counts; each
         keeps exactly its own valid range."""
-        modem = TdmaModem(BURST, timing="oerder-meyr")
+        modem = TdmaModem(BURST)
         rng = _rng("ragged")
         stack, _ = _stack(modem, rng, rows=6, sigma=0.05, delays=[0, 1, 2, 3, 1, 2])
         batched = _check_stack(modem, stack)
@@ -282,7 +284,7 @@ class TestReceiveBatchEquivalence:
             np.testing.assert_array_equal(batched[r]["bits"], bits[r])
 
     def test_short_stack_fails_every_row(self):
-        modem = TdmaModem(BURST, timing="gardner")
+        modem = TdmaModem(LONG_BURST)
         rng = _rng("short")
         stack, _ = _stack(modem, rng, rows=3, sigma=0.05)
         batched = _check_stack(modem, stack[:, : stack.shape[1] // 2])
@@ -335,7 +337,7 @@ class TestReceiveBatchEquivalence:
         self, modulation, sps, timing, cfo_recovery, rows, num_bits, seed
     ):
         modem = TdmaModem(
-            BURST, sps=sps, modulation=modulation, timing=timing,
+            TIMING_BURSTS[timing], sps=sps, modulation=modulation,
             cfo_recovery=cfo_recovery,
         )
         rng = _rng("hyp", seed)
@@ -346,7 +348,7 @@ class TestReceiveBatchEquivalence:
     def test_one_sync_pass_per_stack(self, monkeypatch):
         """Rows with different strobe counts share one UW search, and
         each row still matches its one-row call to the float."""
-        modem = TdmaModem(BURST, timing="oerder-meyr")
+        modem = TdmaModem(BURST)
         rng = _rng("one-pass")
         stack, _ = _stack(modem, rng, rows=6, sigma=0.05, delays=[0, 1, 2, 3, 1, 2])
         calls = []
@@ -368,7 +370,7 @@ class TestReceiveBatchEquivalence:
         """The direct-form UW search makes the FFT form's decisions; its
         ``uw_metric`` differs at most in the last bits."""
         burst = BurstFormat(preamble=16, uw=16, payload=96)
-        modem = TdmaModem(burst, timing="oerder-meyr")
+        modem = TdmaModem(burst)
         rng = _rng("fft-form", kind)
         if kind == "noise-only":
             n = modem.num_tx_samples()
@@ -395,7 +397,7 @@ class TestReceiveBatchEquivalence:
     def test_non_finite_row_fails_alone(self, poison):
         """A NaN or inf row fails with its own error, warns nothing, and
         leaves the other rows as their one-row calls."""
-        modem = TdmaModem(BURST, timing="oerder-meyr")
+        modem = TdmaModem(BURST)
         rng = _rng("non-finite")
         stack, bits = _stack(modem, rng, rows=3, sigma=0.05, delays=[0, 1, 2])
         if poison == "nan-row":
@@ -414,7 +416,7 @@ class TestReceiveBatchEquivalence:
 
     @pytest.mark.parametrize("timing", ["oerder-meyr", "gardner"])
     def test_empty_stack(self, timing):
-        modem = TdmaModem(BURST, timing=timing)
+        modem = TdmaModem(TIMING_BURSTS[timing])
         assert modem.receive_batch(np.zeros((0, modem.num_tx_samples()), complex)) == []
 
     def test_rejects_non_stacks(self):

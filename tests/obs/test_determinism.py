@@ -47,7 +47,7 @@ def run_reconfiguration_campaign(seed: int, ber: float = 2e-5):
 
         sim.process(campaign(sim))
         sim.run(until=3600)
-        return tr.hash(), tr.canonical(), reg.snapshot(), done.get("res")
+        return tr.hash(), tr.canonical(), reg.export(), done.get("res")
 
 
 class TestGoldenTrace:

@@ -9,7 +9,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricError,
-    NULL_REGISTRY,
     Registry,
 )
 
@@ -144,12 +143,12 @@ class TestRegistryLifecycle:
 
     def test_snapshot_isolation(self):
         reg = self._populated()
-        snap = reg.snapshot()
+        snap = reg.export()
         reg.counter("c", ("k",)).labels(k="x").inc(100)
         reg.gauge("g").set(99)
         assert snap["c"]["series"]["x"] == 2
         assert snap["g"]["series"][""] == 1.5
-        assert reg.snapshot()["c"]["series"]["x"] == 102
+        assert reg.export()["c"]["series"]["x"] == 102
 
     def test_reset_zeroes_but_keeps_registration(self):
         reg = self._populated()
@@ -170,17 +169,3 @@ class TestRegistryLifecycle:
         assert reg.value("nope") is None
         assert reg.value("c", k="unseen") is None
         assert reg.value("c", wrong="x") is None
-
-
-class TestNullRegistry:
-    def test_everything_is_a_silent_noop(self):
-        NULL_REGISTRY.counter("a").inc(5)
-        NULL_REGISTRY.gauge("b").set(3)
-        NULL_REGISTRY.histogram("c").observe(1)
-        NULL_REGISTRY.counter("d", ("k",)).labels(k="x").inc()
-        assert NULL_REGISTRY.export() == {}
-        assert NULL_REGISTRY.snapshot() == {}
-        assert NULL_REGISTRY.value("a") is None
-        assert "a" not in NULL_REGISTRY
-        NULL_REGISTRY.reset()
-        NULL_REGISTRY.clear()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
 
 
 class TestRingBuffer:
@@ -49,7 +49,7 @@ class TestRingBuffer:
         assert list(tr.events()) == []
 
 
-class TestClockAndSpans:
+class TestClock:
     def test_default_clock_is_zero(self):
         tr = Tracer()
         ev = tr.emit("k")
@@ -63,30 +63,6 @@ class TestClockAndSpans:
         assert tr.emit("k").t == 3.0
         tr.set_clock(None)
         assert tr.emit("k").t == 0.0
-
-    def test_span_records_duration(self):
-        now = {"t": 10.0}
-        tr = Tracer(clock=lambda: now["t"])
-        span = tr.span("xfer", file="f.bit")
-        now["t"] = 12.5
-        span.end(blocks=3)
-        begin, end = list(tr.events())
-        assert begin.kind == "xfer.begin"
-        assert begin.fields["file"] == "f.bit"
-        assert end.kind == "xfer.end"
-        assert end.fields["dur"] == pytest.approx(2.5)
-        assert end.fields["blocks"] == 3
-        # double-end is a no-op
-        span.end()
-        assert tr.total == 2
-
-    def test_span_context_manager(self):
-        tr = Tracer()
-        with tr.span("op"):
-            pass
-        kinds = [e.kind for e in tr.events()]
-        assert kinds == ["op.begin", "op.end"]
-        assert list(tr.events())[-1].fields["ok"] is True
 
 
 class TestCanonicalHash:
@@ -136,14 +112,3 @@ class TestCanonicalHash:
         data = tr.canonical()
         assert isinstance(data, bytes)
         assert data.startswith(b"# trace total=1 dropped=0 capacity=4\n")
-
-
-class TestNullTracer:
-    def test_noop(self):
-        NULL_TRACER.emit("k", x=1)
-        with NULL_TRACER.span("s"):
-            pass
-        assert len(NULL_TRACER) == 0
-        assert list(NULL_TRACER.events()) == []
-        assert NULL_TRACER.canonical() == b""
-        assert NULL_TRACER.hash() == ""

@@ -243,19 +243,3 @@ class TestPayloadQueues:
         assert sw.routed == 2
         sw.drain(0)
         assert not sw.backpressure(0)
-
-    def test_burst_queues_attach_offer_drain(self):
-        sim = Simulator()
-        payload = RegenerativePayload(PayloadConfig(num_carriers=2, **SMALL))
-        payload.attach_burst_queues(lambda: sim.now, capacity=2)
-        assert payload.offer_burst(0, "r1")
-        assert payload.offer_burst(0, "r2")
-        assert not payload.offer_burst(0, "r3")  # backpressure
-        assert payload.next_burst(0) == "r1"
-        assert payload.next_burst(1) is None
-        assert payload.burst_queues[0].stats()["dropped"] == 1
-
-    def test_burst_queue_requires_attachment(self):
-        payload = RegenerativePayload(PayloadConfig(num_carriers=1, **SMALL))
-        with pytest.raises(RuntimeError):
-            payload.offer_burst(0, "r")

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Simulator,
-    SimulatorError,
-    Store,
-)
+from repro.sim import AnyOf, Simulator, SimulatorError, Store
 
 
 def test_timeout_advances_clock():
@@ -140,38 +132,6 @@ def test_process_exception_fails_joiners():
     assert caught == ["child died"]
 
 
-def test_interrupt_delivered_with_cause():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as intr:
-            log.append((sim.now, intr.cause))
-
-    def interrupter(sim, target):
-        yield sim.timeout(5.0)
-        target.interrupt("wake up")
-
-    target = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, target))
-    sim.run()
-    assert log == [(5.0, "wake up")]
-
-
-def test_interrupt_dead_process_raises():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(0.0)
-
-    p = sim.process(quick(sim))
-    sim.run()
-    with pytest.raises(SimulatorError):
-        p.interrupt()
-
-
 def test_yield_non_event_fails_process():
     sim = Simulator()
 
@@ -199,34 +159,6 @@ def test_anyof_fires_on_first():
     assert seen == [(1.0, ["fast"])]
 
 
-def test_allof_waits_for_all():
-    sim = Simulator()
-    seen = []
-
-    def proc(sim):
-        t1 = sim.timeout(1.0, value="a")
-        t2 = sim.timeout(5.0, value="b")
-        result = yield AllOf(sim, [t1, t2])
-        seen.append((sim.now, sorted(result.values())))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert seen == [(5.0, ["a", "b"])]
-
-
-def test_allof_empty_fires_immediately():
-    sim = Simulator()
-    done = []
-
-    def proc(sim):
-        yield AllOf(sim, [])
-        done.append(sim.now)
-
-    sim.process(proc(sim))
-    sim.run()
-    assert done == [0.0]
-
-
 def test_store_fifo_order():
     sim = Simulator()
     got = []
@@ -248,34 +180,21 @@ def test_store_fifo_order():
     assert got == [0, 1, 2, 3, 4]
 
 
-def test_store_capacity_blocks_put():
+def test_store_put_fires_before_the_getter_it_feeds():
+    """One event per put, scheduled ahead of the waiting getter's."""
     sim = Simulator()
-    log = []
-
-    def producer(sim, store):
-        yield store.put("a")
-        log.append(("a-in", sim.now))
-        yield store.put("b")
-        log.append(("b-in", sim.now))
-
-    def consumer(sim, store):
-        yield sim.timeout(10.0)
-        item = yield store.get()
-        log.append((item, sim.now))
-
-    store = Store(sim, capacity=1)
-    sim.process(producer(sim, store))
-    sim.process(consumer(sim, store))
+    store = Store(sim)
+    order = []
+    got = store.get()
+    got.add_callback(lambda ev: order.append(("get", ev.value)))
+    put = store.put("x")
+    put.add_callback(lambda ev: order.append(("put", ev.value)))
+    store.put("y")
+    assert len(store) == 1
     sim.run()
-    # "b" could only enter once "a" was consumed at t=10.
-    assert ("a-in", 0.0) in log
-    assert ("b-in", 10.0) in log
-
-
-def test_store_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
+    assert order == [("put", None), ("get", "x")]
+    assert sim.event_count == 3
+    assert store.get().value == "y" and len(store) == 0
 
 
 def test_run_until_limit_then_continue():

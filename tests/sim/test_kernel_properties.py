@@ -1,4 +1,4 @@
-"""Property-based kernel tests: seeded random schedules over composites.
+"""Property-based kernel tests: seeded random schedules.
 
 ``hypothesis`` is deliberately not a dependency; instead each property is
 exercised against a family of pseudo-random schedules drawn from
@@ -6,12 +6,8 @@ exercised against a family of pseudo-random schedules drawn from
 
 - :class:`AnyOf` fires exactly at the minimum of its members' delays and
   only same-instant members appear in its value dict;
-- :class:`AllOf` fires exactly at the maximum and carries every value;
-- nested composites reduce like min/max expressions;
 - triggering an event twice (succeed/succeed, succeed/fail, fail/any)
   raises :class:`SimulatorError`;
-- interrupts land at the interrupting event's time with their cause, and
-  interrupting a dead process raises;
 - completion order of a random schedule is a pure function of the seed
   (FIFO among equal timestamps).
 """
@@ -20,13 +16,7 @@ import random
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Interrupt,
-    Simulator,
-    SimulatorError,
-)
+from repro.sim import AnyOf, Simulator, SimulatorError
 
 SEEDS = range(8)
 
@@ -95,49 +85,6 @@ class TestAnyOfProperties:
         assert caught["t"] == boom_at
 
 
-class TestAllOfProperties:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_fires_at_max_delay_with_all_values(self, seed):
-        sim = Simulator()
-        delays = random_delays(seed)
-        events = [sim.timeout(d, value=i) for i, d in enumerate(delays)]
-        got = {}
-
-        def waiter(sim):
-            got["result"] = yield AllOf(sim, events)
-            got["t"] = sim.now
-
-        sim.process(waiter(sim))
-        sim.run()
-        assert got["t"] == max(delays)
-        assert len(got["result"]) == len(events)
-        for ev, val in got["result"].items():
-            assert events[val] is ev
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_nested_composites_reduce_like_min_max(self, seed):
-        sim = Simulator()
-        r = random.Random(seed)
-        group_a = [round(r.uniform(0, 10), 1) for _ in range(r.randint(1, 5))]
-        group_b = [round(r.uniform(0, 10), 1) for _ in range(r.randint(1, 5))]
-        comp = AnyOf(
-            sim,
-            [
-                AllOf(sim, [sim.timeout(d) for d in group_a]),
-                AllOf(sim, [sim.timeout(d) for d in group_b]),
-            ],
-        )
-        got = {}
-
-        def waiter(sim):
-            yield comp
-            got["t"] = sim.now
-
-        sim.process(waiter(sim))
-        sim.run()
-        assert got["t"] == min(max(group_a), max(group_b))
-
-
 class TestDoubleTrigger:
     def test_succeed_twice_raises(self):
         sim = Simulator()
@@ -170,70 +117,6 @@ class TestDoubleTrigger:
         getattr(ev, first)(*([RuntimeError("a")] if first == "fail" else []))
         with pytest.raises(SimulatorError):
             getattr(ev, second)(*([RuntimeError("b")] if second == "fail" else []))
-
-
-class TestInterruptProperties:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_interrupt_lands_at_interrupt_time_with_cause(self, seed):
-        r = random.Random(seed)
-        sleep_for = round(r.uniform(5.0, 10.0), 2)
-        poke_at = round(r.uniform(0.1, 4.9), 2)
-        sim = Simulator()
-        got = {}
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(sleep_for)
-                got["outcome"] = "slept"
-            except Interrupt as intr:
-                got["outcome"] = "interrupted"
-                got["cause"] = intr.cause
-                got["t"] = sim.now
-
-        proc = sim.process(sleeper(sim))
-        sim.call_at(poke_at, lambda: proc.interrupt(cause=seed))
-        sim.run()
-        assert got["outcome"] == "interrupted"
-        assert got["cause"] == seed
-        assert got["t"] == poke_at
-
-    def test_interrupt_after_sleep_does_not_fire(self):
-        sim = Simulator()
-        got = {}
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(1.0)
-                got["outcome"] = "slept"
-            except Interrupt:  # pragma: no cover
-                got["outcome"] = "interrupted"
-
-        proc = sim.process(sleeper(sim))
-        sim.run()
-        assert got["outcome"] == "slept"
-        with pytest.raises(SimulatorError):
-            proc.interrupt()
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_interrupted_process_can_resume_waiting(self, seed):
-        """After catching Interrupt a process may wait again; ordering holds."""
-        r = random.Random(seed)
-        poke_at = round(r.uniform(0.5, 2.0), 2)
-        extra = round(r.uniform(0.5, 2.0), 2)
-        sim = Simulator()
-        got = {}
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                yield sim.timeout(extra)
-                got["t"] = sim.now
-
-        proc = sim.process(sleeper(sim))
-        sim.call_at(poke_at, lambda: proc.interrupt())
-        sim.run()
-        assert got["t"] == pytest.approx(poke_at + extra)
 
 
 class TestScheduleDeterminism:

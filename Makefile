@@ -25,7 +25,7 @@ test-fdir:  ## traffic-plane FDIR: health monitors, recovery ladder, degraded mo
 test-overload:  ## demand-plane overload control: admission, backpressure, deadlines, brownout, overload scenario sweep
 	$(PYTHON) -m pytest -m overload tests/
 
-test-perf:  ## batched burst-processing throughput baseline + MF-TDMA batched==scalar suite + GF(2) bit kernels + fused trellis kernels (prints tables)
+test-perf:  ## batched burst-processing throughput baseline + ground synthesis multiplexer gate + MF-TDMA batched==scalar suite + GF(2) bit kernels + fused trellis kernels (prints tables)
 	$(PYTHON) -m pytest -m perf tests/dsp/test_tdma_batch_equivalence.py tests/fpga/test_edac_equivalence.py tests/coding/test_encode_equivalence.py tests/coding/test_trellis_equivalence.py benchmarks/bench_perf_burst_batch.py benchmarks/bench_perf_bitkernels.py benchmarks/bench_perf_trellis.py -s
 
 test-cdma-perf:  ## batched CDMA return-link engine: equivalence suite + bursts/sec speedup gates + DLL pull-in/jitter reference

@@ -9,15 +9,18 @@ path at several batch sizes, asserts the headline >= 5x speedup at
 batch=16 on the UMTS rate-1/3 K=9 code, and checks bit-identity between
 the two paths on every measured input.  The MF-TDMA front end is gated
 the same way: ``TdmaModem.receive_batch`` over a 16-carrier stack must
-reach >= 3x the per-carrier ``receive`` loop.
+reach >= 3x the per-carrier ``receive`` loop.  The ground-side
+multiplexer too: ``multiplex_carriers`` (the polyphase synthesis bank)
+over a ``(16, 544)`` stack must reach >= 8x the per-channel
+``fftconvolve`` loop it replaced, and stay within 1e-11 of its peak.
 
 Run modes
 ---------
 - ``make test-perf`` / ``pytest benchmarks/bench_perf_burst_batch.py -s``
   -- full measurement, prints the bursts/sec tables;
 - ``REPRO_PERF_SMOKE=1`` (CI) -- tiny blocks and a single repetition:
-  exercises every code path and the bit-identity checks without timing
-  assertions (shared-runner timings are noise);
+  exercises every code path and the bit-identity and closeness checks
+  without timing assertions (shared-runner timings are noise);
 - ``REPRO_OBS=1`` additionally wraps the run in an observability
   session, so the ``perf.viterbi`` / ``perf.turbo`` / ``perf.payload``
   counters and the ``perf.cache.*`` design-cache gauges land in the
@@ -29,11 +32,14 @@ import time
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from repro.caching import design_cache_stats
 from repro.coding import TurboCode, UMTS_RATE_13
 from repro.core.payload import PayloadConfig, RegenerativePayload
 from repro.core.registry import default_registry
+from repro.dsp.demux import multiplex_carriers
+from repro.dsp.filters import design_lowpass
 from repro.dsp.tdma import BurstFormat, TdmaModem
 from repro.obs.probes import probe
 from repro.sim import RngRegistry
@@ -190,6 +196,54 @@ def test_tdma_front_end_batch_throughput(rng):
     if not SMOKE:
         assert headline is not None and headline >= 3.0, (
             f"batched TDMA receive speedup {headline:.2f}x below the 3x target"
+        )
+
+
+def _loop_multiplex(bb: np.ndarray) -> np.ndarray:
+    """The per-channel multiplexer: zero-stuff, ``fftconvolve`` with the
+    scaled prototype, mix to ``k/m`` and sum, one channel at a time."""
+    m, n = bb.shape
+    total = n * m
+    proto = design_lowpass(8 * m + 1, 0.5 / m * 0.8) * m
+    t = np.arange(total)
+    out = np.zeros(total, dtype=np.complex128)
+    for k in range(m):
+        up = np.zeros(total, dtype=np.complex128)
+        up[::m] = bb[k]
+        out += fftconvolve(up, proto)[:total] * np.exp(2j * np.pi * (k / m) * t)
+    return out
+
+
+def test_multiplex_synthesis_throughput(rng):
+    """``multiplex_carriers`` >= 8x the per-channel ``fftconvolve`` loop
+    on a ``(16, 544)`` stack (16 carriers of one mission-length burst)."""
+    m, n = (4, 64) if SMOKE else (16, 544)
+    reps, rounds = (1, 1) if SMOKE else (20, 3)
+    bb = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    out = multiplex_carriers(bb, m)
+    ref = _loop_multiplex(bb)
+    assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref)), (
+        "synthesis bank != per-channel loop"
+    )
+
+    # best of 3 rounds, as for the TDMA front end
+    t_loop = min(
+        _time_per_call(lambda: _loop_multiplex(bb), reps) for _ in range(rounds)
+    )
+    t_bank = min(
+        _time_per_call(lambda: multiplex_carriers(bb, m), reps) for _ in range(rounds)
+    )
+    ratio = t_loop / t_bank
+    print_table(
+        f"ground multiplexer ({m} channels x {n} samples) per call",
+        ["channels", "loop [ms]", "synthesis bank [ms]", "speedup"],
+        [[m, f"{t_loop * 1e3:.3f}", f"{t_bank * 1e3:.3f}", f"{ratio:.2f}x"]],
+    )
+    _gauge("multiplex_calls_per_sec", m, 1.0 / t_bank)
+    if not SMOKE:
+        assert ratio >= 8.0, (
+            f"synthesis bank speedup {ratio:.2f}x below the 8x target"
         )
 
 

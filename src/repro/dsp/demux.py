@@ -11,6 +11,12 @@ provided:
   branches + FFT), at 1/M the per-channel cost of the DDC bank.
 
 Both return an (M, N/M) array of per-carrier baseband streams.
+
+:func:`multiplex_carriers` is the ground-side MUX that builds the
+multiplex the payload splits.  It is the synthesis dual of the
+analysis channelizer: an inverse FFT across the channels, then M
+polyphase branch filters of the interpolation prototype.  Synthesis
+and analysis are the two polyphase/FFT halves of the Fig. 2 FDM link.
 """
 
 from __future__ import annotations
@@ -25,48 +31,47 @@ from .nco import Ddc
 __all__ = ["DdcBank", "PolyphaseChannelizer", "multiplex_carriers"]
 
 
-@cached_design("dsp.mux_tables", maxsize=16)
-def _mux_tables(m: int, total: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(FFT size, spectrum of the scaled interpolation prototype,
-    ``(m, total)`` channel mixers) for an ``m``-channel multiplex."""
+@cached_design("dsp.mux_polyphase", maxsize=16)
+def _synthesis_taps(m: int) -> np.ndarray:
+    """``(taps, m)`` polyphase table of the scaled interpolation prototype:
+    row ``j`` holds ``h[j*m + q]`` for ``q = 0..m-1``, zero past the end."""
     proto = design_lowpass(8 * m + 1, 0.5 / m * 0.8) * m
-    nfft = sp_fft.next_fast_len(total + len(proto) - 1, False)
-    spectrum = sp_fft.fft(proto, nfft)
-    t = np.arange(total)
-    mixers = np.stack([np.exp(2j * np.pi * (k / m) * t) for k in range(m)])
-    return nfft, freeze(spectrum), freeze(mixers)
+    taps = -(-len(proto) // m)
+    table = np.zeros(taps * m)
+    table[: len(proto)] = proto
+    return freeze(table.reshape(taps, m))
 
 
 def multiplex_carriers(baseband: np.ndarray, num_channels: int) -> np.ndarray:
     """Frequency-multiplex M equal-rate baseband streams into one wideband.
 
-    ``baseband`` is (M, N); each stream is upsampled by M and shifted to
+    ``baseband`` is (M, N); each stream is upsampled by M, filtered by
+    the prototype ``h = design_lowpass(8M+1, 0.4/M)*M`` and shifted to
     its channel center ``k/M`` cycles/sample.  This is the synthesis
-    counterpart used by tests and by the payload's Tx side.  All M
-    interpolation filters run as one axis-1 FFT convolution of the
-    zero-stuffed stack against the cached prototype spectrum.  It keeps
-    the FFT size and arithmetic of a per-channel
-    ``scipy.signal.fftconvolve``, so every row is float-identical to
-    filtering that channel alone.  The shifted channels are summed in
-    channel order.
+    counterpart used by tests and by the payload's Tx side, evaluated
+    as the polyphase/FFT synthesis bank (the dual of
+    :class:`PolyphaseChannelizer`):
+
+    ``out[p*M + q] = sum_j h[j*M + q] * v[p - j, q]``,
+    ``v = (M * ifft(baseband, axis=0)).T``,
+
+    one inverse FFT across the channels, then one ``(N, M)``
+    multiply-add per polyphase tap.  The result is the first ``N*M``
+    samples of the summed per-channel ``fftconvolve`` filters, within
+    ``1e-11`` of their peak magnitude (the sums reassociate, so it is
+    not float-identical to that loop).
     """
     bb = np.asarray(baseband, dtype=np.complex128)
     if bb.ndim != 2 or bb.shape[0] != num_channels:
         raise ValueError(f"expected ({num_channels}, N) input, got {bb.shape}")
     m, n = bb.shape
-    total = n * m
-    nfft, spectrum, mixers = _mux_tables(m, total)
-    # zero-stuff straight into the FFT buffer and transform in place
-    buf = np.zeros((m, nfft), dtype=np.complex128)
-    buf[:, :total:m] = bb
-    buf = sp_fft.fft(buf, axis=1, overwrite_x=True)
-    buf *= spectrum
-    shaped = sp_fft.ifft(buf, axis=1, overwrite_x=True)[:, :total]
-    shaped *= mixers
-    out = np.zeros(total, dtype=np.complex128)
-    for row in shaped:
-        out += row
-    return out
+    table = _synthesis_taps(m)
+    # v[p, q] = sum_k bb[k, p] exp(2j pi k q / M): the unscaled inverse DFT
+    v = sp_fft.ifft(bb.T, axis=1, norm="forward")
+    out = v * table[0]
+    for j in range(1, len(table)):
+        out[j:] += v[:-j] * table[j]
+    return out.reshape(-1)
 
 
 class DdcBank:

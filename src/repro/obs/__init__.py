@@ -3,7 +3,7 @@
 Three small, zero-dependency pieces:
 
 - :mod:`repro.obs.metrics` -- labeled Counter/Gauge/Histogram series
-  behind a :class:`Registry` with reset / export-to-dict;
+  behind a :class:`Registry` with export-to-dict;
 - :mod:`repro.obs.trace` -- a ring-buffer structured event
   :class:`Tracer` keyed on simulated time, with a canonical, hashable
   serialization (the *golden-trace* regression oracle);

@@ -5,7 +5,9 @@ stay **deterministic** when it is on, so this module is deliberately
 zero-dependency and allocation-light:
 
 - a :class:`Registry` owns named metrics; each metric owns label-keyed
-  *series* (``metric.labels(link="uplink").inc()``);
+  *series* (``metric.labels(link="uplink").inc()``), and every update
+  goes through a series (a label-less metric's one series is
+  ``metric.labels()``);
 - :meth:`Registry.export` produces a plain nested dict (JSON-able,
   sorted-key friendly, isolated from later updates) so benchmarks can
   diff counters across runs;
@@ -99,23 +101,6 @@ class _Metric:
             self._series[_OVERFLOW_KEY] = s
         return s
 
-    def _default(self):
-        """The unlabeled series (only valid for label-less metrics)."""
-        if self.label_names:
-            raise MetricError(
-                f"{self.name} has labels {self.label_names}; call .labels(...)"
-            )
-        return self.labels()
-
-    @property
-    def num_series(self) -> int:
-        return len(self._series)
-
-    def reset(self) -> None:
-        """Drop all series (registrations survive; series recreate lazily)."""
-        self._series.clear()
-        self.overflowed = 0
-
     def export(self) -> dict:
         """Fresh, JSON-able dict of every series of this metric."""
         return {
@@ -148,13 +133,6 @@ class Counter(_Metric):
     def _new_series(self) -> _CounterSeries:
         return _CounterSeries()
 
-    def inc(self, n: int = 1) -> None:
-        self._default().inc(n)
-
-    @property
-    def value(self):
-        return self._default().value
-
 
 class _GaugeSeries:
     __slots__ = ("value",)
@@ -182,19 +160,6 @@ class Gauge(_Metric):
 
     def _new_series(self) -> _GaugeSeries:
         return _GaugeSeries()
-
-    def set(self, v: float) -> None:
-        self._default().set(v)
-
-    def inc(self, n: float = 1.0) -> None:
-        self._default().inc(n)
-
-    def dec(self, n: float = 1.0) -> None:
-        self._default().dec(n)
-
-    @property
-    def value(self):
-        return self._default().value
 
 
 class _HistogramSeries:
@@ -256,12 +221,9 @@ class Histogram(_Metric):
     def _new_series(self) -> _HistogramSeries:
         return _HistogramSeries(self.buckets)
 
-    def observe(self, v: float) -> None:
-        self._default().observe(v)
-
 
 class Registry:
-    """Metric registry of one observability session, with export / reset.
+    """Metric registry of one observability session, with export.
 
     Re-requesting a metric with the same name returns the existing
     instance; re-requesting with a *different* type or label set raises
@@ -301,15 +263,6 @@ class Registry:
         return self._get_or_create(Histogram, name, label_names, buckets=buckets)
 
     # -- inspection --------------------------------------------------------
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def get(self, name: str) -> Optional[_Metric]:
-        return self._metrics.get(name)
-
-    def names(self) -> list:
-        return sorted(self._metrics)
-
     def value(self, name: str, /, **label_values):
         """Convenience for tests: current value of one series (or None).
 
@@ -329,16 +282,6 @@ class Registry:
         s = m._series.get(key)
         return None if s is None else s.export()
 
-    # -- lifecycle ---------------------------------------------------------
     def export(self) -> dict:
         """Fresh nested dict of every metric (safe to mutate / JSON-dump)."""
         return {name: m.export() for name, m in sorted(self._metrics.items())}
-
-    def reset(self) -> None:
-        """Zero every metric (registrations survive, series are dropped)."""
-        for m in self._metrics.values():
-            m.reset()
-
-    def clear(self) -> None:
-        """Forget every metric entirely."""
-        self._metrics.clear()

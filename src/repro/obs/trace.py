@@ -111,14 +111,6 @@ class Tracer:
             assert ev is not None
             yield ev
 
-    def clear(self) -> None:
-        """Drop everything and restart numbering."""
-        self._buf = [None] * self.capacity
-        self._head = 0
-        self._len = 0
-        self.total = 0
-        self.dropped = 0
-
     # -- golden-trace oracle -------------------------------------------------
     def canonical(self) -> bytes:
         """Byte-stable serialization of the retained trace.

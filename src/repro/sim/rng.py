@@ -60,7 +60,3 @@ class RngRegistry:
             gen = np.random.Generator(np.random.PCG64(ss))
             self._streams[name] = gen
         return gen
-
-    def reset(self) -> None:
-        """Drop all streams; next access re-creates them from scratch."""
-        self._streams.clear()

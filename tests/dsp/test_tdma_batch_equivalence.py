@@ -10,11 +10,14 @@ must be **float-identical**.
 
 The kernel is also pinned against the per-carrier implementation it
 replaced, kept verbatim below (``_ref_*``): the burst modem, the
-timing helpers it called, and the ground-side multiplexer loop.  The
-one exception is the UW search: the reference computes it in the
-direct form the kernel defines (``_uw_metric_direct``), and the
+timing helpers it called, and the ground-side multiplexer loop.  Two
+exceptions: the UW search, where the reference computes it in the
+direct form the kernel defines (``_uw_metric_direct``) and the
 verbatim FFT form (``_uw_metric_fft``) is held to the same decisions
-and a last-bit tolerance on ``uw_metric``.
+and a last-bit tolerance on ``uw_metric``; and the multiplexer, a
+polyphase synthesis bank held within ``1e-11`` of the peak of the
+per-channel loop (``_ref_multiplex``), with exact checks on silent and
+empty stacks.
 """
 
 import warnings
@@ -459,6 +462,28 @@ class TestSynthesisEquivalence:
 
     @pytest.mark.parametrize("m", [2, 3, 8, 16])
     def test_multiplex_matches_loop(self, m):
-        rng = _rng("mux", m)
-        bb = rng.standard_normal((m, 150)) + 1j * rng.standard_normal((m, 150))
-        np.testing.assert_array_equal(multiplex_carriers(bb, m), _ref_multiplex(bb, m))
+        # the synthesis bank reassociates the loop's sums (one inverse
+        # DFT across channels instead of m mixed convolutions), so it is
+        # held to a relative tolerance, not float identity
+        for n in (1, 150, 544):
+            rng = _rng("mux", m, n)
+            bb = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+            out = multiplex_carriers(bb, m)
+            ref = _ref_multiplex(bb, m)
+            assert out.dtype == np.complex128 and out.shape == (m * n,)
+            assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref)), n
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 16])
+    def test_multiplex_silent_and_empty_stacks(self, m):
+        out = multiplex_carriers(np.zeros((m, 150)), m)
+        np.testing.assert_array_equal(out, np.zeros(m * 150, dtype=np.complex128))
+        empty = multiplex_carriers(np.zeros((m, 0), dtype=np.complex128), m)
+        assert empty.shape == (0,) and empty.dtype == np.complex128
+
+    def test_multiplex_rejects_bad_stacks(self):
+        with pytest.raises(ValueError):
+            multiplex_carriers(np.zeros((3, 150)), 4)
+        with pytest.raises(ValueError):
+            multiplex_carriers(np.zeros(150), 1)
+        with pytest.raises(ValueError):
+            multiplex_carriers(np.zeros((2, 3, 150)), 2)

@@ -16,14 +16,14 @@ from repro.obs.metrics import (
 class TestCounter:
     def test_unlabeled_inc(self):
         reg = Registry()
-        c = reg.counter("a.b.frames")
+        c = reg.counter("a.b.frames").labels()
         c.inc()
         c.inc(4)
         assert c.value == 5
         assert reg.value("a.b.frames") == 5
 
     def test_negative_increment_rejected(self):
-        c = Registry().counter("x")
+        c = Registry().counter("x").labels()
         with pytest.raises(MetricError):
             c.inc(-1)
 
@@ -34,12 +34,12 @@ class TestCounter:
         c.labels(link="down").inc(7)
         assert reg.value("net.link.frames", link="up") == 3
         assert reg.value("net.link.frames", link="down") == 7
-        assert c.num_series == 2
+        assert list(c.export()["series"]) == ["down", "up"]
 
     def test_unlabeled_access_on_labeled_metric_raises(self):
         c = Registry().counter("m", ("x",))
         with pytest.raises(MetricError):
-            c.inc()
+            c.labels()
 
     def test_wrong_label_names_raise(self):
         c = Registry().counter("m", ("x",))
@@ -68,7 +68,7 @@ class TestLabelCardinality:
         for i in range(10):
             c.labels(k=f"v{i}").inc()
         # 3 real series + the shared overflow series
-        assert c.num_series == 4
+        assert len(c.export()["series"]) == 4
         assert c.overflowed == 7
         overflow = c.labels_overflow()
         assert overflow.value == 7
@@ -85,7 +85,7 @@ class TestLabelCardinality:
 
 class TestGauge:
     def test_set_inc_dec(self):
-        g = Registry().gauge("depth")
+        g = Registry().gauge("depth").labels()
         g.set(10)
         g.inc(5)
         g.dec(2)
@@ -103,7 +103,7 @@ class TestHistogram:
         reg = Registry()
         h = reg.histogram("lat", buckets=(0.1, 1.0, 10.0))
         for v in (0.05, 0.5, 0.5, 5.0, 50.0):
-            h.observe(v)
+            h.labels().observe(v)
         out = reg.value("lat")
         assert out["count"] == 5
         assert out["sum"] == pytest.approx(56.05)
@@ -127,8 +127,8 @@ class TestRegistryLifecycle:
     def _populated(self):
         reg = Registry()
         reg.counter("c", ("k",)).labels(k="x").inc(2)
-        reg.gauge("g").set(1.5)
-        reg.histogram("h").observe(0.2)
+        reg.gauge("g").labels().set(1.5)
+        reg.histogram("h").labels().observe(0.2)
         return reg
 
     def test_export_shape_is_json_able(self):
@@ -145,24 +145,10 @@ class TestRegistryLifecycle:
         reg = self._populated()
         snap = reg.export()
         reg.counter("c", ("k",)).labels(k="x").inc(100)
-        reg.gauge("g").set(99)
+        reg.gauge("g").labels().set(99)
         assert snap["c"]["series"]["x"] == 2
         assert snap["g"]["series"][""] == 1.5
         assert reg.export()["c"]["series"]["x"] == 102
-
-    def test_reset_zeroes_but_keeps_registration(self):
-        reg = self._populated()
-        reg.reset()
-        assert reg.names() == ["c", "g", "h"]
-        assert all(m["series"] == {} for m in reg.export().values())
-        # series recreate from zero
-        reg.counter("c", ("k",)).labels(k="x").inc()
-        assert reg.value("c", k="x") == 1
-
-    def test_clear_forgets_everything(self):
-        reg = self._populated()
-        reg.clear()
-        assert reg.export() == {}
 
     def test_value_unknown_returns_none(self):
         reg = self._populated()

@@ -40,14 +40,6 @@ class TestRingBuffer:
         with pytest.raises(ValueError):
             Tracer(capacity=0)
 
-    def test_clear(self):
-        tr = Tracer(capacity=4)
-        tr.emit("a")
-        tr.clear()
-        assert len(tr) == 0
-        assert tr.total == 0
-        assert list(tr.events()) == []
-
 
 class TestClock:
     def test_default_clock_is_zero(self):

@@ -9,7 +9,10 @@ for the scalar one-burst ``receive`` loop against ``receive_batch`` at
 several batch sizes, times the multi-user ``CdmaReturnBank`` against
 per-user scalar demodulation of the same composite, asserts the
 headline **>= 5x speedup at a 64-burst batch**, and checks bit-exact
-equivalence between the paths on every measured input.
+equivalence between the paths on every measured input.  It also times
+the payload's front door, ``process_return_link``, per composite (no
+timing assertion) and checks that repeated calls re-derive nothing:
+the return bank and the SRRC pulse spectrum are design-cache hits.
 
 Run modes
 ---------
@@ -210,9 +213,64 @@ def test_rake_gemm_throughput(rng):
     _gauge("cdma_rake_sec", len(out["fingers"]), dt)
 
 
-def test_design_cache_gauges():
-    """The cdma.* code tables are registered and hit by the runs above."""
+@pytest.fixture(scope="module")
+def front_door(rng):
+    """A payload booted with ``modem.cdma`` at SF64, plus composites of
+    its 8-user (2 in smoke mode) return link."""
+    from repro.core import PayloadConfig, RegenerativePayload
+    from repro.core.registry import default_registry
+
+    users = 2 if SMOKE else 8
+    payload = RegenerativePayload(
+        PayloadConfig(num_carriers=1, fpga_rows=8, fpga_cols=8, fpga_bits_per_clb=32),
+        default_registry(cdma_config=CdmaConfig(sf=64)),
+    )
+    payload.boot(modem="modem.cdma")
+    bank = CdmaReturnBank.for_users(users, payload.demods[0].behaviour().config)
+    composites = []
+    for _ in range(2 if SMOKE else 20):
+        sent = [rng.integers(0, 2, NUM_BITS).astype(np.uint8) for _ in range(users)]
+        comp = bank.transmit(sent)
+        comp = comp + 0.02 * (
+            rng.standard_normal(len(comp)) + 1j * rng.standard_normal(len(comp))
+        )
+        composites.append((comp, sent))
+    return payload, users, composites
+
+
+def test_return_link_front_door(front_door):
+    """``process_return_link`` per composite on a booted payload."""
+    payload, users, composites = front_door
+    for comp, sent in composites:
+        out = payload.process_return_link(comp, users, NUM_BITS)
+        for got, bits in zip(out["bits"], sent):
+            assert np.array_equal(got, bits)
+    t0 = time.perf_counter()
+    for comp, _ in composites:
+        payload.process_return_link(comp, users, NUM_BITS)
+    dt = (time.perf_counter() - t0) / len(composites)
+    print_table(
+        f"process_return_link ({users} users, sf=64) per composite",
+        ["users", "wall [ms]", "composites/sec"],
+        [[users, f"{dt * 1e3:.2f}", f"{1 / dt:.0f}"]],
+    )
+    _gauge("cdma_return_link_sec", users, dt)
+
+
+def test_design_cache_gauges(front_door):
+    """The cdma.* code tables, the return bank and the SRRC pulse
+    spectrum are registered, and repeated return-link calls hit them."""
+    payload, users, composites = front_door
+    comp, _ = composites[0]
+    payload.process_return_link(comp, users, NUM_BITS)
+    before = design_cache_stats()
+    payload.process_return_link(comp, users, NUM_BITS)
+    payload.process_return_link(comp, users, NUM_BITS)
     stats = design_cache_stats()
+    # a repeated call builds no bank and transforms no pulse
+    for name in ("cdma.return_bank", "dsp.srrc_spectrum"):
+        assert stats[name]["hits"] == before[name]["hits"] + 2, name
+        assert stats[name]["misses"] == before[name]["misses"], name
     cdma = {k: v for k, v in stats.items() if k.startswith("cdma.")}
     assert set(cdma) >= {
         "cdma.m_sequence",
@@ -220,7 +278,9 @@ def test_design_cache_gauges():
         "cdma.ovsf_code",
         "cdma.spreading_code",
         "cdma.acq_code_fft",
+        "cdma.return_bank",
     }
+    cdma["dsp.srrc_spectrum"] = stats["dsp.srrc_spectrum"]
     rows = []
     for name, info in sorted(cdma.items()):
         rows.append([name, info["hits"], info["misses"], info["currsize"]])

@@ -372,10 +372,18 @@ class RegenerativePayload:
         ``scrambling_shift``), and the whole bank is demodulated through
         the batched return-link engine -- the matched filter runs once,
         acquisition is one FFT pass over all user codes, and tracking /
-        despreading run in ``U``-wide lock-step
-        (:class:`~repro.dsp.cdma.CdmaReturnBank`).  Per-user results are
-        bit-identical to running each user's scalar ``receive`` on the
-        same composite.
+        despreading run in ``U``-wide lock-step.  The bank comes from
+        :meth:`~repro.dsp.cdma.CdmaReturnBank.for_users`, which caches
+        it per ``(num_users, modem config)``, so repeated calls build
+        nothing.  Per-user results are bit-identical to running each
+        user's scalar ``receive`` on the same composite.
+
+        How many users one composite carries is bounded by
+        multiple-access interference between the short, non-orthogonal
+        scrambled codes, not by this receiver: noiseless, SF 16 decodes
+        2 users clean but not 3 or 4, while SF 64 decodes 8 (see
+        ``for_users``).  ``num_users`` is not checked against that
+        bound.
 
         Requires the carrier's demod to carry a CDMA personality
         (``modem.cdma``); anything else raises ``TypeError``.  Equipment
@@ -387,7 +395,9 @@ class RegenerativePayload:
         feeds the health monitor of the carrier it arrived on.
 
         Returns ``{"bits": [per-user bits], "diagnostics": [per-user
-        diagnostic dicts]}``.
+        diagnostic dicts]}``.  A burst with no payload symbols
+        (``num_bits=0``) returns empty bits with ``carrier_lock`` and
+        ``snr_db`` set to ``None``, which the health monitor skips.
         """
         if not 0 <= carrier < len(self.demods):
             raise ValueError(f"carrier {carrier} out of range")

@@ -53,15 +53,14 @@ pick accumulation order by operand shape).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from ..caching import array_cache_key, cached_design, freeze
 from ..obs.probes import probe
-from .filters import srrc
+from .filters import srrc, srrc_filter
 from .modem import PskModem, estimate_snr_m2m4
 from .carrier import carrier_lock_metric, data_aided_phase
 from .tdma import BurstSyncError
@@ -107,6 +106,10 @@ _GOLD_PAIR_TAPS: dict[int, tuple[int, ...]] = {
     10: (10, 8, 3, 2),
     11: (11, 8, 5, 2),
 }
+
+#: distinct members of the degree-9 Gold family a return bank spreads
+#: its users over (:meth:`CdmaReturnBank.for_users`)
+_GOLD_FAMILY = (1 << 9) - 1
 
 
 def _lfsr_output_bits(degree: int, taps: tuple[int, ...]) -> np.ndarray:
@@ -872,21 +875,25 @@ def _return_link_engine(
     data = symbols[:, npil:] * np.exp(-1j * phases)[:, None]
     bits = psk.demodulate_hard(data)[:, :num_bits]
 
+    # per-burst health diagnostics consumed by repro.robustness.fdir, one
+    # call each over the (rows, ndata) stack (row r equals the 1-D call
+    # on row r); a burst too short to measure reports None
+    ndata = data.shape[1]
+    locks = carrier_lock_metric(data, psk.order).tolist() if ndata else [None] * rows
+    snrs = estimate_snr_m2m4(data).tolist() if ndata >= 8 else [None] * rows
     out = []
     for r in range(rows):
         acq = acqs[r]
-        d = data[r]
         out.append(
             {
                 "bits": bits[r],
-                "symbols": d,
+                "symbols": data[r],
                 "acquisition": acq,
                 "phase": float(phases[r]),
                 "dll_tau": tau_path[-HISTORY_MAXLEN:, r].copy(),
-                # per-burst health diagnostics consumed by repro.robustness.fdir
                 "acq_metric": float(acq.metric / max(acq.mean_level, 1e-30)),
-                "carrier_lock": carrier_lock_metric(d, psk.order),
-                "snr_db": estimate_snr_m2m4(d) if len(d) >= 8 else None,
+                "carrier_lock": locks[r],
+                "snr_db": snrs[r],
             }
         )
     return out
@@ -922,12 +929,13 @@ class CdmaModem:
         self.config = config or CdmaConfig()
         self.code = self.config.spreading_code()
         self.psk = PskModem(self.config.modulation)
-        self.pulse = srrc(self.config.beta, self.config.chip_sps, self.config.span)
+        self._srrc = (self.config.beta, self.config.chip_sps, self.config.span)
+        self.pulse = srrc(*self._srrc)
         pilot_bits = np.resize(
             np.array([0, 1, 1, 0], dtype=np.uint8),
             self.PILOT_SYMBOLS * self.psk.bits_per_symbol,
         )
-        self.pilot = self.psk.modulate(pilot_bits)
+        self.pilot = freeze(self.psk.modulate(pilot_bits))
 
     # -- transmit -------------------------------------------------------
     def transmit(self, bits: np.ndarray) -> np.ndarray:
@@ -959,7 +967,7 @@ class CdmaModem:
         sps = self.config.chip_sps
         x = np.zeros((rows, chips.shape[1] * sps), dtype=chips.dtype)
         x[:, ::sps] = chips
-        return fftconvolve(x, self.pulse[None, :], mode="full", axes=1)
+        return srrc_filter(x, *self._srrc, matched=False)
 
     def num_tx_samples(self, num_bits: int) -> int:
         """Length of :meth:`transmit` output for ``num_bits`` input bits."""
@@ -972,7 +980,10 @@ class CdmaModem:
 
         Returns a dict with ``bits`` (hard decisions), ``symbols``
         (despread, de-rotated), ``acquisition`` (:class:`AcquisitionResult`),
-        ``phase`` (estimated carrier phase) and ``dll_tau`` trajectory.
+        ``phase`` (estimated carrier phase), ``dll_tau`` trajectory and
+        the FDIR health diagnostics ``acq_metric``, ``carrier_lock``
+        (``None`` with no payload symbols) and ``snr_db`` (``None``
+        below 8 payload symbols).
         ``num_bits`` defaults to :attr:`bits_per_burst`.  A one-row
         view of :meth:`receive_batch`; raises :class:`BurstSyncError`
         for a burst with non-finite samples.
@@ -1010,7 +1021,7 @@ class CdmaModem:
             return []
         # a non-finite row poisons only its own row of the filter
         with np.errstate(invalid="ignore", over="ignore"):
-            mf = fftconvolve(x, self.pulse[::-1][None, :], mode="full", axes=[1])
+            mf = srrc_filter(x, *self._srrc, matched=True)
         finite = np.isfinite(mf).all(axis=1)
         # zero a failed row so that no NaN or inf reaches acquisition
         mf[~finite] = 0.0
@@ -1041,7 +1052,8 @@ class CdmaModem:
         """
         cfg = self.config
         _check_num_bits(num_bits, self.psk)
-        mf = fftconvolve(np.asarray(samples, dtype=np.complex128), self.pulse[::-1])
+        x = np.asarray(samples, dtype=np.complex128)
+        mf = srrc_filter(x[None, :], *self._srrc, matched=True)[0]
         gd = len(self.pulse) - 1
         nsym = self.PILOT_SYMBOLS + num_bits // self.psk.bits_per_symbol
         chips_needed = min(8, nsym) * cfg.sf
@@ -1082,6 +1094,10 @@ class CdmaReturnBank:
     per user.  Per-user results -- bits, symbols and FDIR diagnostics
     -- are identical to running each user's scalar
     :meth:`CdmaModem.receive` on the same composite samples.
+
+    A bank holds no per-call state, so one bank serves every caller:
+    :meth:`for_users` hands out a cached instance, and its shared
+    arrays (``codes``, ``pilot``) are read-only.
     """
 
     def __init__(self, configs: Sequence[CdmaConfig]) -> None:
@@ -1100,13 +1116,14 @@ class CdmaReturnBank:
                     "bank users must share the chip-level front end "
                     "(sf, chip_sps, beta, span, modulation)"
                 )
-        self.modems = [CdmaModem(c) for c in configs]
-        self.codes = np.stack([m.code for m in self.modems])
+        self.modems = tuple(CdmaModem(c) for c in configs)
+        self.codes = freeze(np.stack([m.code for m in self.modems]))
         base = self.modems[0]
         self.config = base.config
         self.psk = base.psk
         self.pilot = base.pilot
         self.pulse = base.pulse
+        self._srrc = base._srrc
 
     @classmethod
     def for_users(
@@ -1120,25 +1137,25 @@ class CdmaReturnBank:
         ``base.scrambling_shift``).  Unlike stacking users on OVSF
         branches under one scrambler -- whose identical pilot preambles
         sum coherently and bury the per-user acquisition peak --
-        distinct scramblers keep every user's correlation peak sharp,
-        so the bank acquires and decodes reliably at realistic loads
-        (e.g. 8 users at SF 64).
-        """
-        from dataclasses import replace
+        distinct scramblers keep every user's correlation peak sharp.
 
+        The scrambled codes are short and not orthogonal, so the users
+        interfere with each other (multiple-access interference) and
+        the load one SF carries is bounded by the code family, not by
+        the receiver.  On noiseless composites of random 128-bit
+        bursts, SF 16 decodes 2 users clean but not 3 (one user takes
+        2-32 bit errors, and still 0-4 with the DLL held still) or 4
+        (two users take 13-22 errors each, with or without the DLL);
+        SF 32 decodes 4 users and SF 64 8 users clean.
+
+        Equal ``(num_users, base)`` pairs return the same cached bank
+        (design cache ``cdma.return_bank``), so a caller that demodulates
+        composite after composite builds it once.
+        """
         base = base or CdmaConfig()
-        family = (1 << 9) - 1  # distinct degree-9 Gold family members
-        if not 1 <= num_users <= family:
-            raise ValueError(f"num_users must be in [1, {family}]")
-        return cls(
-            [
-                replace(
-                    base,
-                    scrambling_shift=(base.scrambling_shift + u) % family,
-                )
-                for u in range(num_users)
-            ]
-        )
+        if not 1 <= num_users <= _GOLD_FAMILY:
+            raise ValueError(f"num_users must be in [1, {_GOLD_FAMILY}]")
+        return _return_bank(int(num_users), astuple(base))
 
     @property
     def num_users(self) -> int:
@@ -1164,9 +1181,9 @@ class CdmaReturnBank:
         x = np.asarray(samples, dtype=np.complex128)
         if x.ndim != 1:
             raise ValueError("the bank receives one shared composite waveform")
-        # matched-filter once for the whole bank (identical call shape to
-        # the scalar path so per-user samples agree bitwise)
-        mf = fftconvolve(x[None, :], self.pulse[::-1][None, :], mode="full", axes=[1])
+        # matched-filter once for the whole bank (the one-row call of the
+        # scalar path, so per-user samples agree bitwise)
+        mf = srrc_filter(x[None, :], *self._srrc, matched=True)
         out = _return_link_engine(
             mf[0],
             self.codes,
@@ -1178,3 +1195,16 @@ class CdmaReturnBank:
         )
         _count_cdma_metrics("bank", self.config.sf, len(out), num_bits)
         return out
+
+
+@cached_design("cdma.return_bank", maxsize=8)
+def _return_bank(num_users: int, base: tuple) -> CdmaReturnBank:
+    """The bank :meth:`CdmaReturnBank.for_users` hands out, keyed on
+    ``(num_users, astuple(base))``."""
+    cfg = CdmaConfig(*base)
+    return CdmaReturnBank(
+        [
+            replace(cfg, scrambling_shift=(cfg.scrambling_shift + u) % _GOLD_FAMILY)
+            for u in range(num_users)
+        ]
+    )

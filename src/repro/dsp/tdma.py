@@ -17,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sp_fft
 
-from ..caching import cached_design, freeze
-from .filters import srrc
+from .filters import srrc, srrc_filter
 from .modem import PskModem, estimate_snr_m2m4
 from .carrier import carrier_lock_metric, frequency_estimate
 from .timing import GardnerLoop, line_lock, line_tau, oerder_meyr_strobes, timing_line
@@ -44,18 +42,6 @@ _UW_BITS = np.array(
      0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0, 1, 0],
     dtype=np.uint8,
 )
-
-
-@cached_design("dsp.srrc_spectrum", maxsize=32)
-def _srrc_spectrum(
-    beta: float, sps: int, span: int, nfft: int, matched: bool
-) -> np.ndarray:
-    """Length-``nfft`` spectrum of the SRRC pulse (``matched``: of its
-    time reverse).  It is the FFT of the *real* taps, the same spectrum
-    ``scipy.signal.fftconvolve`` computes, so filtering with it is
-    float-identical to that call."""
-    taps = srrc(beta, sps, span)
-    return freeze(sp_fft.fft(taps[::-1] if matched else taps, nfft))
 
 
 def default_uw(psk: PskModem, length: int = 20) -> np.ndarray:
@@ -270,17 +256,7 @@ class TdmaModem:
         heads = np.concatenate([self.preamble, self.uw])
         x[:, : len(heads) * self.sps : self.sps] = heads
         x[:, len(heads) * self.sps :: self.sps] = payload
-        return self._filter(x, matched=False)
-
-    def _filter(self, x: np.ndarray, matched: bool) -> np.ndarray:
-        """Full axis-1 convolution of a ``(C, n)`` stack with the SRRC
-        pulse (``matched``: with its time reverse), against the cached
-        pulse spectrum."""
-        n = x.shape[1] + len(self.pulse) - 1
-        nfft = sp_fft.next_fast_len(n, False)
-        buf = sp_fft.fft(x, nfft, axis=1)
-        buf *= _srrc_spectrum(*self._srrc, nfft, matched)
-        return sp_fft.ifft(buf, axis=1, overwrite_x=True)[:, :n]
+        return srrc_filter(x, *self._srrc, matched=False)
 
     def num_tx_samples(self) -> int:
         """Length of a transmitted burst in samples."""
@@ -365,7 +341,7 @@ class TdmaModem:
         sps = self.sps
         # a non-finite row poisons only its own row of the filter
         with np.errstate(invalid="ignore", over="ignore"):
-            mf = self._filter(x, matched=True)
+            mf = srrc_filter(x, *self._srrc, matched=True)
         if self.timing_mode == "oerder-meyr" and mf.shape[1] < 4 * sps:
             raise ValueError("burst too short for a timing estimate")
         results: list = [None] * len(x)

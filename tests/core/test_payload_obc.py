@@ -366,6 +366,36 @@ class TestReturnLinkFrontDoor:
         assert health.monitor(1).bursts == 3
         assert health.monitor(0).bursts == 0
 
+    def test_zero_bit_composite(self):
+        """Pilot-only bursts: empty bits, None lock and SNR, and the
+        health monitor books each user without tripping."""
+        from repro.robustness.fdir import HealthMonitorBank
+
+        pl = self._cdma_payload()
+        _, _, comp = self._composite(pl, num_users=2, num_bits=0)
+        health = HealthMonitorBank(1)
+        pl.attach_health(health)
+        out = pl.process_return_link(comp, num_users=2, num_bits=0)
+        for u in range(2):
+            assert out["bits"][u].shape == (0,)
+            diag = out["diagnostics"][u]
+            assert diag["carrier_lock"] is None and diag["snr_db"] is None
+        assert health.monitor(0).bursts == 2
+        assert not health.monitor(0).tripped
+
+    def test_repeated_calls_build_no_bank(self):
+        from repro.caching import design_cache_stats
+
+        pl = self._cdma_payload()
+        _, _, comp = self._composite(pl, num_users=2, num_bits=32)
+        pl.process_return_link(comp, num_users=2, num_bits=32)
+        before = design_cache_stats()["cdma.return_bank"]
+        for _ in range(3):
+            pl.process_return_link(comp, num_users=2, num_bits=32)
+        after = design_cache_stats()["cdma.return_bank"]
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + 3
+
     def test_tdma_personality_rejected(self):
         pl = booted_payload(num_carriers=1)  # boots modem.tdma
         with pytest.raises(TypeError, match="CDMA personality"):

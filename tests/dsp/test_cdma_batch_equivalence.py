@@ -464,6 +464,59 @@ class TestReturnBankEquivalence:
             bank.receive(np.zeros((2, 4096), dtype=complex), 16)
 
 
+class TestReturnBankCache:
+    """``for_users`` hands out one cached, read-only bank per config."""
+
+    def test_equal_configs_share_one_bank(self):
+        a = CdmaReturnBank.for_users(3, CdmaConfig(sf=32))
+        assert CdmaReturnBank.for_users(3, CdmaConfig(sf=32)) is a
+
+    @pytest.mark.parametrize(
+        "users, cfg",
+        [
+            (2, CdmaConfig(sf=32)),
+            (3, CdmaConfig(sf=64)),
+            (3, CdmaConfig(sf=32, scrambling_shift=5)),
+        ],
+        ids=["users", "sf", "scrambling_shift"],
+    )
+    def test_different_configs_get_different_banks(self, users, cfg):
+        ref = CdmaReturnBank.for_users(3, CdmaConfig(sf=32))
+        bank = CdmaReturnBank.for_users(users, cfg)
+        assert bank is not ref
+        assert bank.codes.shape == (users, cfg.sf)
+        assert bank.config.scrambling_shift == cfg.scrambling_shift
+
+    def test_shared_arrays_are_read_only(self):
+        bank = CdmaReturnBank.for_users(2, CdmaConfig(sf=16))
+        with pytest.raises(ValueError, match="read-only"):
+            bank.codes[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            bank.pilot[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            bank.modems[1].pilot[0] = 0.0
+
+
+class TestReturnBankLoad:
+    """Multiple-access interference bounds the users one SF carries.
+
+    The scrambled codes are short and not orthogonal, so at SF 16 a
+    third user already takes bit errors with no noise at all (see
+    ``CdmaReturnBank.for_users``).  The loads the repo runs -- SF 16
+    with 2 users (tests, payload front door) and SF 64 with 8 users
+    (the e2e return-link workload) -- must decode clean.
+    """
+
+    @pytest.mark.parametrize("users, sf", [(2, 16), (8, 64)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relied_on_loads_decode_noiseless(self, users, sf, seed):
+        bank = CdmaReturnBank.for_users(users, CdmaConfig(sf=sf))
+        rng = _rng("load", users, sf, seed)
+        sent = [rng.integers(0, 2, 128).astype(np.uint8) for _ in range(users)]
+        for got, bits in zip(bank.receive(bank.transmit(sent), 128), sent):
+            np.testing.assert_array_equal(got["bits"], bits)
+
+
 class TestTransmitBatchEquivalence:
     @pytest.mark.parametrize("sf", [16, 64])
     def test_rows_match_looped_transmit(self, sf):
@@ -553,6 +606,31 @@ class TestNumBitsContract:
         pl.boot(modem="modem.cdma")
         with pytest.raises(ValueError, match="num_bits"):
             pl.process_return_link(comp, num_users=2, num_bits=num_bits)
+
+    def test_zero_bit_burst(self):
+        """A pilot-only burst returns empty bits and symbols; the lock
+        and SNR diagnostics have nothing to measure and read None."""
+        modem = CdmaModem(CdmaConfig(sf=16))
+        tx = modem.transmit(np.zeros(0, dtype=np.uint8))
+        assert len(tx) == modem.num_tx_samples(0)
+        single = modem.receive(tx, 0)
+        batched = modem.receive_batch(np.stack([tx, tx]), 0)
+        for out in [single, *batched]:
+            assert out["bits"].shape == (0,) and out["bits"].dtype == np.uint8
+            assert out["symbols"].shape == (0,)
+            assert out["carrier_lock"] is None and out["snr_db"] is None
+            assert out["acquisition"].detected
+        _assert_result_identical(batched[1], single)
+
+    def test_zero_bit_bank(self):
+        bank = CdmaReturnBank.for_users(2, CdmaConfig(sf=16))
+        comp = bank.transmit([np.zeros(0, dtype=np.uint8)] * 2)
+        out = bank.receive(comp, 0)
+        assert len(out) == 2
+        for u, res in enumerate(out):
+            assert res["bits"].shape == (0,)
+            assert res["carrier_lock"] is None and res["snr_db"] is None
+            _assert_result_identical(res, bank.modems[u].receive(comp, 0))
 
     @pytest.mark.parametrize("num_bits", [2, 126])
     def test_whole_symbol_counts_return_exactly_num_bits(self, num_bits):

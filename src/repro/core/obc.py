@@ -196,31 +196,3 @@ class OnBoardController:
             True,
             {"granted": granted, **recorder.status()},
         )
-
-    # -- traffic-plane FDIR ------------------------------------------------
-    def attach_fdir(self, arbiter, policy=None) -> None:
-        """Register the traffic-plane FDIR stack for telemetry.
-
-        ``arbiter`` is a :class:`repro.robustness.fdir.FdirArbiter` (or
-        anything with a ``status()`` dict); ``policy`` the optional
-        :class:`repro.robustness.fdir.DegradedModePolicy`.  The ``fdir``
-        telecommand then reports both -- the ground's view into the
-        autonomous recovery machinery.
-        """
-        self.fdir_arbiter = arbiter
-        self.fdir_policy = policy
-
-    def _tc_fdir(self, tc: Telecommand) -> Telemetry:
-        """Report FDIR arbiter + degraded-mode state to the ground."""
-        arbiter = getattr(self, "fdir_arbiter", None)
-        if arbiter is None:
-            return Telemetry(
-                tc.tc_id, False, {"error": "no FDIR arbiter attached"}
-            )
-        payload: dict = {"arbiter": arbiter.status()}
-        policy = getattr(self, "fdir_policy", None)
-        if policy is not None:
-            payload["degraded"] = policy.status()
-        if self.watchdog is not None:
-            payload["watchdog"] = self.watchdog.status()
-        return Telemetry(tc.tc_id, True, payload)

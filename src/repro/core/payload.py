@@ -72,11 +72,6 @@ class PayloadConfig:
         if len(self.beam_thetas) < 1:
             raise ValueError("need at least one beam")
 
-    @property
-    def beam_theta(self) -> float:
-        """First beam direction (kept for the single-beam API)."""
-        return self.beam_thetas[0]
-
 
 class PacketSwitch:
     """Baseband packet switching (the regenerative payload's raison d'etre).

@@ -85,9 +85,6 @@ class FunctionRegistry:
     def names(self) -> list[str]:
         return sorted(self._designs)
 
-    def by_kind(self, kind: str) -> list[FunctionDesign]:
-        return [d for d in self._designs.values() if d.kind == kind]
-
     def __contains__(self, name: str) -> bool:
         return name in self._designs
 

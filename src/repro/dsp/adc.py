@@ -61,11 +61,6 @@ class Adc:
         """Quantize a block of (complex) baseband samples."""
         return quantize(x, self.bits, self.full_scale)
 
-    @property
-    def sqnr_db(self) -> float:
-        """Theoretical SQNR for a full-scale sine: 6.02 b + 1.76 dB."""
-        return 6.02 * self.bits + 1.76
-
 
 class Dac:
     """DAC model: quantize then (ideally) reconstruct.

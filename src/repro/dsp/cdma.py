@@ -18,16 +18,17 @@ kernel here is batch-first and the scalar entry points are views of the
 batched ones (the PR-4 discipline: scalar delegates to batched, so
 batched == scalar *by construction*):
 
-- :func:`acquire` delegates to :func:`acquire_bank`, which correlates a
-  stack of user codes against shared chip samples in one
-  reshape + axis-FFT pass using cached ``conj(fft(code))`` tables;
+- acquisition (:func:`_noncoherent_stats`) correlates a stack of user
+  codes against shared chip samples, or one code against a stack of
+  bursts, in one reshape + axis-FFT pass using cached
+  ``conj(fft(code))`` tables; :func:`acquire` is its one-row view;
 - every despread is a **chip sum**: with a whole number ``sps`` of
   samples per chip, all chips of one strobe share the interpolation
   fraction ``f`` of its start ``b + f``, so the linear-interpolated
   despread is ``((1 - f) D[b] + f D[b + 1]) / sf`` with
   ``D[m] = sum_j x[m + j sps] c_j`` -- the integrate-and-dump of a
-  hardware correlator at one sampling phase.  ``Dll`` and
-  ``RakeReceiver`` reject any other ``sps``;
+  hardware correlator at one sampling phase.  ``Dll`` rejects any
+  other ``sps``;
 - :class:`Dll` tracking runs through :func:`_block_dll_track`, which
   forms only the early and late correlators, as one ``(B, 2, 2, sf)``
   gather and one reduction per symbol, batched across bursts/users;
@@ -35,8 +36,7 @@ batched == scalar *by construction*):
 - the settled (``gain=0``) despread grid is fully deterministic: one
   base and one fraction per row, so each interpolator tap's chips are
   a strided ``(nsym, sf)`` view of the row and the whole burst is two
-  reductions (:func:`_settled_despread`), which is also the rake
-  (:meth:`RakeReceiver.despread_fingers`);
+  reductions (:func:`_settled_despread`);
 - :meth:`CdmaModem.receive_batch` demodulates a ``(B, nsamples)`` stack
   of bursts and :class:`CdmaReturnBank` demodulates U code-multiplexed
   users from one composite waveform, both through the same engine
@@ -53,7 +53,7 @@ pick accumulation order by operand shape).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,14 +73,12 @@ __all__ = [
     "spread",
     "despread",
     "acquire",
-    "acquire_bank",
     "AcquisitionResult",
     "mean_acquisition_time",
     "Dll",
     "CdmaConfig",
     "CdmaModem",
     "CdmaReturnBank",
-    "RakeReceiver",
 ]
 
 # Primitive polynomial feedback taps (Fibonacci LFSR) by register degree.
@@ -312,32 +310,6 @@ def _noncoherent_stats(
     return stat.reshape(-1, sf)
 
 
-def acquire_bank(
-    rx_chips: np.ndarray,
-    codes: np.ndarray,
-    threshold: float = 3.0,
-    coherent_symbols: int = 1,
-) -> list[AcquisitionResult]:
-    """Code-phase search for a stack of user codes on shared chips.
-
-    The multi-user form of :func:`acquire`: ``codes`` is ``(U, sf)``
-    and every user's serial search runs against the *same* received
-    chip samples -- one segment FFT shared across the bank, one cached
-    ``conj(fft(code))`` table per user.  Returns one
-    :class:`AcquisitionResult` per code, each identical to a scalar
-    :func:`acquire` call with that code.
-    """
-    codes = np.atleast_2d(np.asarray(codes, dtype=np.float64))
-    sf = codes.shape[-1]
-    rx = np.asarray(rx_chips, dtype=np.complex128)
-    if rx.ndim != 1:
-        raise ValueError("acquire_bank expects one shared 1-D chip stream")
-    if len(rx) < sf * coherent_symbols:
-        raise ValueError("need at least coherent_symbols code periods of chips")
-    stats = _noncoherent_stats(rx[None, :], codes, coherent_symbols)
-    return [_result_from_stat(stats[u], threshold) for u in range(codes.shape[0])]
-
-
 def acquire(
     rx_chips: np.ndarray,
     code: np.ndarray,
@@ -353,11 +325,18 @@ def acquire(
     carrier phase.  Detection compares the peak to ``threshold`` times
     the mean off-peak level (a CFAR-style normalized test).
 
-    Delegates to :func:`acquire_bank` with a one-code bank, so scalar
-    and banked searches agree by construction.
+    A one-row view of the return-link engine's search
+    (:func:`_noncoherent_stats`), so scalar and banked searches agree
+    by construction.
     """
     code = np.asarray(code, dtype=np.float64)
-    return acquire_bank(rx_chips, code[None, :], threshold, coherent_symbols)[0]
+    rx = np.asarray(rx_chips, dtype=np.complex128)
+    if rx.ndim != 1:
+        raise ValueError("acquire expects one 1-D chip stream")
+    if len(rx) < len(code) * coherent_symbols:
+        raise ValueError("need at least coherent_symbols code periods of chips")
+    stat = _noncoherent_stats(rx[None, :], code[None, :], coherent_symbols)[0]
+    return _result_from_stat(stat, threshold)
 
 
 def mean_acquisition_time(
@@ -604,18 +583,6 @@ class Dll:
         # one float per symbol forever (see repro.dsp.timing.HISTORY_MAXLEN)
         self.tau_history: deque[float] = deque(maxlen=HISTORY_MAXLEN)
 
-    def _despread_at(self, x: np.ndarray, start: float) -> complex:
-        """Despread one symbol with chip strobes starting at ``start``.
-
-        Raises :class:`ValueError` when the strobe span (including the
-        interpolator's ``base + 1`` tap) does not fit inside ``x`` --
-        a truncated burst used to silently duplicate the edge sample.
-        """
-        x = np.asarray(x, dtype=np.complex128)
-        return complex(
-            _interp_despread(x, self.code, np.array([start]), self.sps)[0]
-        )
-
     def process(self, x: np.ndarray, start: float, num_symbols: int) -> np.ndarray:
         """Track and despread ``num_symbols`` symbols.
 
@@ -655,7 +622,7 @@ class Dll:
         return _interp_despread(x, self.code, strobes[0], self.sps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CdmaConfig:
     """Parameters of the CDMA modem personality (paper defaults: S-UMTS)."""
 
@@ -680,97 +647,6 @@ class CdmaConfig:
         return _spreading_code_table(
             int(self.sf), int(self.code_index), int(self.scrambling_shift)
         )
-
-
-class RakeReceiver:
-    """Multipath rake combining for the mobile CDMA case.
-
-    The paper's CDMA context is the S-UMTS mobile return link, where
-    multipath is the norm.  The rake identifies finger delays from the
-    acquisition statistic (peaks above a fraction of the main peak),
-    despreads each finger independently, estimates per-finger complex
-    amplitudes from a known pilot, and maximal-ratio combines.
-    ``sps`` must be a whole number of samples per chip.
-    """
-
-    def __init__(
-        self,
-        code: np.ndarray,
-        sps: int = 4,
-        max_fingers: int = 4,
-        finger_threshold: float = 0.2,
-    ) -> None:
-        sps = _whole_sps(sps)
-        if max_fingers < 1:
-            raise ValueError("need at least one finger")
-        if not 0.0 < finger_threshold < 1.0:
-            raise ValueError("finger_threshold must be in (0, 1)")
-        self.code = np.asarray(code, dtype=np.float64)
-        self.sps = sps
-        self.max_fingers = max_fingers
-        self.finger_threshold = finger_threshold
-        self.finger_phases: list[int] = []
-        self.finger_gains: np.ndarray | None = None
-
-    def find_fingers(self, acq: AcquisitionResult) -> list[int]:
-        """Pick finger code phases from the acquisition statistic."""
-        stat = acq.statistics
-        sf = len(stat)
-        order = np.argsort(stat)[::-1]
-        peak = stat[order[0]]
-        fingers = []
-        for idx in order:
-            if stat[idx] < self.finger_threshold * peak:
-                break
-            # skip phases adjacent (within 1 chip) to an accepted finger;
-            # code phases are cyclic, so phase 0 and phase sf-1 are
-            # neighbours too -- linear distance would double-count one
-            # multipath arrival straddling the wrap in the MRC combiner
-            if any(
-                min(abs(int(idx) - f), sf - abs(int(idx) - f)) <= 1
-                for f in fingers
-            ):
-                continue
-            fingers.append(int(idx))
-            if len(fingers) == self.max_fingers:
-                break
-        self.finger_phases = fingers
-        return fingers
-
-    def despread_fingers(
-        self, mf: np.ndarray, base_start: float, num_symbols: int
-    ) -> np.ndarray:
-        """Despread each finger; returns (num_fingers, num_symbols).
-
-        Every finger is a settled DLL (``gain = 0``) whose strobe grid
-        is offset from ``base_start`` by its code phase, so each finger
-        is two strided chip-sum reductions (:func:`_settled_despread`).
-        """
-        if not self.finger_phases:
-            raise RuntimeError("call find_fingers() first")
-        mf = np.asarray(mf, dtype=np.complex128)
-        starts = base_start + np.asarray(self.finger_phases, np.float64) * self.sps
-        return _settled_despread(
-            mf, self.code, starts, num_symbols, self.sps, len(self.code)
-        )
-
-    def combine(
-        self, finger_symbols: np.ndarray, pilot: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """MRC combine using pilot-derived complex finger gains.
-
-        ``finger_symbols`` is (F, N); ``pilot`` the known first symbols.
-        Returns (combined symbols, per-finger gains).
-        """
-        npil = len(pilot)
-        if finger_symbols.shape[1] < npil:
-            raise ValueError("not enough symbols to cover the pilot")
-        gains = (finger_symbols[:, :npil] @ np.conj(pilot)) / npil
-        self.finger_gains = gains
-        combined = np.conj(gains)[:, None] * finger_symbols
-        y = combined.sum(axis=0)
-        norm = float(np.sum(np.abs(gains) ** 2))
-        return y / max(norm, 1e-30), gains
 
 
 # ---------------------------------------------------------------------------
@@ -1040,45 +916,6 @@ class CdmaModem:
         _count_cdma_metrics("burst", cfg.sf, len(out), num_bits)
         return out
 
-    def receive_rake(
-        self, samples: np.ndarray, num_bits: int, max_fingers: int = 4
-    ) -> dict:
-        """Multipath (rake) demodulation of a burst.
-
-        Like :meth:`receive`, but identifies multipath fingers from the
-        acquisition statistic and MRC-combines them -- the mobile
-        S-UMTS return-link case.  The rake's pilot-derived gains also
-        absorb the carrier phase, so no separate phase step is needed.
-        """
-        cfg = self.config
-        _check_num_bits(num_bits, self.psk)
-        x = np.asarray(samples, dtype=np.complex128)
-        mf = srrc_filter(x[None, :], *self._srrc, matched=True)[0]
-        gd = len(self.pulse) - 1
-        nsym = self.PILOT_SYMBOLS + num_bits // self.psk.bits_per_symbol
-        chips_needed = min(8, nsym) * cfg.sf
-        chip_samples = mf[gd : gd + chips_needed * cfg.chip_sps : cfg.chip_sps]
-        acq = acquire(chip_samples, self.code, coherent_symbols=min(8, nsym))
-
-        rake = RakeReceiver(self.code, sps=cfg.chip_sps, max_fingers=max_fingers)
-        rake.find_fingers(acq)
-        # high-phase (noise or late-path) fingers strobe past the filter
-        # tail; zero-pad so their correlations see silence, not clipped
-        # duplicates of the edge sample
-        pad = _strobe_padding(cfg.sf, cfg.chip_sps, nsym, gain=0.0)
-        mfp = np.concatenate([mf, np.zeros(pad, dtype=mf.dtype)])
-        fingers = rake.despread_fingers(mfp, float(gd), nsym)
-        combined, gains = rake.combine(fingers, self.pilot)
-        data = combined[self.PILOT_SYMBOLS :]
-        bits = self.psk.demodulate_hard(data)[:num_bits]
-        return {
-            "bits": bits,
-            "symbols": data,
-            "acquisition": acq,
-            "fingers": rake.finger_phases,
-            "finger_gains": gains,
-        }
-
 
 class CdmaReturnBank:
     """Multi-user CDMA return-link engine: U users, one front end.
@@ -1088,16 +925,17 @@ class CdmaReturnBank:
     (sharing the chip-level front end: SF, chip rate, SRRC pulse), and
     :meth:`receive` demodulates *all* of them from one composite
     waveform: the matched filter runs **once**, every user's code phase
-    is found in one :func:`acquire_bank` FFT pass over shared chip
-    samples, all early-late DLLs track in ``U``-wide lock-step on chip
-    sums and the settled despread is two strided chip-sum reductions
-    per user.  Per-user results -- bits, symbols and FDIR diagnostics
-    -- are identical to running each user's scalar
-    :meth:`CdmaModem.receive` on the same composite samples.
+    is found in one FFT pass over shared chip samples
+    (:func:`_noncoherent_stats`), all early-late DLLs track in
+    ``U``-wide lock-step on chip sums and the settled despread is two
+    strided chip-sum reductions per user.  Per-user results -- bits,
+    symbols and FDIR diagnostics -- are identical to running each
+    user's scalar :meth:`CdmaModem.receive` on the same composite
+    samples.
 
     A bank holds no per-call state, so one bank serves every caller:
-    :meth:`for_users` hands out a cached instance, and its shared
-    arrays (``codes``, ``pilot``) are read-only.
+    :meth:`for_users` hands out a cached instance, its shared arrays
+    (``codes``, ``pilot``) are read-only and its ``config`` is frozen.
     """
 
     def __init__(self, configs: Sequence[CdmaConfig]) -> None:
@@ -1155,7 +993,7 @@ class CdmaReturnBank:
         base = base or CdmaConfig()
         if not 1 <= num_users <= _GOLD_FAMILY:
             raise ValueError(f"num_users must be in [1, {_GOLD_FAMILY}]")
-        return _return_bank(int(num_users), astuple(base))
+        return _return_bank(int(num_users), base)
 
     @property
     def num_users(self) -> int:
@@ -1198,13 +1036,12 @@ class CdmaReturnBank:
 
 
 @cached_design("cdma.return_bank", maxsize=8)
-def _return_bank(num_users: int, base: tuple) -> CdmaReturnBank:
+def _return_bank(num_users: int, base: CdmaConfig) -> CdmaReturnBank:
     """The bank :meth:`CdmaReturnBank.for_users` hands out, keyed on
-    ``(num_users, astuple(base))``."""
-    cfg = CdmaConfig(*base)
+    ``(num_users, base)``."""
     return CdmaReturnBank(
         [
-            replace(cfg, scrambling_shift=(cfg.scrambling_shift + u) % _GOLD_FAMILY)
+            replace(base, scrambling_shift=(base.scrambling_shift + u) % _GOLD_FAMILY)
             for u in range(num_users)
         ]
     )

@@ -152,8 +152,3 @@ class PolyphaseChannelizer:
                 acc[j:] += cols[:-j] * h
         y = np.fft.ifft(acc, axis=1) * m
         return np.ascontiguousarray(y.T)
-
-    @property
-    def group_delay_blocks(self) -> float:
-        """Prototype group delay measured in output (decimated) samples."""
-        return (self.taps_per_branch * self.m / 2.0) / self.m

@@ -222,11 +222,3 @@ class PskModem:
             m1 = d2[..., self._bit1_sets[b]].min(axis=-1)
             out[..., b] = (m1 - m0) / noise_var
         return out.reshape(symbols.shape[:-1] + (-1,))
-
-    def symbol_indices(self, bits: np.ndarray) -> np.ndarray:
-        """Bit array -> integer symbol indices (for tests/inspection)."""
-        bits = np.asarray(bits).astype(np.uint8).ravel()
-        k = self.bits_per_symbol
-        groups = bits.reshape(-1, k)
-        weights = 1 << np.arange(k - 1, -1, -1)
-        return groups @ weights

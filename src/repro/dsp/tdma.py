@@ -113,32 +113,6 @@ class FramePlan:
         """Slot time available to the burst itself."""
         return self.slot_duration * (1.0 - 2.0 * self.guard_fraction)
 
-    def burst_window(self, slot: int, symbol_rate: float, burst_symbols: int
-                     ) -> tuple[float, float]:
-        """(start, end) seconds of a burst within the frame.
-
-        Raises when the burst does not fit the usable slot at the given
-        symbol rate -- the sizing check a frame plan must enforce.
-        """
-        if not 0 <= slot < self.slots_per_frame:
-            raise ValueError(f"slot {slot} out of range")
-        if symbol_rate <= 0:
-            raise ValueError("symbol_rate must be positive")
-        duration = burst_symbols / symbol_rate
-        if duration > self.usable_slot_duration + 1e-12:
-            raise ValueError(
-                f"burst of {burst_symbols} symbols ({duration*1e3:.2f} ms) "
-                f"exceeds usable slot {self.usable_slot_duration*1e3:.2f} ms"
-            )
-        start = slot * self.slot_duration + self.guard_time
-        return start, start + duration
-
-    def max_burst_symbols(self, symbol_rate: float) -> int:
-        """Largest burst (symbols) the usable slot accommodates."""
-        if symbol_rate <= 0:
-            raise ValueError("symbol_rate must be positive")
-        return int(self.usable_slot_duration * symbol_rate)
-
     def release(self, terminal: str) -> int:
         """Free every slot held by ``terminal``; returns how many."""
         before = len(self.assignments)

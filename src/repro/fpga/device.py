@@ -234,15 +234,6 @@ class Fpga:
             self._probe.count("readbacks")
         return self._config[row, col].copy()
 
-    def readback_all(self) -> np.ndarray:
-        """Full configuration readback (rows, cols, bits)."""
-        if self._golden is None:
-            raise FpgaError("device not configured")
-        self.stats["readbacks"] += self.rows * self.cols
-        if self._probe is not None:
-            self._probe.count("readbacks", self.rows * self.cols)
-        return self._config.copy()
-
     def golden_frame(self, row: int, col: int) -> np.ndarray:
         """The as-loaded (golden) configuration of one CLB."""
         if self._golden is None:
@@ -278,14 +269,6 @@ class Fpga:
         if self._golden is None:
             raise FpgaError("device not configured")
         return int(np.count_nonzero(self._config != self._golden))
-
-    def corrupted_clbs(self) -> list[tuple[int, int]]:
-        """Addresses of CLBs whose frame differs from golden."""
-        if self._golden is None:
-            raise FpgaError("device not configured")
-        diff = np.any(self._config != self._golden, axis=2)
-        rows, cols = np.nonzero(diff)
-        return list(zip(rows.tolist(), cols.tolist()))
 
     def is_functional(self) -> bool:
         """True when powered on and no *essential* bit is corrupted."""

@@ -68,10 +68,6 @@ class GateModel:
             + self.register(2 * bits)
         )
 
-    def mac(self, bits: float) -> float:
-        """Multiply-accumulate (real)."""
-        return self.multiplier(bits, bits) + self.adder(2 * bits) + self.register(2 * bits)
-
     def ram(self, bits: float) -> float:
         return self.ram_per_bit * bits
 

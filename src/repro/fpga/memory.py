@@ -169,25 +169,6 @@ class OnboardMemory:
             raise KeyError(f"no such file {name!r}")
         return self._files[name]
 
-    # -- radiation ------------------------------------------------------------
-    def upset_random_bits(self, count: int, rng: np.random.Generator) -> None:
-        """Flip ``count`` stored bits at random (SEU injection)."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        total = sum(f.words.size for f in self._files.values())
-        if total == 0 or count == 0:
-            return
-        names = sorted(self._files)
-        sizes = np.array([self._files[n].words.size for n in names])
-        bounds = np.cumsum(sizes)
-        idx = rng.integers(0, total, size=count)
-        owner = np.searchsorted(bounds, idx, side="right")
-        for fi, name in enumerate(names):
-            words = self._files[name].words
-            local = idx[owner == fi] - (bounds[fi] - sizes[fi])
-            # unbuffered XOR: a bit drawn twice flips back, as in a loop
-            np.bitwise_xor.at(words, np.unravel_index(local, words.shape), 1)
-
     def scrub(self) -> int:
         """EDAC scrub: rewrite every byte from its corrected value.
 

@@ -43,15 +43,3 @@ class SeuInjector:
         if len(idx):
             self.fpga.upset_bits(idx)
         return len(idx)
-
-    def inject(self, count: int) -> None:
-        """Force ``count`` upsets at uniform positions (fault injection)."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        idx = self.process.rng.integers(0, self.fpga.num_config_bits, size=count)
-        self.fpga.upset_bits(idx)
-        self.process.total_upsets += count
-
-    def expected_per_day(self) -> float:
-        """Mean upsets/day for this device in this environment."""
-        return self.fpga.num_config_bits * self.env.seu_rate_per_bit_day()

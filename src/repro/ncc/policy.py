@@ -55,24 +55,6 @@ class ReconfigurationPolicyServer:
                         "function": function},
         )
 
-    def install_fdir_fallbacks(
-        self, equipment: str, fallbacks: Dict[str, str]
-    ) -> int:
-        """Authorise on-board FDIR fallbacks as ground policy rows.
-
-        ``fallbacks`` maps a primary function name to the more robust
-        personality the FDIR arbiter may load in its place (the shape of
-        :data:`repro.robustness.fdir.DEFAULT_FALLBACKS`).  Each pair
-        becomes a ``(equipment, "fallback:<primary>")`` policy row, so a
-        satellite PEP pulling with that trigger receives the same
-        decision the autonomous ladder would take -- the ground and the
-        board agree on the degraded personality by construction.
-        Returns the number of rows installed.
-        """
-        for primary, fallback in fallbacks.items():
-            self.set_policy(equipment, f"fallback:{primary}", fallback)
-        return len(fallbacks)
-
     def push(self, sat_address: int, equipment: str, function: str) -> None:
         """Server-initiative decision (unsolicited)."""
         self.decisions_issued += 1

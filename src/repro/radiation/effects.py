@@ -54,13 +54,6 @@ class SeuProcess:
         self.total_upsets += n
         return self.rng.integers(0, self.num_bits, size=n)
 
-    def time_to_next_upset(self) -> float:
-        """Exponential waiting time (seconds) to the next upset anywhere."""
-        rate = self.num_bits * self.env.seu_rate_per_bit_second()
-        if rate <= 0:
-            return float("inf")
-        return float(self.rng.exponential(1.0 / rate))
-
 
 class TidAccumulator:
     """Total-ionizing-dose bookkeeping against a device tolerance.
@@ -94,13 +87,6 @@ class TidAccumulator:
         if self.dose_krad >= self.onset_krad:
             return "degraded"
         return "nominal"
-
-    def lifetime_years(self, env: RadiationEnvironment) -> float:
-        """Years until the tolerance is consumed at the env's dose rate."""
-        rate = env.dose_rate_krad_year()
-        if rate <= 0:
-            return float("inf")
-        return (self.tolerance_krad - self.dose_krad) / rate
 
 
 class LatchUpModel:
@@ -141,9 +127,3 @@ class LatchUpModel:
         elif n:
             self.outage_seconds += n * self.recovery_seconds
         return n
-
-    def survival_probability(self, days: float) -> float:
-        """P(no destructive event) over a mission -- 1.0 when protected."""
-        if self.protected:
-            return 1.0
-        return float(np.exp(-self.rate * days))

@@ -154,15 +154,6 @@ class ContactPlan:
                 return w.start
         return None
 
-    def contact_seconds(self, horizon: float) -> float:
-        """Scheduled contact time inside ``[0, horizon)``."""
-        if self.permanent:
-            return horizon
-        return sum(
-            max(0.0, min(w.end, horizon) - max(w.start, 0.0))
-            for w in self.windows
-        )
-
 
 class LinkScheduler:
     """Drive a link hard-down/up from a contact plan minus outages.

@@ -147,10 +147,6 @@ class SolidStateRecorder:
             p.count("authorized", budget_records)
         return self.authorized
 
-    def revoke(self) -> None:
-        """Cancel any outstanding playback authorization (end of pass)."""
-        self.authorized = 0
-
     def drain_authorized(self, max_records: Optional[int] = None) -> List:
         """Release stored records against the granted budget.
 

@@ -365,7 +365,7 @@ class FdirArbiter:
 
     # -- telemetry ---------------------------------------------------------
     def status(self) -> dict:
-        """Telemetry-ready summary (served by the ``fdir`` TC)."""
+        """Telemetry-ready summary of the recovery ladder."""
         return {
             "frame": self.frame,
             "actions": len(self.actions),

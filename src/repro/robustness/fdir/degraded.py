@@ -109,9 +109,6 @@ class DegradedModePolicy:
     def active_carriers(self) -> List[int]:
         return sorted(self.active)
 
-    def is_active(self, carrier: int) -> bool:
-        return carrier in self.active
-
     def transitions_of(self, carrier: int) -> int:
         """Shed+restore event count for one carrier (flap detection)."""
         return sum(1 for kind, k, _ in self.events if k == carrier)

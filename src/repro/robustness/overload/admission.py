@@ -173,11 +173,6 @@ class AdmissionController:
         if p is not None:
             p.gauge("capacity", capacity)
 
-    def set_shares(self, shares: Dict[str, float]) -> None:
-        """Re-split capacity across classes (e.g. a new demand forecast)."""
-        self._shares = self._normalize(shares)
-        self.set_capacity(self.capacity)
-
     @property
     def shares(self) -> Dict[str, float]:
         return dict(self._shares)
@@ -214,9 +209,6 @@ class AdmissionController:
     def restore(self, cls_name: str) -> None:
         """Re-open a shed class."""
         self._closed.discard(cls_name)
-
-    def is_shed(self, cls_name: str) -> bool:
-        return cls_name in self._closed
 
     # -- the decision ------------------------------------------------------
     def admit(self, cls_name: str, cost: float = 1.0) -> bool:

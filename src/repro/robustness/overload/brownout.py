@@ -212,10 +212,6 @@ class BrownoutLadder:
         """How many rungs deep the brownout currently is."""
         return len(self._shed)
 
-    def thresholds_of(self, cls_name: str) -> Tuple[float, float]:
-        """(shed, restore) pressure thresholds for a rung."""
-        return self._thresholds[cls_name]
-
     def update(self, pressure: float) -> List[Tuple[str, str]]:
         """Advance the ladder; returns ``(action, class)`` taken now."""
         now = self.clock()

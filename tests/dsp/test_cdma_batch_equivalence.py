@@ -2,13 +2,14 @@
 
 The engine (docs/performance.md) follows the batch-as-the-primitive
 discipline: ``CdmaModem.receive`` delegates to ``receive_batch`` and
-``acquire`` to ``acquire_bank``, so there is exactly one kernel.  What
+``acquire`` to the engine's ``_noncoherent_stats``, so there is exactly
+one kernel.  What
 *can* still break the contract is batch-shape dependence inside the
 kernels (a BLAS reduction that reassociates differently for ``(64, sf)``
 than for ``(1, sf)``, a broadcast path taken only for ``B > 1``).  These
 tests therefore compare multi-row calls against one-row calls -- which
 must be **float-identical**, not merely close -- across spreading
-factors, oversampling ratios, rake finger counts and the degenerate
+factors, oversampling ratios, strobe-start counts and the degenerate
 corners (undetected acquisition on pure noise, a single-symbol payload,
 all-zero bits).
 
@@ -21,6 +22,7 @@ the chip sums re-associate the per-chip arithmetic.
 
 import warnings
 import zlib
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -32,11 +34,12 @@ from repro.dsp.cdma import (
     CdmaModem,
     CdmaReturnBank,
     Dll,
-    RakeReceiver,
     _block_dll_track,
     _interp_despread,
+    _noncoherent_stats,
+    _result_from_stat,
+    _settled_despread,
     acquire,
-    acquire_bank,
     spread,
 )
 from repro.dsp.filters import srrc, upsample
@@ -349,7 +352,9 @@ class TestAcquireBankEquivalence:
         chips = chips + 0.2 * (
             rng.standard_normal(len(chips)) + 1j * rng.standard_normal(len(chips))
         )
-        banked = acquire_bank(chips, codes, coherent_symbols=4)
+        # the bank engine's search: one FFT pass for every user code
+        stats = _noncoherent_stats(chips[None, :], codes, 4)
+        banked = [_result_from_stat(row, 3.0) for row in stats]
         for u in range(4):
             single = acquire(chips, codes[u], coherent_symbols=4)
             assert banked[u].phase == single.phase
@@ -363,27 +368,30 @@ class TestAcquireBankEquivalence:
     def test_rotated_code_found_at_right_phase(self):
         code = CdmaConfig(sf=32).spreading_code()
         rx = np.tile(np.roll(code, 7).astype(np.complex128), 6)
-        res = acquire_bank(rx, code[None, :], coherent_symbols=6)[0]
+        res = acquire(rx, code, coherent_symbols=6)
         assert res.detected and res.phase == 7
 
 
 class TestRakeGemmEquivalence:
+    """``_settled_despread`` at several strobe starts per call -- the
+    kernel the return-link engine runs on every composite -- against
+    per-chip references."""
+
     @pytest.mark.parametrize("num_fingers", [1, 2, 3, 4])
     def test_gemm_matches_naive_interpolation(self, num_fingers):
-        """despread_fingers == an independent per-symbol reimplementation."""
+        """The settled despread == an independent per-symbol
+        reimplementation, exactly."""
         sf, sps, nsym = 16, 4, 12
         code = CdmaConfig(sf=sf).spreading_code()
         rng = _rng("rake", num_fingers)
         n = (nsym + sf) * sf * sps
         mf = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        rake = RakeReceiver(code, sps=sps, max_fingers=num_fingers)
-        rake.finger_phases = list(range(num_fingers))
-        base = 11.0
-        got = rake.despread_fingers(mf, base, nsym)
+        starts = 11.0 + np.arange(num_fingers, dtype=np.float64) * sps
+        got = _settled_despread(mf, code, starts, nsym, sps, sf)
         assert got.shape == (num_fingers, nsym)
-        for f, phase in enumerate(rake.finger_phases):
+        for f, first in enumerate(starts):
             for k in range(nsym):
-                start = base + phase * sps + k * sf * sps
+                start = first + k * sf * sps
                 idx = start + np.arange(sf) * sps
                 lo = np.floor(idx).astype(np.int64)
                 frac = idx - lo
@@ -395,26 +403,23 @@ class TestRakeGemmEquivalence:
     @pytest.mark.parametrize("num_fingers", [1, 3])
     def test_fractional_base_matches_per_chip_reference(self, base, num_fingers):
         """A fractional base weights the interpolator's ``base + 1`` tap:
-        the chip-sum despread of ``despread_fingers`` and
-        ``Dll._despread_at`` equals the per-chip interpolation (summed
+        the chip-sum despread of ``_settled_despread`` and of a one-start
+        ``_interp_despread`` equals the per-chip interpolation (summed
         in another order, so within 1e-12 relative)."""
         sf, sps, nsym = 16, 4, 12
         code = CdmaConfig(sf=sf).spreading_code()
         rng = _rng("rake-frac", base, num_fingers)
         n = (nsym + sf) * sf * sps
         mf = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        rake = RakeReceiver(code, sps=sps, max_fingers=num_fingers)
-        rake.finger_phases = list(range(num_fingers))
-        dll = Dll(code, sps=sps, gain=0.0)
-        got = rake.despread_fingers(mf, base, nsym)
-        for f, phase in enumerate(rake.finger_phases):
+        starts = base + np.arange(num_fingers, dtype=np.float64) * sps
+        got = _settled_despread(mf, code, starts, nsym, sps, sf)
+        for f, first in enumerate(starts):
             for k in range(nsym):
-                start = base + phase * sps + k * sf * sps
+                start = first + k * sf * sps
                 ref = _ref_interp_despread(mf, code, np.array(start), sps)
                 np.testing.assert_allclose(got[f, k], ref, rtol=1e-12, atol=0)
-                np.testing.assert_allclose(
-                    dll._despread_at(mf, start), ref, rtol=1e-12, atol=0
-                )
+                one = _interp_despread(mf, code, np.array([start]), sps)[0]
+                np.testing.assert_allclose(one, ref, rtol=1e-12, atol=0)
                 # the second tap really carries weight here
                 floor_only = _ref_interp_despread(
                     mf, code, np.array(np.floor(start)), sps
@@ -430,9 +435,8 @@ class TestRakeGemmEquivalence:
         mf = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         dll = Dll(code, sps=sps, gain=0.0)
         out = dll.process(mf, 3.0, nsym)
-        rake = RakeReceiver(code, sps=sps)
-        rake.finger_phases = [0]
-        np.testing.assert_array_equal(out, rake.despread_fingers(mf, 3.0, nsym)[0])
+        ref = _settled_despread(mf, code, np.array([3.0]), nsym, sps, sf)[0]
+        np.testing.assert_array_equal(out, ref)
 
 
 class TestReturnBankEquivalence:
@@ -495,6 +499,9 @@ class TestReturnBankCache:
             bank.pilot[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             bank.modems[1].pilot[0] = 0.0
+        # the config is shared by every caller of the cached bank too
+        with pytest.raises(FrozenInstanceError):
+            bank.config.sf = 32
 
 
 class TestReturnBankLoad:
@@ -582,8 +589,6 @@ class TestNumBitsContract:
             modem.receive(tx, num_bits)
         with pytest.raises(ValueError, match="not a multiple of 2 bits"):
             modem.receive_batch(tx[None, :], num_bits)
-        with pytest.raises(ValueError, match="not a multiple of 2 bits"):
-            modem.receive_rake(tx, num_bits)
 
     def test_negative_count_rejected_by_name(self):
         modem, tx, _ = self._burst()

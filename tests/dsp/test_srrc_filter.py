@@ -16,13 +16,6 @@ import pytest
 from scipy.signal import fftconvolve
 
 from repro.caching import design_cache_stats
-from repro.dsp.cdma import (
-    CdmaConfig,
-    CdmaModem,
-    RakeReceiver,
-    _strobe_padding,
-    acquire,
-)
 from repro.dsp.filters import srrc, srrc_filter, upsample
 from repro.dsp.tdma import TdmaModem
 
@@ -94,47 +87,3 @@ class TestModemsAgainstFftconvolve:
             symbols = np.concatenate([heads, modem.psk.modulate(b)])
             ref = fftconvolve(upsample(symbols, modem.sps), modem.pulse)
             np.testing.assert_array_equal(row, ref)
-
-    @pytest.mark.parametrize("sf", [16, 64])
-    def test_receive_rake(self, sf):
-        modem = CdmaModem(CdmaConfig(sf=sf))
-        rng = _rng("rake", sf)
-        bits = rng.integers(0, 2, 64).astype(np.uint8)
-        tx = modem.transmit(bits)
-        echo = 3 * modem.config.chip_sps
-        rx = np.concatenate([tx, np.zeros(echo, dtype=tx.dtype)])
-        rx[echo:] += 0.6 * np.exp(1j * 1.1) * tx
-        rx += 0.05 * (rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx)))
-        got = modem.receive_rake(rx, 64)
-        ref = _ref_receive_rake(modem, rx, 64)
-        np.testing.assert_array_equal(got["bits"], bits)
-        for key in ("bits", "symbols", "finger_gains"):
-            np.testing.assert_array_equal(got[key], ref[key])
-        assert got["fingers"] == ref["fingers"]
-        assert got["acquisition"].phase == ref["acquisition"].phase
-
-
-def _ref_receive_rake(modem: CdmaModem, samples: np.ndarray, num_bits: int) -> dict:
-    """``CdmaModem.receive_rake`` with its matched filter written as the
-    one-dimensional ``fftconvolve`` it used before the shared filter."""
-    cfg = modem.config
-    mf = fftconvolve(np.asarray(samples, dtype=np.complex128), modem.pulse[::-1])
-    gd = len(modem.pulse) - 1
-    nsym = modem.PILOT_SYMBOLS + num_bits // modem.psk.bits_per_symbol
-    chips_needed = min(8, nsym) * cfg.sf
-    chip_samples = mf[gd : gd + chips_needed * cfg.chip_sps : cfg.chip_sps]
-    acq = acquire(chip_samples, modem.code, coherent_symbols=min(8, nsym))
-    rake = RakeReceiver(modem.code, sps=cfg.chip_sps)
-    rake.find_fingers(acq)
-    pad = _strobe_padding(cfg.sf, cfg.chip_sps, nsym, gain=0.0)
-    mfp = np.concatenate([mf, np.zeros(pad, dtype=mf.dtype)])
-    fingers = rake.despread_fingers(mfp, float(gd), nsym)
-    combined, gains = rake.combine(fingers, modem.pilot)
-    data = combined[modem.PILOT_SYMBOLS :]
-    return {
-        "bits": modem.psk.demodulate_hard(data)[:num_bits],
-        "symbols": data,
-        "acquisition": acq,
-        "fingers": rake.finger_phases,
-        "finger_gains": gains,
-    }

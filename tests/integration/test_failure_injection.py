@@ -11,7 +11,7 @@ import pytest
 from repro.core import PayloadConfig, RegenerativePayload, Telecommand
 from repro.ncc import NetworkControlCenter, SatelliteGateway
 from repro.net import Link, Node
-from repro.sim import RngRegistry, Simulator
+from repro.sim import Simulator
 
 GEOM = (8, 8, 32)
 SMALL = dict(fpga_rows=GEOM[0], fpga_cols=GEOM[1], fpga_bits_per_clb=GEOM[2])
@@ -76,14 +76,20 @@ class TestCorruptedUpload:
         assert "ghost.bit" in str(results["reply"]["payload"])
 
 
+def _flip_one_bit_per_word(words, count):
+    """Flip one bit in each of ``count`` words spread over the file."""
+    rows = np.linspace(0, len(words) - 1, count).astype(np.int64)
+    words[rows, np.arange(count) % words.shape[1]] ^= 1
+
+
 class TestMemoryUpsets:
     def test_library_edac_corrects_singles(self):
         sim, payload, gw, ncc = scenario()
         lib = payload.obc.library
         bs = payload.registry.get("modem.tdma").bitstream_for(*GEOM)
-        lib.store(bs)
+        name = lib.store(bs)
         # scattered single-bit upsets in on-board memory
-        lib.memory.upset_random_bits(8, RngRegistry(5).stream("mem"))
+        _flip_one_bit_per_word(lib.memory._files[name].words, 8)
         fetched = lib.fetch("modem.tdma")
         assert fetched.crc32() == bs.crc32()
 
@@ -91,8 +97,8 @@ class TestMemoryUpsets:
         sim, payload, gw, ncc = scenario()
         lib = payload.obc.library
         bs = payload.registry.get("modem.tdma").bitstream_for(*GEOM)
-        lib.store(bs)
-        lib.memory.upset_random_bits(5, RngRegistry(6).stream("mem"))
+        name = lib.store(bs)
+        _flip_one_bit_per_word(lib.memory._files[name].words, 5)
         fixed = lib.memory.scrub()
         assert fixed >= 1
         assert lib.fetch("modem.tdma").crc32() == bs.crc32()

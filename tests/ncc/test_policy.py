@@ -113,37 +113,3 @@ class TestServerInitiative:
         assert len(pdp.reports) == 1
         assert not pdp.reports[0].success
         assert payload.demods[0].loaded_design == "modem.cdma"  # intact
-
-
-class TestFdirFallbackPolicies:
-    def test_install_creates_one_row_per_pair(self):
-        sim, payload, pdp, pep = setup_policy_scenario()
-        n = pdp.install_fdir_fallbacks(
-            "demod0", {"modem.cdma": "modem.tdma", "modem.tdma8": "modem.tdma"}
-        )
-        assert n == 2
-        assert pdp.table[("demod0", "fallback:modem.cdma")] == "modem.tdma"
-        assert pdp.table[("demod0", "fallback:modem.tdma8")] == "modem.tdma"
-
-    def test_pulled_fallback_decision_is_enforced(self):
-        """A PEP asking 'what is the fallback for my personality?' gets
-        the same answer the on-board ladder would take."""
-        from repro.robustness.fdir import DEFAULT_FALLBACKS
-
-        sim, payload, pdp, pep = setup_policy_scenario()
-        pdp.install_fdir_fallbacks(
-            "demod0", {"modem.cdma": "modem.tdma", **DEFAULT_FALLBACKS}
-        )
-        results = {}
-
-        def scenario(sim):
-            yield from pep.start()
-            report = yield from pep.request_policy(
-                "demod0", "fallback:modem.cdma"
-            )
-            results["report"] = report
-
-        sim.process(scenario(sim))
-        sim.run(until=120)
-        assert results["report"].success
-        assert payload.demods[0].loaded_design == "modem.tdma"

@@ -82,13 +82,6 @@ class TestSeuProcess:
         assert len(idx) > 0
         assert idx.min() >= 0 and idx.max() < 1000
 
-    def test_waiting_time_mean(self):
-        env = RadiationEnvironment(device_seu_factor=1000.0)
-        proc = SeuProcess(env, num_bits=10_000_000, rng=RngRegistry(3).stream("s"))
-        rate = 10_000_000 * env.seu_rate_per_bit_second()
-        times = [proc.time_to_next_upset() for _ in range(500)]
-        assert 0.8 / rate < np.mean(times) < 1.25 / rate
-
     def test_validation(self):
         env = RadiationEnvironment()
         with pytest.raises(ValueError):
@@ -102,8 +95,8 @@ class TestTid:
     def test_mh1rt_lifetime_exceeds_15_years_at_geo(self):
         """200 krad at GEO dose rates: far beyond a satellite lifetime."""
         acc = TidAccumulator(tolerance_krad=200.0)
-        years = acc.lifetime_years(RadiationEnvironment(orbit=GEO))
-        assert years > 15.0
+        acc.accumulate(RadiationEnvironment(orbit=GEO), 15.0)
+        assert acc.state != "failed"
 
     def test_state_transitions(self):
         acc = TidAccumulator(tolerance_krad=10.0, degradation_onset=0.8)

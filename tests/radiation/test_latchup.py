@@ -30,12 +30,6 @@ class TestLatchUp:
         total = sum(lu.advance(1.0, rng) for _ in range(2000))
         assert 0.85 * 1000 < total < 1.15 * 1000
 
-    def test_survival_probability(self):
-        lu = LatchUpModel(rate_per_device_day=1e-4, protected=False)
-        p = lu.survival_probability(15 * 365.0)
-        assert np.isclose(p, np.exp(-1e-4 * 15 * 365))
-        assert LatchUpModel(protected=True).survival_probability(1e6) == 1.0
-
     def test_rare_events_at_realistic_rate(self):
         """At the default 1e-4/day a 15-year mission sees only a few."""
         lu = LatchUpModel(protected=True)

@@ -33,7 +33,6 @@ class TestContactPlan:
         assert plan.permanent
         assert plan.in_contact(0.0) and plan.in_contact(1e9)
         assert plan.next_contact(42.0) == 42.0
-        assert plan.contact_seconds(100.0) == 100.0
 
     def test_window_queries(self):
         plan = ContactPlan(
@@ -47,7 +46,6 @@ class TestContactPlan:
         assert plan.next_contact(15.0) == 15.0  # already inside
         assert plan.next_contact(30.0) == 50.0
         assert plan.next_contact(80.0) is None
-        assert plan.contact_seconds(60.0) == 20.0
 
     def test_overlapping_windows_rejected(self):
         with pytest.raises(ValueError):

@@ -129,13 +129,6 @@ class TestPlayback:
         assert len(ssr.drain_authorized(max_records=4)) == 4
         assert ssr.authorized == 6
 
-    def test_revoke_cancels_outstanding_budget(self):
-        ssr = SolidStateRecorder()
-        ssr.record({"seq": 0}, cls="p1")
-        ssr.authorize(5)
-        ssr.revoke()
-        assert ssr.drain_authorized() == []
-
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             SolidStateRecorder().authorize(-1)

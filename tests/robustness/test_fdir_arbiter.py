@@ -205,16 +205,3 @@ class TestTelemetry:
         assert st["actions"] == 1
         assert st["tripped"] == [1]
         assert st["rungs"] == {1: "reload"}
-
-    def test_obc_fdir_telecommand(self, world):
-        from repro.core.obc import Telecommand
-
-        obc = world.payload.obc
-        tm = obc.execute(Telecommand(1, "fdir"))
-        assert not tm.success  # nothing attached yet
-        obc.attach_fdir(world.arbiter, world.policy)
-        tm = obc.execute(Telecommand(2, "fdir"))
-        assert tm.success
-        assert tm.payload["arbiter"]["frame"] == 0
-        assert tm.payload["degraded"]["active"] == ALL
-        assert "watchdog" in tm.payload

@@ -114,7 +114,6 @@ class TestAdmissionController:
         clk = FakeClock()
         ac = AdmissionController(clk, capacity=100.0)
         ac.shed("p2")
-        assert ac.is_shed("p2")
         assert not ac.admit("p2")
         assert ac.shed_closed["p2"] == 1
         ac.restore("p2")

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .filters import fractional_delay_filter
+from .filters import fft_filter, fractional_delay_filter
 
 __all__ = [
     "awgn",
@@ -79,7 +78,7 @@ def apply_delay(x: np.ndarray, delay: float, num_taps: int = 31) -> np.ndarray:
     if frac > 1e-12:
         h = fractional_delay_filter(frac, num_taps)
         gd = (num_taps - 1) // 2
-        y = fftconvolve(x, h, mode="full")[gd : gd + len(x)]
+        y = fft_filter(x, h)[gd : gd + len(x)]
     else:
         y = x.copy()
     if int_d:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.fft as sp_fft
-from scipy.signal import fftconvolve
 
 from ..caching import cached_design, freeze
 
 __all__ = [
     "FirFilter",
+    "fft_filter",
     "design_lowpass",
     "halfband",
     "HalfBandDecimator",
@@ -133,14 +133,44 @@ def srrc(beta: float, sps: int, span: int) -> np.ndarray:
     return freeze(h)
 
 
+def fft_filter(x: np.ndarray, taps: np.ndarray, spectrum=None) -> np.ndarray:
+    """Full convolution of ``x`` with 1-D ``taps`` along ``x``'s last axis.
+
+    The one FFT-convolution path of the package: every FIR filter,
+    the fractional delay and the SRRC pulse shaper and matched filter
+    run through it.  It computes ``ifft(fft(x, nfft) * fft(taps,
+    nfft))[..., :n]`` with ``n = x.shape[-1] + len(taps) - 1`` and
+    ``nfft = next_fast_len(n, False)``, which is the complex path of
+    ``scipy.signal.fftconvolve``: for a complex 1-D ``x`` the output
+    is bit-identical to ``fftconvolve(x, taps)``, and a ``(C, n)``
+    stack is filtered row by row as ``fftconvolve(x, taps[None, :],
+    axes=1)`` would (a stack of no rows keeps its 2-D shape).  The
+    edge cases match too: no samples or no taps give an empty (float)
+    array, and a length-1 operand gives the direct product
+    ``x * taps``.
+
+    ``spectrum``, if given, maps ``nfft`` to ``fft(taps, nfft)``: a
+    cached design, so the taps are not transformed on every call.
+    """
+    m = x.shape[-1]
+    if m == 0 or len(taps) == 0:
+        return np.asarray([])
+    if m == 1 or len(taps) == 1:
+        return x * taps
+    n = m + len(taps) - 1
+    nfft = sp_fft.next_fast_len(n, False)
+    buf = sp_fft.fft(x, nfft, axis=-1)
+    buf *= sp_fft.fft(taps, nfft) if spectrum is None else spectrum(nfft)
+    return sp_fft.ifft(buf, axis=-1, overwrite_x=True)[..., :n]
+
+
 @cached_design("dsp.srrc_spectrum", maxsize=32)
 def _srrc_spectrum(
     beta: float, sps: int, span: int, nfft: int, matched: bool
 ) -> np.ndarray:
     """Length-``nfft`` spectrum of the SRRC pulse (``matched``: of its
-    time reverse).  It is the FFT of the *real* taps, the same spectrum
-    ``scipy.signal.fftconvolve`` computes, so filtering with it is
-    float-identical to that call."""
+    time reverse): the FFT of the *real* taps that :func:`fft_filter`
+    would otherwise compute on every call."""
     taps = srrc(beta, sps, span)
     return freeze(sp_fft.fft(taps[::-1] if matched else taps, nfft))
 
@@ -152,20 +182,17 @@ def srrc_filter(
 
     The pulse shaper (``matched=False``) and the matched filter
     (``matched=True``: the time-reversed pulse) of every modem
-    personality.  Each row is filtered along axis 1 against the cached
-    pulse spectrum: ``ifft(fft(x, nfft) * spectrum)[:, :n]`` with
-    ``n = x.shape[1] + len(pulse) - 1`` and
-    ``nfft = next_fast_len(n, False)``.  That is the arithmetic of
-    ``fftconvolve(x, pulse[None, :], axes=1)`` minus its pulse FFT, so
-    for rows of two or more samples the output is bit-identical to it
-    (two FFTs per call instead of three; ``fftconvolve`` multiplies
-    along a length-1 axis instead of transforming it).
+    personality.  It is :func:`fft_filter` with the pulse spectrum
+    taken from the ``dsp.srrc_spectrum`` design cache: each row is
+    filtered along axis 1, two FFTs per call instead of three, and
+    the output equals ``fft_filter(x, pulse)`` bit for bit.
     """
-    n = x.shape[1] + len(srrc(beta, sps, span)) - 1
-    nfft = sp_fft.next_fast_len(n, False)
-    buf = sp_fft.fft(x, nfft, axis=1)
-    buf *= _srrc_spectrum(beta, sps, span, nfft, matched)
-    return sp_fft.ifft(buf, axis=1, overwrite_x=True)[:, :n]
+    taps = srrc(beta, sps, span)
+    return fft_filter(
+        x,
+        taps[::-1] if matched else taps,
+        lambda nfft: _srrc_spectrum(beta, sps, span, nfft, matched),
+    )
 
 
 def rc(beta: float, sps: int, span: int) -> np.ndarray:
@@ -236,7 +263,7 @@ class FirFilter:
         """Filter one chunk, maintaining continuity with previous chunks."""
         x = np.asarray(x, dtype=np.complex128)
         buf = np.concatenate([self._tail, x])
-        y = fftconvolve(buf, self.taps, mode="full")
+        y = fft_filter(buf, self.taps)
         ntail = len(self.taps) - 1
         out = y[ntail : ntail + len(x)]
         if ntail:
@@ -246,8 +273,7 @@ class FirFilter:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """One-shot filtering (same-length output), without touching state."""
         x = np.asarray(x, dtype=np.complex128)
-        y = fftconvolve(x, self.taps, mode="full")
-        return y[: len(x)]
+        return fft_filter(x, self.taps)[: len(x)]
 
 
 class HalfBandDecimator:
@@ -306,7 +332,7 @@ class PolyphaseDecimator:
         if n_out == 0:
             return np.zeros(0, dtype=np.complex128)
         if m == 1:
-            return fftconvolve(x, self.taps, mode="full")[: len(x)]
+            return fft_filter(x, self.taps)[: len(x)]
         y = np.convolve(x[0::m], self.branches[0])[:n_out]
         for p in range(1, m):
             # x[i*m - p - q*m] = x[(i-1-q)*m + (m-p)]: the phase-(m-p)

@@ -34,7 +34,6 @@ class SeuInjector:
         self, fpga: Fpga, env: RadiationEnvironment, rng: np.random.Generator
     ) -> None:
         self.fpga = fpga
-        self.env = env
         self.process = SeuProcess(env, fpga.num_config_bits, rng)
 
     def advance(self, seconds: float) -> int:

@@ -40,7 +40,6 @@ class SeuProcess:
         self.env = env
         self.num_bits = num_bits
         self.rng = rng
-        self.total_upsets = 0
 
     def upsets_in(self, seconds: float) -> np.ndarray:
         """Bit indices upset during a window of ``seconds`` (may repeat).
@@ -51,7 +50,6 @@ class SeuProcess:
             raise ValueError("seconds must be >= 0")
         lam = self.env.expected_upsets(self.num_bits, seconds)
         n = int(self.rng.poisson(lam))
-        self.total_upsets += n
         return self.rng.integers(0, self.num_bits, size=n)
 
 

@@ -65,12 +65,11 @@ DEFAULT_FALLBACKS: Dict[str, str] = {
 
 
 class _CarrierState:
-    __slots__ = ("rung", "cooldown", "isolated", "terminal")
+    __slots__ = ("rung", "cooldown", "terminal")
 
     def __init__(self) -> None:
         self.rung = 0  # next rung to try
         self.cooldown = 0  # frames to wait before acting again
-        self.isolated = False
         self.terminal = False
 
 
@@ -276,7 +275,6 @@ class FdirArbiter:
         return self._isolate(k, eq, st)
 
     def _isolate(self, k: int, eq, st: _CarrierState) -> Optional[str]:
-        st.isolated = True
         if not hasattr(eq, "failover"):
             # no redundant pair behind this carrier: latch safe mode and
             # shed the carrier -- the payload keeps serving the others
@@ -362,24 +360,3 @@ class FdirArbiter:
             for k in served:
                 self.bank.monitor(k).crc.reset()
         return "decoder_fallback"
-
-    # -- telemetry ---------------------------------------------------------
-    def status(self) -> dict:
-        """Telemetry-ready summary of the recovery ladder."""
-        return {
-            "frame": self.frame,
-            "actions": len(self.actions),
-            "recoveries": len(self.recoveries),
-            "tripped": self.bank.tripped_carriers(),
-            "isolated": sorted(
-                k for k, s in self._states.items() if s.isolated
-            ),
-            "terminal": sorted(
-                k for k, s in self._states.items() if s.terminal
-            ),
-            "rungs": {
-                k: LADDER[min(s.rung, len(LADDER) - 1)]
-                for k, s in sorted(self._states.items())
-                if s.rung > 0 or s.terminal
-            },
-        }

@@ -252,12 +252,3 @@ class DegradedModePolicy:
                 displaced=len(displaced),
             )
         return rehomed
-
-    def status(self) -> dict:
-        return {
-            "active": self.active_carriers,
-            "parked": sorted(self.parked),
-            "terminal": sorted(self.terminal),
-            "margin_db": self.last_margin_db,
-            "events": len(self.events),
-        }

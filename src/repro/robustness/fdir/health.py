@@ -151,7 +151,6 @@ class CarrierHealthMonitor:
         self._bad_streak = 0
         self._good_streak = 0
         self.last: Optional[BurstHealth] = None
-        self.last_snr_db: Optional[float] = None
         self._probe = _obs_probe("fdir.health", carrier=self.carrier)
 
     # -- observation sinks -------------------------------------------------
@@ -220,8 +219,6 @@ class CarrierHealthMonitor:
         if burst:
             self.bursts += 1
             self.last = verdict
-            if verdict.snr_db is not None:
-                self.last_snr_db = verdict.snr_db
         p = self._probe
         if p is not None and burst:
             p.count("bursts")
@@ -267,18 +264,6 @@ class CarrierHealthMonitor:
         self._bad_streak = 0
         self._good_streak = 0
         self.crc.reset()
-
-    def status(self) -> dict:
-        return {
-            "carrier": self.carrier,
-            "tripped": self.tripped,
-            "bursts": self.bursts,
-            "unhealthy_bursts": self.unhealthy_bursts,
-            "trips": self.trips,
-            "clears": self.clears,
-            "crc_fail_rate": self.crc.rate,
-            "last_snr_db": self.last_snr_db,
-        }
 
 
 class HealthMonitorBank:
@@ -327,9 +312,3 @@ class HealthMonitorBank:
             return False
         bad = sum(1 for k in keys if self.monitors[k].unhealthy_now)
         return bad / len(keys) >= self.common_mode_fraction
-
-    def status(self) -> dict:
-        return {
-            "tripped": self.tripped_carriers(),
-            "carriers": {k: m.status() for k, m in sorted(self.monitors.items())},
-        }

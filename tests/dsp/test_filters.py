@@ -233,14 +233,14 @@ class TestPolyphaseDecimator:
         decimated-by-m stream with ~ntaps/m taps.  The old
         implementation convolved the full-rate input with the full
         filter (``fftconvolve(x, taps)``) and threw away m-1 of every m
-        outputs.  Verified two ways: (a) the module-level
-        ``fftconvolve`` is never called, (b) every ``np.convolve``
-        operand is at the decimated rate.
+        outputs.  Verified two ways: (a) the module's full-rate FFT
+        filter ``fft_filter`` is never called, (b) every
+        ``np.convolve`` operand is at the decimated rate.
         """
         import repro.dsp.filters as filters_mod
 
         def _boom(*a, **k):  # pragma: no cover - failure path
-            raise AssertionError("full-rate fftconvolve called for m >= 2")
+            raise AssertionError("full-rate fft_filter called for m >= 2")
 
         lengths = []
         real_convolve = np.convolve
@@ -255,7 +255,7 @@ class TestPolyphaseDecimator:
         taps = design_lowpass(33, 0.1)
         pd = PolyphaseDecimator(taps, m)
 
-        monkeypatch.setattr(filters_mod, "fftconvolve", _boom)
+        monkeypatch.setattr(filters_mod, "fft_filter", _boom)
         monkeypatch.setattr(np, "convolve", _spy)
         y = pd.process(x)
 

@@ -194,14 +194,3 @@ class TestDecoder:
         done = arb.step(served=ALL)
         assert (-1, "decoder_fallback") in done
         assert world.payload.decoder.loaded_design == "decod.turbo"
-
-
-class TestTelemetry:
-    def test_status_shape(self, world):
-        trip(world, 1)
-        world.arbiter.step(served=ALL)
-        st = world.arbiter.status()
-        assert st["frame"] == 1
-        assert st["actions"] == 1
-        assert st["tripped"] == [1]
-        assert st["rungs"] == {1: "reload"}

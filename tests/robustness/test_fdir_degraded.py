@@ -125,10 +125,3 @@ class TestForceShed:
         _, pol = make_policy()
         assert pol.force_shed(1) == 2
         assert pol.force_shed(1) == 0
-
-    def test_status_shape(self):
-        _, pol = make_policy()
-        pol.force_shed(0)
-        st = pol.status()
-        assert st["active"] == [1, 2]
-        assert st["terminal"] == [0]

@@ -151,14 +151,6 @@ class TestHysteresis:
             mon.observe_decode(True)
         assert not mon.tripped
 
-    def test_status_shape(self):
-        mon = CarrierHealthMonitor(3)
-        mon.observe_burst(CLEAN)
-        st = mon.status()
-        assert st["carrier"] == 3
-        assert st["bursts"] == 1
-        assert st["last_snr_db"] == pytest.approx(11.0)
-
 
 class TestBank:
     def test_validation(self):
@@ -196,9 +188,3 @@ class TestBank:
         bank = HealthMonitorBank(3)
         bank.observe_burst(0, NOISE)
         assert not bank.common_mode(among=[0])
-
-    def test_status_nests_monitors(self):
-        bank = HealthMonitorBank(2)
-        st = bank.status()
-        assert set(st["carriers"]) == {0, 1}
-        assert st["tripped"] == []

@@ -1,14 +1,27 @@
-"""The public surface: every name a module exports in ``__all__`` exists.
+"""The public surface: what ``__all__`` names exists, and importing is cheap.
 
 A name deleted from a module but left in its ``__all__`` still imports
 cleanly until someone runs ``from module import *`` or looks it up, so
 this walks every module of the package and resolves each export.
+
+Importing the package must not pull in ``scipy.signal``: it costs
+about a second and 48 MB in every fresh interpreter, and the package's
+one FFT convolution (``repro.dsp.filters.fft_filter``) is built on
+``scipy.fft`` instead.  Those checks run in a fresh interpreter, since
+this test process may already have imported it for other tests.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import repro
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_exported_name_resolves():
@@ -24,3 +37,63 @@ def test_every_exported_name_resolves():
                 stale.append(f"{info.name}.{name}")
     assert modules > 1
     assert stale == []
+
+
+def _scipy_signal_after(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on ``src``; return the
+    ``scipy.signal`` modules it left in ``sys.modules``, as printed."""
+    code = textwrap.dedent(code) + textwrap.dedent(
+        """
+        import sys
+        print(sorted(m for m in sys.modules if m.startswith("scipy.signal")))
+        """
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_out_scipy_signal():
+    """``import repro.scenarios`` and every other module of the package."""
+    loaded = _scipy_signal_after(
+        """
+        import importlib, pkgutil
+        import repro, repro.scenarios
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.rsplit(".", 1)[-1] != "__main__":
+                importlib.import_module(info.name)
+        """
+    )
+    assert loaded == "[]"
+
+
+def test_mission_and_return_link_leave_out_scipy_signal():
+    """One golden mission, then one CDMA return-link composite."""
+    loaded = _scipy_signal_after(
+        """
+        import numpy as np
+        from repro.core import PayloadConfig, RegenerativePayload
+        from repro.core.registry import default_registry
+        from repro.dsp.cdma import CdmaReturnBank
+        from repro.scenarios import ScenarioRunner, canonical_scenarios
+
+        assert ScenarioRunner(canonical_scenarios()[0]).run().completed
+        cfg = PayloadConfig(
+            num_carriers=1, fpga_rows=8, fpga_cols=8, fpga_bits_per_clb=32
+        )
+        payload = RegenerativePayload(cfg, default_registry())
+        payload.boot(modem="modem.cdma")
+        bank = CdmaReturnBank.for_users(2, payload.demods[0].behaviour().config)
+        rng = np.random.default_rng(0)
+        sent = [rng.integers(0, 2, 32).astype(np.uint8) for _ in range(2)]
+        out = payload.process_return_link(bank.transmit(sent), 2, 32)
+        assert all(np.array_equal(b, s) for b, s in zip(out["bits"], sent))
+        """
+    )
+    assert loaded == "[]"

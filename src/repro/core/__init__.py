@@ -34,12 +34,11 @@ from .housekeeping import (
     ValidationProcess,
 )
 from .linkbudget import LinkComparison, compare_payloads
-from .redundancy import FailoverProcess, RedundantEquipment
+from .redundancy import RedundantEquipment
 from .sumts import check_mode_compatibility
 
 __all__ = [
     "BitstreamLibrary",
-    "FailoverProcess",
     "HousekeepingLog",
     "LinkComparison",
     "RedundantEquipment",

@@ -1,4 +1,4 @@
-"""Cold-spare redundancy and automatic failover.
+"""Cold-spare redundancy: a primary/spare pair as one equipment.
 
 Spacecraft practice for the §4.2 failure modes the paper calls
 "more difficult to recover from or impossible" (latch-up, burnout):
@@ -8,20 +8,20 @@ just loading the active personality onto the spare device, which is
 exactly the flexibility argument of the conclusion.
 
 :class:`RedundantEquipment` pairs a primary and a spare
-:class:`~repro.core.equipment.ReconfigurableEquipment`;
-:class:`FailoverProcess` watches health in simulated time and fails
-over automatically.
+:class:`~repro.core.equipment.ReconfigurableEquipment`.  It decides
+nothing on its own: the automatic failover is the FDIR arbiter's
+isolate rung (:mod:`repro.robustness.fdir.arbiter`), which marks the
+failed unit, calls :meth:`RedundantEquipment.failover` and, when no
+healthy standby remains, latches the watchdog into terminal safe mode.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..obs.probes import probe as _obs_probe
-from ..sim import Simulator
 from .equipment import EquipmentError, ReconfigurableEquipment
 
-__all__ = ["RedundantEquipment", "FailoverProcess"]
+__all__ = ["RedundantEquipment"]
 
 
 class RedundantEquipment:
@@ -33,8 +33,8 @@ class RedundantEquipment:
     When *both* units have permanently failed the pair becomes
     **terminal**: ``operational`` is ``False``, ``behaviour()`` raises
     :class:`EquipmentError` instead of delegating to a dead unit, and
-    the failover that discovered the condition reports it so the caller
-    can latch watchdog safe mode.
+    the failover that discovered the condition raises it so the caller
+    (the FDIR arbiter) can latch watchdog safe mode.
     """
 
     def __init__(
@@ -121,78 +121,3 @@ class RedundantEquipment:
         self.active = standby
         self.failovers += 1
         return standby
-
-
-class FailoverProcess:
-    """Watches a redundant pair in sim time and fails over on fault.
-
-    ``check_period`` is the health-monitor cadence; a failover is
-    triggered whenever the active unit stops being operational (SEU on
-    an essential bit, latch-up power-down, ...).  When the failure is
-    transient (configuration corruption), the standby takes over and the
-    corrupted unit remains available for a later recovery.
-
-    When a ``watchdog`` (a
-    :class:`~repro.robustness.watchdog.SafeModeWatchdog`) is supplied
-    the process owns the hand-off protocol itself: it **suspends**
-    watchdog escalation for the pair while it is the recovery authority,
-    and on an *unrecoverable* double fault it resumes monitoring and
-    latches the equipment into terminal safe mode
-    (``latch(..., load_golden=False)`` -- a dead device cannot boot a
-    golden image).  Callers therefore never need to pair
-    ``watchdog.suspend``/``resume`` calls by hand.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        pair: RedundantEquipment,
-        check_period: float = 60.0,
-        watchdog=None,
-    ) -> None:
-        if check_period <= 0:
-            raise ValueError("check_period must be positive")
-        self.sim = sim
-        self.pair = pair
-        self.check_period = check_period
-        self.watchdog = watchdog
-        self.events: list[tuple[float, str]] = []
-        self._probe = _obs_probe("core.redundancy", pair=pair.name)
-        if watchdog is not None:
-            watchdog.suspend(pair.name)
-        self.process = sim.process(self._run(), name=f"failover-{pair.name}")
-
-    def _run(self):
-        while True:
-            yield self.sim.timeout(self.check_period)
-            if not self.pair.operational:
-                try:
-                    unit = self.pair.failover()
-                    self.events.append((self.sim.now, f"failover->{unit.name}"))
-                    p = self._probe
-                    if p is not None:
-                        p.count("failovers")
-                        p.event(
-                            "redundancy.failover",
-                            pair=self.pair.name,
-                            unit=unit.name,
-                        )
-                except EquipmentError as exc:
-                    self.events.append((self.sim.now, f"unrecoverable: {exc}"))
-                    p = self._probe
-                    if p is not None:
-                        p.count("unrecoverable")
-                        p.event(
-                            "redundancy.unrecoverable",
-                            pair=self.pair.name,
-                            error=str(exc),
-                        )
-                    wd = self.watchdog
-                    if wd is not None:
-                        wd.resume(self.pair.name)
-                        wd.latch(
-                            self.pair.name,
-                            reason=f"redundancy exhausted: {exc}",
-                            load_golden=False,
-                        )
-                    return

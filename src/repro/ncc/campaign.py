@@ -7,7 +7,7 @@ space link, commands the reconfiguration through a telecommand carried
 on UDP, and verifies the CRC telemetry that comes back -- the complete
 §3 scenario, in simulated time.
 
-Since the robustness PR, the campaign is **fault tolerant**:
+The campaign is **fault tolerant**:
 
 - telecommands ride the :mod:`repro.robustness.transactions` layer --
   retransmitted under a :class:`~repro.robustness.RetryPolicy` with
@@ -19,6 +19,12 @@ Since the robustness PR, the campaign is **fault tolerant**:
 - the space side deduplicates telecommands by ``tc_id``
   (:class:`~repro.robustness.TcDedupCache`): a retransmitted TC whose
   reply was lost is answered from cache, never re-executed.
+
+The command plane carries no deadlines or priority classes, and the
+gateway sheds no telecommand.  Overload is shed on the demand plane
+(admission, CoDel queues with per-class budgets, the brownout ladder
+-- :mod:`repro.robustness.overload`), which is where the missions
+offer more load than the payload can serve.
 
 :class:`SatelliteGateway` is the space-side counterpart: it terminates
 the upload protocols into the on-board bitstream library and maps the
@@ -113,8 +119,10 @@ class BoundedUploadStore(dict):
 
     The TFTP/FTP/SCPS servers write completed transfers straight into
     this dict; a soak campaign uploading thousands of bitstreams must
-    not keep every blob forever, so past ``max_files`` the oldest
-    upload is evicted FIFO (``evicted`` counts them).  ``history`` is a
+    not keep every blob forever, so past ``max_files`` the oldest live
+    upload is evicted FIFO (``evicted`` counts them).  The dict's
+    insertion order is the FIFO, so a file popped and uploaded again
+    counts as the newest.  ``history`` is a
     ``deque(maxlen=...)`` of ``(filename, size_bytes)`` records --
     telemetry for operators, bounded by construction; overflow of the
     history itself is counted in ``history_evicted``.
@@ -128,20 +136,15 @@ class BoundedUploadStore(dict):
         self.history: deque[tuple[str, int]] = deque(maxlen=history_len)
         self.evicted = 0
         self.history_evicted = 0
-        self._order: deque[str] = deque()
 
     def __setitem__(self, key: str, value: bytes) -> None:
-        if key not in self:
-            self._order.append(key)
         if len(self.history) == self.history.maxlen:
             self.history_evicted += 1
         self.history.append((key, len(value)))
         super().__setitem__(key, value)
         while len(self) > self.max_files:
-            oldest = self._order.popleft()
-            if oldest in self:
-                super().__delitem__(oldest)
-                self.evicted += 1
+            super().__delitem__(next(iter(self)))
+            self.evicted += 1
 
 
 class SatelliteGateway:
@@ -165,7 +168,6 @@ class SatelliteGateway:
         payload: RegenerativePayload,
         uploads: Optional[Dict[str, bytes]] = None,
         dedup_capacity: int = 256,
-        admission=None,
         tc_queue_capacity: int = 256,
     ) -> None:
         self.node = node
@@ -178,9 +180,6 @@ class SatelliteGateway:
         self.ftp = FtpServer(node.ip, self.uploads)
         self.scps = ScpsFpReceiver(node.ip, files=self.uploads)
         self.dedup = TcDedupCache(capacity=dedup_capacity)
-        #: optional :class:`repro.robustness.overload.AdmissionController`
-        #: gating TC execution by priority class at the space-side ingress
-        self.admission = admission
         #: optional :class:`repro.robustness.dtn.ResumableReceiver`
         #: serving the xfer_status / xfer_finish transfer handshake
         self.xfer = None
@@ -189,8 +188,6 @@ class SatelliteGateway:
             "executed": 0,
             "dedup_hits": 0,
             "rejected": 0,
-            "shed_expired": 0,
-            "shed_admission": 0,
         }
         self._probe = _obs_probe("ncc.gateway", node=node.name)
         self._tc_sock = UdpSocket(node.ip, TC_PORT, recv_capacity=tc_queue_capacity)
@@ -208,31 +205,6 @@ class SatelliteGateway:
         downstream ``store`` TC.
         """
         self.xfer = receiver
-
-    def _shed(self, kind: str, tc_id, addr, port, reason: str) -> None:
-        """Refuse a TC cheaply: count, trace, answer -- never execute.
-
-        Shed replies are **not** dedup-cached: a retransmission of the
-        same ``tc_id`` that arrives once pressure has eased (or still
-        inside its deadline, for admission sheds) deserves a fresh
-        decision, not a replay of the refusal.
-        """
-        self.stats[kind] += 1
-        p = self._probe
-        if p is not None:
-            p.count(kind)
-            p.event(
-                "overload.gateway_shed",
-                t=self.node.sim.now,
-                tc_id=tc_id if isinstance(tc_id, int) else -1,
-                reason=reason,
-            )
-        reply = {
-            "tc_id": tc_id if isinstance(tc_id, int) else -1,
-            "success": False,
-            "payload": {"error": reason, "shed": True},
-        }
-        self._tc_sock.sendto(json.dumps(reply).encode(), addr, port)
 
     def _tc_server(self):
         p = self._probe
@@ -259,29 +231,6 @@ class SatelliteGateway:
                                 tc_id=tc_id,
                             )
                         self._tc_sock.sendto(cached, addr, port)
-                        continue
-                # -- overload gates, cheapest first: an expired TC is
-                # shed before execution (its ground caller has already
-                # given up on the result), then admission by class
-                if isinstance(msg, dict):
-                    expires = msg.get("deadline")
-                    if (
-                        isinstance(expires, (int, float))
-                        and self.node.sim.now >= expires
-                    ):
-                        self._shed(
-                            "shed_expired", tc_id, addr, port, "deadline-expired"
-                        )
-                        continue
-                    cls = msg.get("cls")
-                    if (
-                        self.admission is not None
-                        and cls is not None
-                        and not self.admission.admit(cls)
-                    ):
-                        self._shed(
-                            "shed_admission", tc_id, addr, port, "admission"
-                        )
                         continue
                 if (
                     self.xfer is not None
@@ -433,21 +382,17 @@ class NetworkControlCenter:
         return out
 
     # -- telecommand round trip ------------------------------------------------
-    def send_telecommand(self, action: str, args: dict, deadline=None, cls=None):
+    def send_telecommand(self, action: str, args: dict):
         """Generator: one reliable TC transaction; returns the TM reply dict.
 
         The transaction layer retransmits on a sim-time timeout instead
         of blocking forever on a dropped TC or TM datagram, and raises
         :class:`~repro.robustness.RetryExhausted` once the policy budget
         is spent -- a dead link is detected at a *bounded* simulated
-        time.  ``deadline`` / ``cls`` thread the overload-control
-        budget and priority class down to the gateway (see
-        :meth:`~repro.robustness.TcTransactionClient.request`).
+        time.
         """
         self._tc_id += 1
-        reply = yield from self.tc.request(
-            self._tc_id, action, args, deadline=deadline, cls=cls
-        )
+        reply = yield from self.tc.request(self._tc_id, action, args)
         return reply
 
     # -- uploads ----------------------------------------------------------------
@@ -465,18 +410,12 @@ class NetworkControlCenter:
         else:
             raise ValueError(f"unknown protocol {protocol!r}")
 
-    def upload(self, filename: str, blob: bytes, protocol: str, deadline=None):
-        """Generator: push a file, retrying failed transfers under policy.
-
-        ``deadline`` caps the retry loop end-to-end (no attempt starts
-        after expiry; backoffs never overshoot it).
-        """
+    def upload(self, filename: str, blob: bytes, protocol: str):
+        """Generator: push a file, retrying failed transfers under policy."""
         if protocol not in ("tftp", "ftp", "scps"):
             raise ValueError(f"unknown protocol {protocol!r}")
         if self._resumable is not None:
-            yield from self._resumable.upload(
-                filename, blob, protocol, deadline=deadline
-            )
+            yield from self._resumable.upload(filename, blob, protocol)
             return
         yield from run_with_retry(
             self.sim,
@@ -485,7 +424,6 @@ class NetworkControlCenter:
             rng=self.rng,
             retry_on=UPLOAD_RETRY_ON,
             name=f"upload.{protocol}",
-            deadline=deadline,
         )
 
     # -- the full campaign ---------------------------------------------------------
@@ -495,8 +433,6 @@ class NetworkControlCenter:
         function: str,
         protocol: str = "ftp",
         version: int = 1,
-        deadline_budget: Optional[float] = None,
-        priority: Optional[str] = None,
     ):
         """Generator: upload + store + reconfigure + collect telemetry.
 
@@ -504,37 +440,20 @@ class NetworkControlCenter:
         the full-campaign result paths carry normalized telemetry (the
         ``crc`` / ``rolled_back`` / ``safe_mode`` keys are always
         present).
-
-        ``deadline_budget`` (seconds) puts the *whole* campaign --
-        upload, store, reconfigure -- under one end-to-end deadline:
-        every hop checks the remaining budget and an expired campaign
-        raises :class:`~repro.robustness.overload.DeadlineExceeded`
-        instead of consuming further link capacity.  ``priority`` tags
-        the telecommands with a class for the gateway's admission
-        controller.
         """
-        deadline = None
-        if deadline_budget is not None:
-            from ..robustness.overload.deadline import Deadline
-
-            deadline = Deadline.after(self.sim.now, deadline_budget)
         design = self.registry.get(function)
         bitstream = design.bitstream_for(*self.geometry)
         blob = bitstream.to_bytes()
         filename = f"{function}@{version}.bit"
 
         t0 = self.sim.now
-        yield from self.upload(filename, blob, protocol, deadline=deadline)
+        yield from self.upload(filename, blob, protocol)
         t_upload = self.sim.now - t0
-        if deadline is not None:
-            deadline.check(self.sim.now, "campaign.store")
 
         t1 = self.sim.now
         reply = yield from self.send_telecommand(
             "store",
             {"file": filename, "function": function, "version": version},
-            deadline=deadline,
-            cls=priority,
         )
         if not reply["success"]:
             telemetry = _normalize_telemetry(reply["payload"])
@@ -551,13 +470,9 @@ class NetworkControlCenter:
             )
             self._record(result)
             return result
-        if deadline is not None:
-            deadline.check(self.sim.now, "campaign.reconfigure")
         reply = yield from self.send_telecommand(
             "reconfigure",
             {"equipment": equipment, "function": function, "version": version},
-            deadline=deadline,
-            cls=priority,
         )
         t_cmd = self.sim.now - t1
         telemetry = _normalize_telemetry(reply["payload"])

@@ -16,6 +16,14 @@ repository live up to that:
   state machine: N consecutive failed validations/rollbacks trigger an
   autonomous golden-image load from the bitstream library.
 
+Each invariant has one recovery authority on the path missions run.
+The on-board controller's rollback and the watchdog's golden-image load
+keep the payload from being bricked; failover to a cold spare is the
+FDIR arbiter's isolate rung (:mod:`repro.robustness.fdir`), which
+latches the watchdog when the spare is gone too.  Overload is shed on
+the demand plane only (:mod:`repro.robustness.overload`): telecommands
+and uploads carry no deadline or priority class.
+
 The seeded control-plane fault sweep over this machinery (SEU during
 load, truncated uploads, lost final ACK, a lossy link) is
 :func:`repro.scenarios.tctm_sweep`, run through the scenario runner and
@@ -32,7 +40,7 @@ from .transactions import (
     TransactionError,
     recv_within,
 )
-from .watchdog import DEGRADED, NOMINAL, SAFE_MODE, SafeModeWatchdog, WatchdogProcess
+from .watchdog import DEGRADED, NOMINAL, SAFE_MODE, SafeModeWatchdog
 
 __all__ = [
     "DEGRADED",
@@ -45,7 +53,6 @@ __all__ = [
     "TcDedupCache",
     "TcTransactionClient",
     "TransactionError",
-    "WatchdogProcess",
     "recv_within",
     "run_with_retry",
 ]

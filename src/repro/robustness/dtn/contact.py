@@ -164,9 +164,9 @@ class LinkScheduler:
     scheduler adds a bounded number of events regardless of how long
     the mission runs.
 
-    ``on_contact`` callbacks (registered via :meth:`notify_contact`)
-    fire at every down->up transition -- the hook the NCC playback
-    driver and resumable uploaders use to wake at the next pass.
+    Nothing is called back at a transition: the NCC playback driver
+    polls :meth:`effective`, and the resumable uploader asks
+    :meth:`next_contact` when to wake.
     """
 
     def __init__(
@@ -187,7 +187,6 @@ class LinkScheduler:
             raise ValueError("invalid outages:\n  - " + "\n  - ".join(probs))
         self.name = name
         self.passes = 0
-        self._on_contact: List = []
         self._probe = _obs_probe("dtn.contact", plan=name)
         # collect every instant the effective state can change
         edges = set()
@@ -212,10 +211,6 @@ class LinkScheduler:
             return False
         return not any(o.contains(t) for o in self.outages)
 
-    def notify_contact(self, callback) -> None:
-        """Call ``callback()`` at every future down->up transition."""
-        self._on_contact.append(callback)
-
     def next_contact(self, t: float) -> Optional[float]:
         """Earliest instant >= ``t`` at which the link is effectively up.
 
@@ -227,12 +222,6 @@ class LinkScheduler:
             edges.add(w.start)
         for o in self.outages:
             edges.add(o.end)
-        if self.plan.permanent:
-            # only outages matter
-            for cand in sorted(e for e in edges if e >= t):
-                if self.effective(cand):
-                    return cand
-            return None
         for cand in sorted(e for e in edges if e >= t):
             if self.effective(cand):
                 return cand
@@ -249,8 +238,6 @@ class LinkScheduler:
             if p is not None:
                 p.count("passes")
                 p.event("dtn.contact_start", t=t, plan=self.name)
-            for cb in list(self._on_contact):
-                cb()
         else:
             if p is not None:
                 p.count("contact_ends")

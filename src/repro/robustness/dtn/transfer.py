@@ -12,9 +12,8 @@ without touching their wire behaviour:
 
 - the ground :class:`ResumableUploader` splits a file into numbered
   segment files and pushes each through the configured protocol
-  (TFTP/FTP/SCPS); per-segment completion is the checkpoint, persisted
-  in a :class:`TransferState` (JSON round-trippable) that survives the
-  gap;
+  (TFTP/FTP/SCPS); per-segment completion is the checkpoint, kept in
+  a :class:`TransferState` journal entry that survives the gap;
 - after an interruption it re-syncs with an ``xfer_status`` gap report
   (the satellite lists the segments it actually holds -- CFDP's NAK),
   so a segment whose final ACK was lost in the blackout is **never
@@ -29,12 +28,11 @@ Bytes actually offered to the link are accounted in
 ``TransferState.bytes_sent``: the acceptance yardstick is that a
 mid-transfer blackout costs at most the segment in flight, keeping the
 total under 1.5x the file size where restart-from-zero pays >= 2x
-(:func:`restart_from_zero_upload` measures the naive baseline).
+(:func:`restart_from_zero_upload` is that naive baseline).
 """
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -72,12 +70,7 @@ def segment_name(filename: str, idx: int) -> str:
 
 @dataclass
 class TransferState:
-    """Checkpointed state of one resumable upload (the CFDP 'MIB' entry).
-
-    Persistable: :meth:`to_json` / :meth:`from_json` round-trip losslessly,
-    so ground software can survive a process restart mid-gap and resume
-    from disk.
-    """
+    """Checkpointed state of one resumable upload (the CFDP 'MIB' entry)."""
 
     filename: str
     size: int
@@ -98,34 +91,9 @@ class TransferState:
         return [i for i in range(self.num_segments) if i not in self.completed]
 
     @property
-    def progress(self) -> float:
-        return len(self.completed) / self.num_segments
-
-    @property
     def overhead_ratio(self) -> float:
         """Bytes offered to the link over the file size (1.0 = perfect)."""
         return self.bytes_sent / self.size if self.size else 1.0
-
-    def to_json(self) -> str:
-        d = {
-            "filename": self.filename,
-            "size": self.size,
-            "crc32": self.crc32,
-            "segment_size": self.segment_size,
-            "completed": sorted(self.completed),
-            "bytes_sent": self.bytes_sent,
-            "attempts": self.attempts,
-            "resumes": self.resumes,
-            "segments_resent": self.segments_resent,
-            "finished": self.finished,
-        }
-        return json.dumps(d, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, blob: str) -> "TransferState":
-        d = json.loads(blob)
-        d["completed"] = set(d["completed"])
-        return cls(**d)
 
     @classmethod
     def for_blob(
@@ -144,19 +112,17 @@ class ResumableUploader:
 
     ``ncc`` is a :class:`repro.ncc.NetworkControlCenter` (or anything
     with ``sim``, ``_upload_once`` and ``send_telecommand``);
-    ``scheduler`` an optional
+    ``scheduler`` the
     :class:`~repro.robustness.dtn.contact.LinkScheduler` the uploader
     consults to sleep through known gaps instead of burning retry
-    budget into a dead link.  Without a scheduler it backs off a fixed
-    ``retry_wait`` between resume attempts.
+    budget into a dead link.
     """
 
     def __init__(
         self,
         ncc,
-        scheduler=None,
+        scheduler,
         segment_size: int = 4096,
-        retry_wait: float = 10.0,
         max_resumes: int = 64,
         settle_s: float = 0.5,
     ) -> None:
@@ -168,10 +134,9 @@ class ResumableUploader:
         self.sim = ncc.sim
         self.scheduler = scheduler
         self.segment_size = segment_size
-        self.retry_wait = retry_wait
         self.max_resumes = max_resumes
         self.settle_s = settle_s
-        #: persisted per-file transfer state (the checkpoint journal)
+        #: per-file transfer state (the checkpoint journal)
         self.journal: Dict[str, TransferState] = {}
         self.stats = {
             "transfers": 0,
@@ -183,34 +148,22 @@ class ResumableUploader:
         self._probe = _obs_probe("dtn.transfer", side="ground")
 
     # -- contact handling --------------------------------------------------
-    def _wait_for_contact(self, deadline=None):
+    def _wait_for_contact(self):
         """Generator: sleep until the link is (scheduled to be) up."""
-        if self.scheduler is None:
-            yield self.sim.timeout(self.retry_wait)
-            return
         t = self.scheduler.next_contact(self.sim.now)
         if t is None:
             raise TransferError("no further contact scheduled")
         wait = max(0.0, t - self.sim.now) + self.settle_s
-        if deadline is not None and deadline.expires_at < self.sim.now + wait:
-            deadline.check(self.sim.now + wait, "dtn.wait_for_contact")
         if wait > 0:
             yield self.sim.timeout(wait)
 
     # -- the resumable upload ----------------------------------------------
-    def upload(
-        self,
-        filename: str,
-        blob: bytes,
-        protocol: str = "tftp",
-        deadline=None,
-    ):
+    def upload(self, filename: str, blob: bytes, protocol: str = "tftp"):
         """Generator: push ``blob`` as ``filename``, resuming across gaps.
 
         Returns the final :class:`TransferState` (``finished=True``).
         Raises :class:`TransferError` when no further contact exists or
-        the resume budget is exhausted; deadline expiry raises through
-        ``deadline.check``.
+        the resume budget is exhausted.
         """
         state = self.journal.get(filename)
         crc = zlib.crc32(blob) & 0xFFFFFFFF
@@ -223,17 +176,13 @@ class ResumableUploader:
             p.count("transfers")
         interrupted = state.resumes > 0 or bool(state.completed)
         while True:
-            if deadline is not None:
-                deadline.check(self.sim.now, "dtn.transfer")
             if state.resumes > self.max_resumes:
                 raise TransferError(
                     f"{filename}: resume budget exhausted "
                     f"({state.resumes} resumes)"
                 )
-            if self.scheduler is not None and not self.scheduler.effective(
-                self.sim.now
-            ):
-                yield from self._wait_for_contact(deadline)
+            if not self.scheduler.effective(self.sim.now):
+                yield from self._wait_for_contact()
                 continue
             # -- gap report: after any interruption, ask the satellite
             #    which segments it actually holds (a segment whose final
@@ -248,7 +197,7 @@ class ResumableUploader:
                 except RetryExhausted:
                     state.resumes += 1
                     self.stats["resumes"] += 1
-                    yield from self._wait_for_contact(deadline)
+                    yield from self._wait_for_contact()
                     continue
                 if reply["success"]:
                     present = set(reply["payload"].get("present", ()))
@@ -288,7 +237,7 @@ class ResumableUploader:
                         done=len(state.completed),
                         total=state.num_segments,
                     )
-                yield from self._wait_for_contact(deadline)
+                yield from self._wait_for_contact()
                 continue
             # -- finish handshake: reassemble + CRC check on board
             try:
@@ -305,7 +254,7 @@ class ResumableUploader:
                 state.resumes += 1
                 self.stats["resumes"] += 1
                 interrupted = True
-                yield from self._wait_for_contact(deadline)
+                yield from self._wait_for_contact()
                 continue
             if reply["success"]:
                 state.finished = True
@@ -334,21 +283,23 @@ class ResumableUploader:
 
 
 def restart_from_zero_upload(
-    ncc, filename: str, blob: bytes, protocol: str = "tftp",
-    scheduler=None, retry_wait: float = 10.0, max_attempts: int = 16,
+    ncc, filename: str, blob: bytes, protocol: str, scheduler,
+    max_attempts: int = 16,
 ):
     """Generator: the naive baseline -- whole-file retry from byte zero.
 
     Mirrors what ``NetworkControlCenter.upload`` does under a retry
     policy, but accounts bytes offered per attempt and sleeps to the
     next contact between attempts.  Returns total ``bytes_sent``.
-    Exists so tests and benchmarks can quantify what the resumable
-    path saves (>= 2x the file size across one mid-transfer blackout).
+    No mission or benchmark runs it: it is the reference the DTN tests
+    hold :class:`ResumableUploader` against (the resumable path must
+    cost less than this baseline's >= 2x the file size across one
+    mid-transfer blackout).
     """
     bytes_sent = 0
     sim = ncc.sim
     for _attempt in range(max_attempts):
-        if scheduler is not None and not scheduler.effective(sim.now):
+        if not scheduler.effective(sim.now):
             t = scheduler.next_contact(sim.now)
             if t is None:
                 raise TransferError("no further contact scheduled")
@@ -359,8 +310,7 @@ def restart_from_zero_upload(
             yield from ncc._upload_once(filename, blob, protocol)
             return bytes_sent
         except _SEGMENT_RETRY_ON:
-            if scheduler is None:
-                yield sim.timeout(retry_wait)
+            continue  # a link that died sleeps to the next pass above
     raise TransferError(f"{filename}: {max_attempts} attempts exhausted")
 
 

@@ -286,9 +286,6 @@ class FdirArbiter:
                 eq.mark_unit_failed(unit)
             spare = eq.failover()
             self._log(k, "isolate", f"failover->{spare.name}")
-            if self.watchdog is not None:
-                # the spare is now the serving unit; keep monitoring it
-                self.watchdog.resume(eq.name)
             return "isolate"
         except EquipmentError as exc:
             self._terminal(k, eq, st, reason=str(exc))

@@ -4,18 +4,21 @@ The command plane (:mod:`repro.robustness.transactions`) and the
 hardware-fault plane (:mod:`repro.robustness.fdir`) are hardened by the
 earlier robustness layers; this package closes the remaining gap named
 by the scalable-payload literature: **offered load exceeding on-board
-capacity**.  The defense is layered, cheapest first:
+capacity**.  It acts on the demand plane, the per-frame burst-request
+model the scenario runner drives, and the defense is layered, cheapest
+first:
 
 1. :mod:`.admission` -- per-priority-class token buckets at the
-   NCC/gateway ingress, rates fed by the
+   demand-plane ingress, rates fed by the
    :class:`~repro.ncc.traffic.ServiceMix` demand forecast and the live
    link-budget capacity estimate.  Excess load is rejected at the door
    for the cost of a counter tick.
 2. :mod:`.queues` -- bounded FIFOs with explicit backpressure
    (``offer`` -> bool), plus a CoDel sojourn-time shedder for the
    MF-TDMA burst queue: standing queues melt instead of persisting.
-3. :mod:`.deadline` -- end-to-end deadline budgets; every hop checks
-   remaining budget and sheds expired work instead of processing it.
+3. :mod:`.deadline` -- per-class queue budgets: each admitted request
+   is queued with a :class:`Deadline`, and the serving loop sheds an
+   expired request instead of serving it.
 4. :mod:`.brownout` -- a circuit breaker for sick downstream
    components and a brownout ladder that sheds low-priority service
    classes first and restores with hysteresis + dwell (no flapping),
@@ -32,8 +35,8 @@ All decisions emit ``overload.*`` metrics and trace events through
 """
 
 from .admission import PRIORITY_CLASSES, AdmissionController, TokenBucket
-from .brownout import BrownoutLadder, CircuitBreaker, CircuitOpen
-from .deadline import Deadline, DeadlineExceeded
+from .brownout import BrownoutLadder, CircuitBreaker
+from .deadline import Deadline
 from .queues import BoundedQueue, CoDelQueue
 
 __all__ = [
@@ -41,10 +44,8 @@ __all__ = [
     "BoundedQueue",
     "BrownoutLadder",
     "CircuitBreaker",
-    "CircuitOpen",
     "CoDelQueue",
     "Deadline",
-    "DeadlineExceeded",
     "PRIORITY_CLASSES",
     "TokenBucket",
 ]

@@ -1,7 +1,7 @@
 """Ingress admission control: per-priority-class token buckets.
 
 The cheapest place to handle overload is *before* any capacity is
-spent: an admission controller at the NCC/gateway ingress that matches
+spent: an admission controller at the demand-plane ingress that matches
 the offered demand against what the payload can actually serve.  Each
 priority class gets a :class:`TokenBucket` refilled at its share of the
 capacity estimate; a request that finds its class bucket empty is

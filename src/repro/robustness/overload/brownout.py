@@ -2,8 +2,8 @@
 
 Two complementary protections sit *behind* admission control:
 
-- :class:`CircuitBreaker` wraps a downstream processor (decoder stage,
-  gateway executor).  Consecutive failures trip it OPEN so callers
+- :class:`CircuitBreaker` wraps a downstream processor (the demand
+  plane's serving stage).  Consecutive failures trip it OPEN so callers
   fail fast instead of piling retries onto a struggling component; a
   cooldown later it goes HALF_OPEN and probes with a limited number of
   trial requests before fully CLOSING again.
@@ -28,11 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...obs.probes import probe as _obs_probe
 
-__all__ = ["CircuitBreaker", "CircuitOpen", "BrownoutLadder"]
-
-
-class CircuitOpen(RuntimeError):
-    """Raised (or signalled) when the breaker rejects a call fast."""
+__all__ = ["CircuitBreaker", "BrownoutLadder"]
 
 
 class CircuitBreaker:

@@ -1,43 +1,22 @@
-"""End-to-end deadline budgets for demand-plane work items.
+"""Per-class queue budgets for demand-plane work items.
 
-Every admitted unit of work -- a telecommand, a bitstream upload, an
-MF-TDMA burst request -- carries a :class:`Deadline`: the absolute
-simulated time by which the *whole* pipeline must have finished with
-it.  Each hop checks the remaining budget before doing expensive work
-and **sheds expired items instead of processing them**: a request that
-can no longer meet its deadline only wastes capacity that live requests
-need, which is exactly how an overloaded system collapses.
+Every burst request the demand plane admits is queued with a
+:class:`Deadline`: the absolute simulated time by which it must be
+served, ``Deadline.after(now, budget)`` with the budget of its priority
+class.  The serving loop sheds an item whose deadline has
+:meth:`~Deadline.expired` instead of serving it: a request that can no
+longer meet its budget only wastes capacity that live requests need,
+which is exactly how an overloaded system collapses.
 
-Deadlines are plain data (absolute expiry, not a countdown), so they
-survive serialization across the TC link: the ground side stamps
-``deadline`` into the telecommand JSON and the satellite gateway checks
-it against *its* clock -- both ends share simulated time, so no skew
-model is needed here.
+Deadlines are plain data (absolute expiry, not a countdown), so the
+queue needs no timer per item.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Deadline", "DeadlineExceeded"]
-
-
-class DeadlineExceeded(RuntimeError):
-    """Work was shed because its deadline budget ran out.
-
-    ``where`` names the hop that shed it (``"upload"``, ``"tc"``,
-    ``"gateway"``, ``"burst-queue"`` ...), so overload traces show *where*
-    in the pipeline budgets die.
-    """
-
-    def __init__(self, where: str, deadline: float, now: float) -> None:
-        super().__init__(
-            f"{where}: deadline {deadline:.3f} expired at t={now:.3f} "
-            f"({now - deadline:.3f}s late)"
-        )
-        self.where = where
-        self.deadline = deadline
-        self.now = now
+__all__ = ["Deadline"]
 
 
 @dataclass(frozen=True)
@@ -45,8 +24,7 @@ class Deadline:
     """An absolute expiry time in simulated seconds.
 
     Build one at admission (``Deadline.after(sim.now, budget)``) and
-    thread it through every hop; each hop calls :meth:`check` before
-    spending capacity on the item.
+    test it with :meth:`expired` before spending capacity on the item.
     """
 
     expires_at: float
@@ -58,21 +36,5 @@ class Deadline:
             raise ValueError(f"deadline budget must be > 0, got {budget}")
         return cls(expires_at=now + budget)
 
-    def remaining(self, now: float) -> float:
-        """Budget left (negative once expired)."""
-        return self.expires_at - now
-
     def expired(self, now: float) -> bool:
         return now >= self.expires_at
-
-    def check(self, now: float, where: str) -> float:
-        """Remaining budget, or raise :class:`DeadlineExceeded`.
-
-        The canonical per-hop gate::
-
-            remaining = deadline.check(sim.now, "upload")
-        """
-        rem = self.expires_at - now
-        if rem <= 0.0:
-            raise DeadlineExceeded(where, self.expires_at, now)
-        return rem

@@ -114,7 +114,6 @@ def run_with_retry(
     rng=None,
     retry_on: Tuple[Type[BaseException], ...] = (Exception,),
     name: str = "operation",
-    deadline=None,
 ):
     """Generator: drive a generator-based operation under a retry policy.
 
@@ -124,12 +123,6 @@ def run_with_retry(
     backoff (a simulated-time :class:`Timeout`) and a new attempt; any
     other exception propagates immediately.  Returns the successful
     attempt's return value, or raises :class:`RetryExhausted`.
-
-    ``deadline`` (a :class:`repro.robustness.overload.Deadline`) caps
-    the whole loop end-to-end: no new attempt starts after expiry and
-    backoff sleeps never overshoot it -- expired work is shed with
-    :class:`~repro.robustness.overload.DeadlineExceeded` instead of
-    burning more attempts on a result nobody can use.
 
     Use inside a sim process::
 
@@ -142,18 +135,6 @@ def run_with_retry(
     p = _obs_probe("robustness.retry", operation=name)
     last: Optional[BaseException] = None
     for attempt in range(policy.max_attempts):
-        if deadline is not None and deadline.expired(sim.now):
-            from .overload.deadline import DeadlineExceeded
-
-            if p is not None:
-                p.count("deadline_shed")
-                p.event(
-                    "overload.deadline_shed",
-                    t=sim.now,
-                    where=name,
-                    attempt=attempt,
-                )
-            raise DeadlineExceeded(name, deadline.expires_at, sim.now)
         if p is not None:
             p.count("attempts")
         try:
@@ -171,10 +152,6 @@ def run_with_retry(
             if attempt + 1 >= policy.max_attempts:
                 break
             delay = policy.delay_for(attempt, rng)
-            if deadline is not None:
-                # never sleep past the deadline; the expiry check at
-                # the top of the loop sheds the next attempt
-                delay = min(delay, max(0.0, deadline.remaining(sim.now)))
             if p is not None:
                 p.count("retries")
                 p.event("retry.backoff", t=sim.now, attempt=attempt, delay=delay)

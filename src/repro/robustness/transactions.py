@@ -106,44 +106,24 @@ class TcTransactionClient:
             "garbled": 0,
             "completed": 0,
             "exhausted": 0,
-            "deadline_shed": 0,
         }
         self._probe = _obs_probe("ncc.tc", node=node.name)
 
-    def request(self, tc_id: int, action: str, args: dict, deadline=None, cls=None):
+    def request(self, tc_id: int, action: str, args: dict):
         """Generator: send one TC reliably; returns the TM reply dict.
 
         Raises :class:`RetryExhausted` when every retransmission of the
         transaction went unanswered.
-
-        ``deadline`` (a :class:`repro.robustness.overload.Deadline`)
-        makes the transaction budget-aware: the expiry rides in the TC
-        datagram so the gateway can shed it on arrival, listen windows
-        are capped to the remaining budget, and an expired transaction
-        raises :class:`~repro.robustness.overload.DeadlineExceeded`
-        (``deadline_shed`` counter) instead of burning further
-        retransmissions.  ``cls`` tags the datagram with a priority
-        class for the gateway's admission controller.
         """
         from ..net.udp import UdpSocket  # deferred: keeps import graph acyclic
 
         sock = UdpSocket(self.node.ip)
-        msg = {"tc_id": tc_id, "action": action, "args": args}
-        if deadline is not None:
-            msg["deadline"] = deadline.expires_at
-        if cls is not None:
-            msg["cls"] = cls
-        datagram = json.dumps(msg).encode()
+        datagram = json.dumps(
+            {"tc_id": tc_id, "action": action, "args": args}
+        ).encode()
         p = self._probe
         try:
             for attempt in range(self.policy.max_attempts):
-                if deadline is not None and deadline.expired(self.sim.now):
-                    self._shed_expired(p, tc_id, action, attempt)
-                    from .overload.deadline import DeadlineExceeded
-
-                    raise DeadlineExceeded(
-                        f"tc.{action}", deadline.expires_at, self.sim.now
-                    )
                 sock.sendto(datagram, self.sat_address, self.port)
                 self.stats["sent"] += 1
                 if p is not None:
@@ -159,11 +139,7 @@ class TcTransactionClient:
                             action=action,
                             attempt=attempt,
                         )
-                window = self.policy.delay_for(attempt, self.rng)
-                if deadline is not None:
-                    # a listen window past the budget only delays the shed
-                    window = min(window, max(0.0, deadline.remaining(self.sim.now)))
-                window_end = self.sim.now + window
+                window_end = self.sim.now + self.policy.delay_for(attempt, self.rng)
                 while True:
                     remaining = window_end - self.sim.now
                     if remaining <= 0.0:
@@ -211,18 +187,6 @@ class TcTransactionClient:
             )
         finally:
             sock.close()
-
-    def _shed_expired(self, p, tc_id: int, action: str, attempt: int) -> None:
-        self.stats["deadline_shed"] += 1
-        if p is not None:
-            p.count("deadline_shed")
-            p.event(
-                "overload.deadline_shed",
-                t=self.sim.now,
-                tc_id=tc_id,
-                action=action,
-                attempt=attempt,
-            )
 
 
 class TcDedupCache:

@@ -24,10 +24,12 @@ State machine (per equipment, and aggregated for the payload)::
        ^                                reconfigure clears the latch
        +--------------------------------------------------------+
 
-:class:`WatchdogProcess` is the optional periodic health monitor: it
-runs in simulated time and feeds failures into the watchdog whenever an
-equipment sits non-operational (dead device, aborted load), so even
-failures that never produce a telecommand response escalate.
+The watchdog polls nothing itself; two sources feed it.  The on-board
+controller reports validated reconfiguration outcomes, and the FDIR
+arbiter (:mod:`repro.robustness.fdir.arbiter`) latches it
+(:meth:`SafeModeWatchdog.latch`) when a carrier's equipment is beyond
+recovery.  The arbiter's isolate rung is the one failover authority;
+nothing else polls equipment health.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Dict, Optional
 
 from ..obs.probes import probe as _obs_probe
 
-__all__ = ["SafeModeWatchdog", "WatchdogProcess", "NOMINAL", "DEGRADED", "SAFE_MODE"]
+__all__ = ["SafeModeWatchdog", "NOMINAL", "DEGRADED", "SAFE_MODE"]
 
 #: Per-equipment (and payload-wide) watchdog states.
 NOMINAL = "nominal"
@@ -73,9 +75,6 @@ class SafeModeWatchdog:
         self.safe_mode: Dict[str, dict] = {}
         #: chronological log of every safe-mode entry
         self.entries: list[dict] = []
-        #: equipments excluded from monitoring (e.g. handed over to a
-        #: :class:`~repro.core.redundancy.FailoverProcess`)
-        self.suspended: set[str] = set()
         self._probe = _obs_probe("core.watchdog")
 
     # -- state inspection --------------------------------------------------
@@ -106,21 +105,6 @@ class SafeModeWatchdog:
             "entries": len(self.entries),
         }
 
-    # -- monitoring control ------------------------------------------------
-    def suspend(self, equipment_name: str) -> None:
-        """Exclude one equipment from watchdog escalation.
-
-        Used when another recovery authority owns the unit -- e.g. a
-        redundancy :class:`~repro.core.redundancy.FailoverProcess` that
-        will deliberately leave the failed primary dark.
-        """
-        self.suspended.add(equipment_name)
-        self.failures[equipment_name] = 0
-
-    def resume(self, equipment_name: str) -> None:
-        """Re-enable watchdog escalation for one equipment."""
-        self.suspended.discard(equipment_name)
-
     # -- event sinks -------------------------------------------------------
     def record_success(self, equipment_name: str) -> None:
         """A validated reconfiguration succeeded: clear streak and latch.
@@ -142,8 +126,6 @@ class SafeModeWatchdog:
         Returns the safe-mode entry info dict when this failure crossed
         the threshold, else ``None``.
         """
-        if equipment_name in self.suspended:
-            return None
         n = self.failures.get(equipment_name, 0) + 1
         self.failures[equipment_name] = n
         p = self._probe
@@ -162,9 +144,8 @@ class SafeModeWatchdog:
         """Latch one equipment into safe mode from an external authority.
 
         Used by recovery machinery that has *already* concluded the unit
-        is unrecoverable -- e.g. a
-        :class:`~repro.core.redundancy.FailoverProcess` whose spare also
-        failed.  ``load_golden=False`` skips the golden-image load (a
+        is unrecoverable -- the FDIR arbiter's isolate rung, when the
+        cold spare is also dead or there is none.  ``load_golden=False`` skips the golden-image load (a
         dead device cannot be reloaded); the entry is then tagged
         ``terminal`` so telemetry and the golden-load invariant can tell a
         "parked on golden" latch from a "hardware is gone" latch.
@@ -235,36 +216,3 @@ class SafeModeWatchdog:
                 terminal=bool(info.get("terminal", False)),
             )
         return info
-
-
-class WatchdogProcess:
-    """Periodic health monitor driving a :class:`SafeModeWatchdog`.
-
-    Every ``period`` simulated seconds, each equipment that is neither
-    operational nor already in safe mode accrues one failure -- so a
-    payload left dark by an aborted load or a dead device escalates to
-    the golden image without any ground contact.  The monitor never
-    *clears* streaks: only an explicitly validated success does (see
-    :meth:`SafeModeWatchdog.record_success`), which keeps "rolled back
-    but still failing" sequences counting up.
-    """
-
-    def __init__(self, sim, watchdog: SafeModeWatchdog, period: float = 30.0) -> None:
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.sim = sim
-        self.watchdog = watchdog
-        self.period = period
-        self.checks = 0
-        self.process = sim.process(self._run(), name="obc-watchdog")
-
-    def _run(self):
-        wd = self.watchdog
-        while True:
-            yield self.sim.timeout(self.period)
-            self.checks += 1
-            for name, eq in wd.controller.equipments.items():
-                if name in wd.safe_mode or name in wd.suspended:
-                    continue
-                if not eq.operational:
-                    wd.record_failure(name)

@@ -292,8 +292,8 @@ class _DemandPlane:
                     break
                 deadline, sojourn = got
                 if deadline.expired(now):
-                    # deadline budgets are enforced at every hop: work
-                    # already past its budget is shed, not served
+                    # the class's queue budget: work already past its
+                    # budget is shed, not served
                     self.expired[c] += 1
                     continue
                 budget -= 1

@@ -1,14 +1,12 @@
-"""Tests for cold-spare redundancy and automatic failover."""
+"""Tests for the cold-spare redundant pair."""
 
 import numpy as np
 import pytest
 
 from repro.core import default_registry
 from repro.core.equipment import EquipmentError, ReconfigurableEquipment
-from repro.core.redundancy import FailoverProcess, RedundantEquipment
+from repro.core.redundancy import RedundantEquipment
 from repro.fpga import Fpga
-from repro.radiation import LatchUpModel
-from repro.sim import RngRegistry, Simulator
 
 GEOM = dict(rows=8, cols=8, bits_per_clb=32)
 
@@ -86,98 +84,6 @@ class TestRedundantEquipment:
         assert isinstance(pair.behaviour(), TdmaModem)
 
 
-class TestFailoverProcess:
-    def test_automatic_failover_on_seu(self):
-        sim = Simulator()
-        pair = make_pair()
-        watch = FailoverProcess(sim, pair, check_period=60.0)
-
-        def strike(sim):
-            yield sim.timeout(300.0)
-            pair.primary.fpga.upset_bits(np.array([2]))
-
-        sim.process(strike(sim))
-        sim.run(until=600.0)
-        assert pair.active is pair.spare
-        assert pair.operational
-        assert len(watch.events) == 1
-        # detected at the first health check at/after the strike
-        assert watch.events[0][0] in (300.0, 360.0)
-
-    def test_latchup_driven_failover(self):
-        """Unprotected latch-up kills the primary; the pair survives."""
-        sim = Simulator()
-        pair = make_pair()
-        lu = LatchUpModel(rate_per_device_day=50.0, protected=False)
-        watch = FailoverProcess(sim, pair, check_period=3600.0)
-        rng = RngRegistry(3).stream("lu")
-
-        def exposure(sim):
-            while not lu.destroyed:
-                yield sim.timeout(3600.0)
-                if lu.advance(3600.0 / 86_400.0, rng) and lu.destroyed:
-                    pair.mark_unit_failed(pair.primary)
-
-        sim.process(exposure(sim))
-        sim.run(until=10 * 86_400.0)
-        assert lu.destroyed
-        assert pair.active is pair.spare
-        assert pair.operational
-
-    def test_unrecoverable_logged_and_stopped(self):
-        sim = Simulator()
-        pair = make_pair()
-        pair.mark_unit_failed(pair.spare)
-        watch = FailoverProcess(sim, pair, check_period=60.0)
-        pair.primary.fpga.upset_bits(np.array([1]))
-        sim.run(until=600.0)
-        assert any("unrecoverable" in e[1] for e in watch.events)
-        assert not watch.process.is_alive
-
-    def test_period_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            FailoverProcess(sim, make_pair(), check_period=0.0)
-
-    def test_reentry_after_completed_failover(self):
-        """The process keeps watching: a second transient fault on the
-        spare fails back to the (rewritten, healthy) primary."""
-        sim = Simulator()
-        pair = make_pair()
-        watch = FailoverProcess(sim, pair, check_period=60.0)
-
-        def strikes(sim):
-            yield sim.timeout(100.0)
-            pair.primary.fpga.upset_bits(np.array([1]))
-            yield sim.timeout(300.0)
-            pair.spare.fpga.upset_bits(np.array([1]))
-
-        sim.process(strikes(sim))
-        sim.run(until=1000.0)
-        assert pair.failovers == 2
-        assert pair.active is pair.primary
-        assert pair.operational  # failback rewrote the corrupted config
-        assert watch.process.is_alive  # still on duty
-        assert len(watch.events) == 2
-
-
-class _WatchdogStub:
-    """Records the suspend/resume/latch protocol calls."""
-
-    def __init__(self):
-        self.calls = []
-
-    def suspend(self, name):
-        self.calls.append(("suspend", name))
-
-    def resume(self, name):
-        self.calls.append(("resume", name))
-
-    def latch(self, name, reason="", load_golden=True):
-        self.calls.append(("latch", name, load_golden))
-        return {"reason": reason}
-
-
 class TestTerminalDoubleFault:
     def test_terminal_flag_and_behaviour_error(self):
         pair = make_pair()
@@ -209,35 +115,3 @@ class TestTerminalDoubleFault:
         pair.mark_unit_failed(pair.primary)
         pair.failover()
         assert pair.loaded_design == "modem.tdma8"
-
-
-class TestFailoverWatchdogWiring:
-    def test_suspends_on_construction(self):
-        sim = Simulator()
-        pair = make_pair()
-        wd = _WatchdogStub()
-        FailoverProcess(sim, pair, check_period=60.0, watchdog=wd)
-        assert wd.calls == [("suspend", "demod0")]
-
-    def test_unrecoverable_resumes_and_latches_terminal(self):
-        sim = Simulator()
-        pair = make_pair()
-        wd = _WatchdogStub()
-        FailoverProcess(sim, pair, check_period=60.0, watchdog=wd)
-        pair.mark_unit_failed(pair.spare)
-        pair.primary.fpga.upset_bits(np.array([1]))
-        pair.mark_unit_failed(pair.primary)
-        sim.run(until=600.0)
-        assert ("resume", "demod0") in wd.calls
-        # dead hardware: the latch must not try to boot a golden image
-        assert ("latch", "demod0", False) in wd.calls
-
-    def test_successful_failover_keeps_watchdog_suspended(self):
-        sim = Simulator()
-        pair = make_pair()
-        wd = _WatchdogStub()
-        FailoverProcess(sim, pair, check_period=60.0, watchdog=wd)
-        pair.primary.fpga.upset_bits(np.array([1]))
-        sim.run(until=600.0)
-        assert pair.active is pair.spare
-        assert all(c[0] == "suspend" for c in wd.calls)

@@ -104,13 +104,14 @@ class TestLinkScheduler:
         sched = LinkScheduler(link, ContactPlan((ContactWindow(1.0, 2.0),)))
         assert sched.next_contact(5.0) is None
 
-    def test_contact_callbacks_fire_on_rise(self):
+    def test_next_contact_on_permanent_plan_skips_outages(self):
         sim, a, b, link = make_link()
-        sched = LinkScheduler(link, ContactPlan((ContactWindow(5.0, 10.0),)))
-        rises = []
-        sched.notify_contact(lambda: rises.append(sim.now))
-        sim.run(until=20.0)
-        assert rises == [5.0]
+        sched = LinkScheduler(
+            link, ContactPlan(), (OutageEvent(10.0, 5.0), OutageEvent(15.0, 2.0))
+        )
+        assert sched.next_contact(3.0) == 3.0
+        assert sched.next_contact(11.0) == 17.0  # back-to-back holes
+        assert sched.next_contact(40.0) == 40.0
 
     def test_hard_down_drops_traffic_both_ways(self):
         """Frames offered or in flight during an outage are dropped."""

@@ -1,12 +1,12 @@
-"""End-to-end overload control through NCC -> link -> gateway -> payload.
+"""Bounded buffers along NCC -> link -> gateway -> payload.
 
-Exercises the threaded-through pieces: bounded link/TMTC/UDP buffers
-with backpressure, gateway-side deadline and admission shedding,
-campaign-level deadline budgets, bounded switch queues and the CoDel
-burst queues on the payload.
+Exercises the pieces that keep memory bounded under load: link/TMTC/UDP
+buffers with backpressure, the gateway's bounded upload store and the
+payload's bounded switch queues.
 """
 
-import json
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -15,7 +15,6 @@ from repro.ncc import BoundedUploadStore, NetworkControlCenter, SatelliteGateway
 from repro.net import Link, Node
 from repro.net.tmtc import TmtcLayer
 from repro.net.udp import UdpSocket
-from repro.robustness.overload import AdmissionController, Deadline, DeadlineExceeded
 from repro.sim import Simulator
 
 pytestmark = pytest.mark.overload
@@ -34,27 +33,13 @@ def linked_pair(**link_kw):
     return sim, ground, space, link
 
 
-def build_world(admission=None):
+def build_world():
     sim, ground, space, link = linked_pair()
     payload = RegenerativePayload(PayloadConfig(num_carriers=1, **SMALL))
     payload.boot(modem="modem.cdma")
-    gw = SatelliteGateway(space, payload, admission=admission)
+    gw = SatelliteGateway(space, payload)
     ncc = NetworkControlCenter(ground, payload.registry, 2, GEOM)
     return sim, payload, gw, ncc
-
-
-def drive(sim, gen, until=1e6):
-    box = {}
-
-    def main():
-        try:
-            box["value"] = yield from gen
-        except BaseException as exc:  # noqa: BLE001
-            box["error"] = exc
-
-    sim.process(main())
-    sim.run(until=until)
-    return box
 
 
 class TestLinkBacklogBound:
@@ -118,101 +103,6 @@ class TestUdpRecvBound:
         assert server.dropped == 5
 
 
-class TestGatewayShedding:
-    def test_expired_deadline_shed_not_executed(self):
-        sim, payload, gw, ncc = build_world()
-        box = {}
-
-        def main():
-            # a deadline far shorter than the 0.5 s GEO round trip:
-            # the TC arrives on board already expired
-            d = Deadline.after(sim.now, 0.1)
-            try:
-                yield from ncc.send_telecommand(
-                    "noop", {}, deadline=d, cls="p0"
-                )
-            except DeadlineExceeded as exc:
-                box["shed"] = exc
-
-        sim.process(main())
-        sim.run(until=300.0)
-        assert gw.stats["shed_expired"] >= 1
-        assert gw.stats["executed"] == 0
-        assert "shed" in box  # ground side also gave up at its budget
-        assert ncc.stats["deadline_shed"] >= 1
-
-    def test_shed_reply_not_dedup_cached(self):
-        sim, payload, gw, ncc = build_world()
-        sock = UdpSocket(ncc.node.ip)
-        msg = {"tc_id": 77, "action": "noop", "args": {}, "deadline": 0.0}
-        sock.sendto(json.dumps(msg).encode(), 2, 2001)
-        sim.run(until=5.0)
-        assert gw.stats["shed_expired"] == 1
-        assert 77 not in gw.dedup
-
-    def test_admission_sheds_low_priority_class(self):
-        clockbox = {}
-        sim, ground, space, link = linked_pair()
-        payload = RegenerativePayload(PayloadConfig(num_carriers=1, **SMALL))
-        payload.boot(modem="modem.cdma")
-        admission = AdmissionController(lambda: sim.now, capacity=100.0)
-        admission.shed("p2")
-        gw = SatelliteGateway(space, payload, admission=admission)
-        ncc = NetworkControlCenter(ground, payload.registry, 2, GEOM)
-        replies = {}
-
-        def main():
-            replies["p2"] = yield from ncc.send_telecommand("noop", {}, cls="p2")
-            replies["p0"] = yield from ncc.send_telecommand("noop", {}, cls="p0")
-
-        sim.process(main())
-        sim.run(until=300.0)
-        assert replies["p2"]["success"] is False
-        assert replies["p2"]["payload"]["shed"] is True
-        assert gw.stats["shed_admission"] >= 1
-        # p0 is never shed: it proceeds to execution (unknown action ->
-        # rejected by the OBC, but it *reached* the OBC)
-        assert gw.stats["shed_admission"] == 1
-
-    def test_untagged_tc_unaffected_by_admission(self):
-        sim, payload, gw, ncc = build_world(
-            admission=AdmissionController(lambda: 0.0, capacity=0.0)
-        )
-        box = drive(sim, ncc.send_telecommand("noop", {}), until=300.0)
-        # no cls tag -> no admission gate; the TC reached the OBC
-        assert gw.stats["shed_admission"] == 0
-        assert gw.stats["tc_received"] >= 1
-
-
-class TestCampaignDeadline:
-    def test_campaign_inside_budget_succeeds(self):
-        sim, payload, gw, ncc = build_world()
-        box = drive(
-            sim,
-            ncc.reconfigure_equipment(
-                "demod0", "modem.tdma", protocol="tftp",
-                deadline_budget=3600.0, priority="p0",
-            ),
-            until=4000.0,
-        )
-        assert "error" not in box
-        assert box["value"].success
-
-    def test_campaign_with_tiny_budget_sheds(self):
-        sim, payload, gw, ncc = build_world()
-        box = drive(
-            sim,
-            ncc.reconfigure_equipment(
-                "demod0", "modem.tdma", protocol="tftp",
-                deadline_budget=0.5, priority="p0",
-            ),
-            until=4000.0,
-        )
-        assert isinstance(box.get("error"), DeadlineExceeded)
-        # the reconfigure TC never executed on board
-        assert payload.demods[0].loaded_design != "modem.tdma"
-
-
 class TestBoundedUploadStore:
     def test_evicts_oldest_and_counts(self):
         store = BoundedUploadStore(max_files=2, history_len=3)
@@ -224,6 +114,50 @@ class TestBoundedUploadStore:
         assert list(store.history) == [("a", 1), ("b", 2), ("c", 3)]
         store["d"] = b"4444"
         assert store.history_evicted == 1
+
+    def test_reupload_after_pop_goes_to_the_back(self):
+        """A file popped and uploaded again is the newest, not the
+        oldest: the next eviction takes the file that waited longest."""
+        store = BoundedUploadStore(max_files=2)
+        store["a"] = b"1"
+        store["b"] = b"2"
+        store.pop("a")
+        store["a"] = b"3"
+        store["c"] = b"4"
+        assert set(store) == {"a", "c"}
+        assert store.evicted == 1
+
+    def test_finish_cycles_keep_memory_flat(self):
+        """Resumable transfers pop every segment on finish; a soak of
+        such cycles must not grow the store's memory with the number of
+        files it has ever seen."""
+        from repro.robustness.dtn import ResumableReceiver, segment_name
+
+        store = BoundedUploadStore(max_files=8)
+        rx = ResumableReceiver(store)
+        blob = bytes(range(250))
+        args = {"filename": "f.bit", "segments": 5, "size": len(blob),
+                "crc32": zlib.crc32(blob) & 0xFFFFFFFF}
+
+        def cycles(n):
+            for _ in range(n):
+                store.pop("f.bit", None)
+                for i in range(5):
+                    store[segment_name("f.bit", i)] = blob[i * 50 : (i + 1) * 50]
+                assert rx.handle("xfer_finish", args)[0]
+
+        cycles(100)  # the bounded history fills up first
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cycles(2000)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert list(store) == ["f.bit"]
+        assert store.evicted == 0
+        # 12,000 uploads: a per-upload record of even 10 bytes breaks this
+        assert grown < 100_000
 
     def test_gateway_uses_bounded_store_by_default(self):
         sim, payload, gw, ncc = build_world()

@@ -11,9 +11,7 @@ from repro.robustness import (
     NOMINAL,
     SAFE_MODE,
     SafeModeWatchdog,
-    WatchdogProcess,
 )
-from repro.sim import Simulator
 
 GEOM = (8, 8, 32)
 
@@ -76,14 +74,6 @@ class TestStateMachine:
         wd.record_success("demod0")
         assert "demod0" not in wd.safe_mode
         assert wd.state_of("demod0") == NOMINAL
-
-    def test_suspend_excludes_unit_from_escalation(self):
-        payload, wd = make_payload(threshold=1)
-        wd.suspend("demod0")
-        assert wd.record_failure("demod0") is None
-        assert wd.state_of("demod0") == NOMINAL
-        wd.resume("demod0")
-        assert wd.record_failure("demod0") is not None
 
     def test_status_summary(self):
         payload, wd = make_payload(threshold=2)
@@ -199,44 +189,3 @@ class TestObcTelemetry:
         assert tm.success
         assert tm.payload["safe_mode"] is False
         assert "watchdog" not in payload.obc.execute(Telecommand(2, "status", {})).payload
-
-
-class TestWatchdogProcess:
-    def test_period_validation(self):
-        payload, wd = make_payload()
-        with pytest.raises(ValueError):
-            WatchdogProcess(Simulator(), wd, period=0.0)
-
-    def test_dark_equipment_escalates_without_ground_contact(self):
-        # A payload left non-operational (e.g. aborted load) must reach
-        # the golden image purely from the on-board health monitor.
-        payload, wd = make_payload(threshold=3)
-        sim = Simulator()
-        proc = WatchdogProcess(sim, wd, period=10.0)
-        payload.demods[0].unload()
-        sim.run(until=35.0)  # 3 checks at t=10, 20, 30
-        assert proc.checks == 3
-        assert wd.state_of("demod0") == SAFE_MODE
-        assert payload.demods[0].operational  # golden image restored
-
-    def test_healthy_payload_never_escalates(self):
-        payload, wd = make_payload(threshold=1)
-        sim = Simulator()
-        WatchdogProcess(sim, wd, period=5.0)
-        sim.run(until=100.0)
-        assert wd.state == NOMINAL
-
-    def test_monitor_skips_safe_mode_and_suspended_units(self):
-        payload, wd = make_payload(threshold=1)
-        sim = Simulator()
-        WatchdogProcess(sim, wd, period=5.0)
-        payload.demods[0].unload()
-        wd.suspend("demod0")
-        sim.run(until=50.0)
-        assert "demod0" not in wd.safe_mode  # suspended: left to its owner
-        wd.resume("demod0")
-        sim.run(until=60.0)
-        assert "demod0" in wd.safe_mode
-        entries_after_first = len(wd.entries)
-        sim.run(until=120.0)  # already latched: no re-entry spam
-        assert len(wd.entries) == entries_after_first

@@ -1,8 +1,14 @@
-"""The public surface: what ``__all__`` names exists, and importing is cheap.
+"""The public surface: what ``__all__`` names exists, what the program
+uses, and importing is cheap.
 
 A name deleted from a module but left in its ``__all__`` still imports
 cleanly until someone runs ``from module import *`` or looks it up, so
 this walks every module of the package and resolves each export.
+
+A public class or function of the robustness layer or the NCC that only
+the tests use is machinery no mission runs: it must be deleted, not kept
+as a knob, unless it is the tests' own reference (see
+``TEST_ONLY_ALLOWED``).
 
 Importing the package must not pull in ``scipy.signal``: it costs
 about a second and 48 MB in every fresh interpreter, and the package's
@@ -11,6 +17,7 @@ one FFT convolution (``repro.dsp.filters.fft_filter``) is built on
 this test process may already have imported it for other tests.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -21,7 +28,20 @@ from pathlib import Path
 
 import repro
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+#: packages whose module-level public classes and functions must be
+#: used by the program (``src/``, ``benchmarks/``, ``examples/``)
+USED_PACKAGES = ("repro/robustness", "repro/ncc")
+
+#: test-only names that stay, each with its reason
+TEST_ONLY_ALLOWED = {
+    "restart_from_zero_upload": (
+        "the whole-file baseline the DTN tests hold the resumable "
+        "uploader against (>= 2x the file size across one blackout)"
+    ),
+}
 
 
 def test_every_exported_name_resolves():
@@ -37,6 +57,54 @@ def test_every_exported_name_resolves():
                 stale.append(f"{info.name}.{name}")
     assert modules > 1
     assert stale == []
+
+
+def _public_defs():
+    """``{name: path}`` of the module-level public classes and functions
+    of :data:`USED_PACKAGES`."""
+    out = {}
+    for pkg in USED_PACKAGES:
+        for path in sorted((SRC / pkg).rglob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    if not node.name.startswith("_"):
+                        out[node.name] = path.relative_to(ROOT)
+    return out
+
+
+def _names_used(paths):
+    """Every identifier read as a name or an attribute in ``paths``.
+
+    Imports, ``__all__`` strings and docstrings are not uses, and
+    neither is a top-level definition's mention of its own name.
+    """
+    used = set()
+    for path in paths:
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    used.add(node.attr)
+    return used
+
+
+def test_robustness_and_ncc_names_are_used_outside_tests():
+    defs = _public_defs()
+    program = _names_used(
+        p for d in ("src", "benchmarks", "examples") for p in (ROOT / d).rglob("*.py")
+    )
+    test_only = sorted(
+        f"{path}: {name}"
+        for name, path in defs.items()
+        if name not in program and name not in TEST_ONLY_ALLOWED
+    )
+    assert test_only == []
+    # an allowance for a name that is gone or now used is stale
+    assert {n for n in TEST_ONLY_ALLOWED if n in defs and n not in program} == set(
+        TEST_ONLY_ALLOWED
+    )
 
 
 def _scipy_signal_after(code: str) -> str:

@@ -22,7 +22,7 @@ test-robustness:  ## fault-tolerance layer: retry, TC/TM transactions, watchdog,
 test-fdir:  ## traffic-plane FDIR: health monitors, recovery ladder, degraded modes, FDIR scenario sweep
 	$(PYTHON) -m pytest -m fdir tests/
 
-test-overload:  ## demand-plane overload control: admission, backpressure, deadlines, brownout, overload scenario sweep
+test-overload:  ## demand-plane overload control: admission, bounded queues, class budgets, brownout, overload scenario sweep
 	$(PYTHON) -m pytest -m overload tests/
 
 test-perf:  ## batched burst-processing throughput baseline + ground synthesis multiplexer gate + MF-TDMA batched==scalar suite + shared SRRC filter == fftconvolve pins + GF(2) bit kernels + fused trellis kernels (prints tables)

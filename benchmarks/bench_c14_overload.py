@@ -2,8 +2,8 @@
 
 Times the overload acceptance sweep (:func:`repro.scenarios.overload_sweep`,
 every surge shape at seed 0, each with its clean twin) through the
-scenario runner -- ingress admission, bounded CoDel class queues,
-per-class deadline budgets, the brownout ladder, the link-budget-coupled
+scenario runner -- ingress admission, one bounded queue per class whose
+heads expire at the class budget, the brownout ladder, the link-budget-coupled
 capacity and the service circuit breaker, on the live 3-carrier
 regenerative chain -- and prints the per-shape table: offered vs
 admitted vs served load, p0 goodput against the clean twin, brownout

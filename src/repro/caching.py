@@ -15,9 +15,7 @@ tiny **registry of named lru-caches**:
   attempts raise instead of silently corrupting every other user);
 - :func:`design_cache_stats` -- hit/miss/size counters per cache, fed
   into the ``perf.cache.*`` observability series by the throughput
-  benchmark (see ``docs/performance.md``);
-- :func:`clear_design_caches` -- drop everything (tests, memory
-  pressure).
+  benchmark (see ``docs/performance.md``).
 
 Cached functions must treat their return values as immutable.  A caller
 that needs a private mutable copy does ``srrc(...).copy()``.
@@ -33,7 +31,6 @@ import numpy as np
 __all__ = [
     "array_cache_key",
     "cached_design",
-    "clear_design_caches",
     "design_cache_stats",
     "freeze",
 ]
@@ -97,9 +94,3 @@ def design_cache_stats() -> Dict[str, Dict[str, int]]:
             "maxsize": info.maxsize or 0,
         }
     return out
-
-
-def clear_design_caches() -> None:
-    """Empty every registered design cache (stats reset to zero)."""
-    for fn in _CACHES.values():
-        fn.cache_clear()

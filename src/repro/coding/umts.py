@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ..caching import cached_design
-from .convolutional import UMTS_RATE_12, UMTS_RATE_13, ConvolutionalCode
+from .convolutional import UMTS_RATE_13, ConvolutionalCode
 from .crc import CRC16, Crc
 from .gf2 import generator_matrix, gf2_matmul
 from .interleaving import UMTS_2ND_PERM, BlockInterleaver, rate_dematch, rate_match

@@ -9,7 +9,7 @@ validation process CRCs each equipment on a schedule and emits telemetry
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

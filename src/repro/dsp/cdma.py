@@ -62,7 +62,7 @@ from ..caching import array_cache_key, cached_design, freeze
 from ..obs.probes import probe
 from .filters import srrc, srrc_filter
 from .modem import PskModem, estimate_snr_m2m4
-from .carrier import carrier_lock_metric, data_aided_phase
+from .carrier import carrier_lock_metric
 from .tdma import BurstSyncError
 from .timing import HISTORY_MAXLEN
 

@@ -36,7 +36,6 @@ __all__ = [
     "strobe_grid",
     "timing_line",
     "timing_line_table",
-    "timing_lock_metric",
     "GardnerLoop",
     "loop_gains",
 ]
@@ -194,7 +193,14 @@ def line_tau(c1: np.ndarray, sps: int) -> np.ndarray:
 
 
 def line_lock(c1: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    """Timing-lock metrics ``|C1| / C0`` (0 where ``C0 <= 0``)."""
+    """Timing-lock metrics ``|C1| / C0`` (0 where ``C0 <= 0``).
+
+    The magnitude of the Oerder&Meyr symbol-rate line relative to the
+    squared-envelope energy is a timing-lock detector: a PSK burst with
+    excess bandwidth concentrates energy at the symbol rate, while
+    noise leaves only the ``O(1/sqrt(N))`` estimation floor.  The FDIR
+    health monitors (:mod:`repro.robustness.fdir`) check it per burst.
+    """
     c0 = np.asarray(c0, dtype=np.float64)
     live = c0 > 0.0
     return np.where(live, np.abs(c1) / np.where(live, c0, 1.0), 0.0)
@@ -224,26 +230,6 @@ def oerder_meyr_recover(x: np.ndarray, sps: int) -> tuple[np.ndarray, float]:
     tau = oerder_meyr_estimate(x, sps)
     strobes, counts = oerder_meyr_strobes(np.asarray(x)[None], np.array([tau]), sps)
     return strobes[0, : counts[0]], tau
-
-
-def timing_lock_metric(x: np.ndarray, sps: int) -> float:
-    """Strength of the symbol-rate spectral line, ``|C1| / C0`` in [0, 1].
-
-    The Oerder&Meyr estimator derives its timing phase from the complex
-    line ``C1 = sum |x|^2 exp(-j 2 pi n / sps)``; the *magnitude* of
-    that line relative to the total squared-envelope energy ``C0`` is a
-    natural **timing-lock detector**: a PSK burst with excess bandwidth
-    concentrates energy at the symbol rate (metric well above the noise
-    floor), while pure noise or an un-synchronisable signal leaves only
-    the ``O(1/sqrt(N))`` estimation floor.  Used by the FDIR health
-    monitors (:mod:`repro.robustness.fdir`) as a per-burst lock check.
-    """
-    if sps < 3:
-        raise ValueError("timing line requires sps >= 3")
-    x = np.asarray(x)
-    if len(x) < 4 * sps:
-        raise ValueError("burst too short for a lock metric")
-    return float(line_lock(*timing_line(x, sps)))
 
 
 def loop_gains(bn_ts: float, zeta: float = 0.7071, kd: float = 1.0) -> tuple[float, float]:

@@ -22,9 +22,9 @@ The campaign is **fault tolerant**:
 
 The command plane carries no deadlines or priority classes, and the
 gateway sheds no telecommand.  Overload is shed on the demand plane
-(admission, CoDel queues with per-class budgets, the brownout ladder
--- :mod:`repro.robustness.overload`), which is where the missions
-offer more load than the payload can serve.
+(admission, one bounded queue per class whose heads expire at the class
+budget, the brownout ladder -- :mod:`repro.robustness.overload`), which
+is where the missions offer more load than the payload can serve.
 
 :class:`SatelliteGateway` is the space-side counterpart: it terminates
 the upload protocols into the on-board bitstream library and maps the
@@ -76,6 +76,14 @@ DEFAULT_UPLOAD_POLICY = RetryPolicy(
 
 #: Exceptions that mark one upload attempt as failed-but-retryable.
 UPLOAD_RETRY_ON = (TftpError, FtpError, ScpsError, OSError)
+
+#: Gateway bounds: telecommand replies kept for dedup, and telecommand
+#: datagrams the TC socket queues before tail-dropping.
+TC_DEDUP_CAPACITY = 256
+TC_QUEUE_CAPACITY = 256
+
+#: Campaign results the NCC keeps (older ones are counted, not kept).
+MAX_RESULTS = 1024
 
 
 @dataclass
@@ -167,8 +175,6 @@ class SatelliteGateway:
         node: Node,
         payload: RegenerativePayload,
         uploads: Optional[Dict[str, bytes]] = None,
-        dedup_capacity: int = 256,
-        tc_queue_capacity: int = 256,
     ) -> None:
         self.node = node
         self.payload = payload
@@ -179,7 +185,7 @@ class SatelliteGateway:
         self.tftp = TftpServer(node.ip, self.uploads)
         self.ftp = FtpServer(node.ip, self.uploads)
         self.scps = ScpsFpReceiver(node.ip, files=self.uploads)
-        self.dedup = TcDedupCache(capacity=dedup_capacity)
+        self.dedup = TcDedupCache(capacity=TC_DEDUP_CAPACITY)
         #: optional :class:`repro.robustness.dtn.ResumableReceiver`
         #: serving the xfer_status / xfer_finish transfer handshake
         self.xfer = None
@@ -190,7 +196,7 @@ class SatelliteGateway:
             "rejected": 0,
         }
         self._probe = _obs_probe("ncc.gateway", node=node.name)
-        self._tc_sock = UdpSocket(node.ip, TC_PORT, recv_capacity=tc_queue_capacity)
+        self._tc_sock = UdpSocket(node.ip, TC_PORT, recv_capacity=TC_QUEUE_CAPACITY)
         node.sim.process(self._tc_server(), name="sat-tc-server")
 
     def attach_transfer(self, receiver) -> None:
@@ -317,10 +323,7 @@ class NetworkControlCenter:
         tc_policy: Optional[RetryPolicy] = None,
         upload_policy: Optional[RetryPolicy] = None,
         rng=None,
-        max_results: int = 1024,
     ) -> None:
-        if max_results < 1:
-            raise ValueError("max_results must be >= 1")
         self.node = node
         self.sim: Simulator = node.sim
         self.registry = registry
@@ -333,9 +336,9 @@ class NetworkControlCenter:
         )
         self._tc_id = 0
         #: bounded campaign history: soak runs issuing thousands of
-        #: campaigns keep only the most recent ``max_results`` (older
+        #: campaigns keep only the most recent :data:`MAX_RESULTS` (older
         #: ones are counted in ``results_evicted``, totals stay exact)
-        self.results: deque[CampaignResult] = deque(maxlen=max_results)
+        self.results: deque[CampaignResult] = deque(maxlen=MAX_RESULTS)
         self.results_evicted = 0
         self._campaigns_total = 0
         self._campaigns_ok_total = 0

@@ -13,7 +13,7 @@ whose policy table maps request contexts to decisions.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.obc import OnBoardController, Telecommand
 from ..net import CopsClient, CopsServer, Decision, Report, Request

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..sim import Simulator, Store
 from .ip import IpStack

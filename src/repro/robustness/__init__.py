@@ -21,8 +21,10 @@ The on-board controller's rollback and the watchdog's golden-image load
 keep the payload from being bricked; failover to a cold spare is the
 FDIR arbiter's isolate rung (:mod:`repro.robustness.fdir`), which
 latches the watchdog when the spare is gone too.  Overload is shed on
-the demand plane only (:mod:`repro.robustness.overload`): telecommands
-and uploads carry no deadline or priority class.
+the demand plane only (:mod:`repro.robustness.overload`: admission,
+one bounded queue per class whose heads expire at the class budget,
+the brownout ladder): telecommands and uploads carry no budget or
+priority class.
 
 The seeded control-plane fault sweep over this machinery (SEU during
 load, truncated uploads, lost final ACK, a lossy link) is

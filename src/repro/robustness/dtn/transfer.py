@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ...net.ftp import FtpError
 from ...net.scps import ScpsError
@@ -57,6 +57,13 @@ _SEGMENT_RETRY_ON = (TftpError, FtpError, ScpsError, OSError)
 
 #: telecommand actions served by the space-side receiver
 XFER_ACTIONS = ("xfer_status", "xfer_finish")
+
+#: resumes one resumable upload may take before it gives up
+MAX_RESUMES = 64
+#: whole-file attempts of the restart-from-zero baseline
+MAX_RESTART_ATTEMPTS = 16
+#: seconds an upload waits past a contact's start before sending
+SETTLE_S = 0.5
 
 
 class TransferError(Exception):
@@ -123,19 +130,13 @@ class ResumableUploader:
         ncc,
         scheduler,
         segment_size: int = 4096,
-        max_resumes: int = 64,
-        settle_s: float = 0.5,
     ) -> None:
         if segment_size < 1:
             raise ValueError("segment_size must be >= 1")
-        if max_resumes < 1:
-            raise ValueError("max_resumes must be >= 1")
         self.ncc = ncc
         self.sim = ncc.sim
         self.scheduler = scheduler
         self.segment_size = segment_size
-        self.max_resumes = max_resumes
-        self.settle_s = settle_s
         #: per-file transfer state (the checkpoint journal)
         self.journal: Dict[str, TransferState] = {}
         self.stats = {
@@ -153,7 +154,7 @@ class ResumableUploader:
         t = self.scheduler.next_contact(self.sim.now)
         if t is None:
             raise TransferError("no further contact scheduled")
-        wait = max(0.0, t - self.sim.now) + self.settle_s
+        wait = max(0.0, t - self.sim.now) + SETTLE_S
         if wait > 0:
             yield self.sim.timeout(wait)
 
@@ -176,7 +177,7 @@ class ResumableUploader:
             p.count("transfers")
         interrupted = state.resumes > 0 or bool(state.completed)
         while True:
-            if state.resumes > self.max_resumes:
+            if state.resumes > MAX_RESUMES:
                 raise TransferError(
                     f"{filename}: resume budget exhausted "
                     f"({state.resumes} resumes)"
@@ -283,8 +284,7 @@ class ResumableUploader:
 
 
 def restart_from_zero_upload(
-    ncc, filename: str, blob: bytes, protocol: str, scheduler,
-    max_attempts: int = 16,
+    ncc, filename: str, blob: bytes, protocol: str, scheduler
 ):
     """Generator: the naive baseline -- whole-file retry from byte zero.
 
@@ -298,12 +298,12 @@ def restart_from_zero_upload(
     """
     bytes_sent = 0
     sim = ncc.sim
-    for _attempt in range(max_attempts):
+    for _attempt in range(MAX_RESTART_ATTEMPTS):
         if not scheduler.effective(sim.now):
             t = scheduler.next_contact(sim.now)
             if t is None:
                 raise TransferError("no further contact scheduled")
-            yield sim.timeout(max(0.0, t - sim.now) + 0.5)
+            yield sim.timeout(max(0.0, t - sim.now) + SETTLE_S)
             continue
         bytes_sent += len(blob)
         try:
@@ -311,7 +311,9 @@ def restart_from_zero_upload(
             return bytes_sent
         except _SEGMENT_RETRY_ON:
             continue  # a link that died sleeps to the next pass above
-    raise TransferError(f"{filename}: {max_attempts} attempts exhausted")
+    raise TransferError(
+        f"{filename}: {MAX_RESTART_ATTEMPTS} attempts exhausted"
+    )
 
 
 class ResumableReceiver:

@@ -3,7 +3,7 @@
 The regenerative payload of Fig. 2 demodulates and decodes every
 carrier on board, which means the payload *knows* -- per burst -- how
 each carrier is doing: the demodulator publishes lock metrics
-(:func:`repro.dsp.timing.timing_lock_metric`,
+(:func:`repro.dsp.timing.line_lock`,
 :func:`repro.dsp.carrier.carrier_lock_metric`), a blind SNR estimate
 (:func:`repro.dsp.modem.estimate_snr_m2m4`) and the unique-word
 correlation peak, and the decoder reports CRC outcomes.  A transparent

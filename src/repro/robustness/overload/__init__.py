@@ -13,13 +13,11 @@ first:
    :class:`~repro.ncc.traffic.ServiceMix` demand forecast and the live
    link-budget capacity estimate.  Excess load is rejected at the door
    for the cost of a counter tick.
-2. :mod:`.queues` -- bounded FIFOs with explicit backpressure
-   (``offer`` -> bool), plus a CoDel sojourn-time shedder for the
-   MF-TDMA burst queue: standing queues melt instead of persisting.
-3. :mod:`.deadline` -- per-class queue budgets: each admitted request
-   is queued with a :class:`Deadline`, and the serving loop sheds an
-   expired request instead of serving it.
-4. :mod:`.brownout` -- a circuit breaker for sick downstream
+2. :mod:`.queues` -- one bounded FIFO per class with explicit
+   backpressure (``offer`` -> bool) that records each request's
+   sojourn.  The one expiry rule: the serving loop sheds a head whose
+   sojourn has reached its class budget instead of serving it.
+3. :mod:`.brownout` -- a circuit breaker for sick downstream
    components and a brownout ladder that sheds low-priority service
    classes first and restores with hysteresis + dwell (no flapping),
    composing with the FDIR ``DegradedModePolicy``'s carrier shedding.
@@ -36,16 +34,13 @@ All decisions emit ``overload.*`` metrics and trace events through
 
 from .admission import PRIORITY_CLASSES, AdmissionController, TokenBucket
 from .brownout import BrownoutLadder, CircuitBreaker
-from .deadline import Deadline
-from .queues import BoundedQueue, CoDelQueue
+from .queues import BoundedQueue
 
 __all__ = [
     "AdmissionController",
     "BoundedQueue",
     "BrownoutLadder",
     "CircuitBreaker",
-    "CoDelQueue",
-    "Deadline",
     "PRIORITY_CLASSES",
     "TokenBucket",
 ]

@@ -21,7 +21,7 @@ restored and the bucket rates follow.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ...obs.probes import probe as _obs_probe
 
@@ -32,6 +32,10 @@ __all__ = ["PRIORITY_CLASSES", "TokenBucket", "AdmissionController"]
 #: is ``p0`` (never shed), video is ``p1``, bulk text/data is ``p2``
 #: (shed first).
 PRIORITY_CLASSES: Tuple[str, ...] = ("p0", "p1", "p2")
+#: Over-provisioning of every class bucket over its capacity share.
+HEADROOM = 1.2
+#: Seconds of its rate a class bucket holds when full.
+BURST_SECONDS = 2.0
 
 
 class TokenBucket:
@@ -60,42 +64,35 @@ class TokenBucket:
             self._tokens = min(self.burst, self._tokens + dt * self.rate)
             self._last = now
 
-    @property
-    def tokens(self) -> float:
-        """Current token level (refilled to now)."""
+    def try_take(self) -> bool:
+        """Take one token if available; ``False`` without side effects."""
         self._refill(self.clock())
-        return self._tokens
-
-    def try_take(self, n: float = 1.0) -> bool:
-        """Take ``n`` tokens if available; ``False`` without side effects."""
-        self._refill(self.clock())
-        if self._tokens >= n:
-            self._tokens -= n
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
 
-    def set_rate(self, rate: float, burst: Optional[float] = None) -> None:
-        """Re-point the bucket at a new capacity share (tokens kept)."""
-        if rate < 0:
-            raise ValueError("rate must be >= 0")
+    def set_rate(self, rate: float, burst: float) -> None:
+        """Re-point the bucket at a new capacity share (tokens kept,
+        capped at the new ``burst``)."""
+        if rate < 0 or burst <= 0:
+            raise ValueError("rate must be >= 0 and burst > 0")
         self._refill(self.clock())
         self.rate = rate
-        if burst is not None:
-            if burst <= 0:
-                raise ValueError("burst must be > 0")
-            self.burst = burst
-            self._tokens = min(self._tokens, burst)
+        self.burst = burst
+        self._tokens = min(self._tokens, burst)
 
 
 class AdmissionController:
     """Per-priority-class token-bucket admission at the demand ingress.
 
     ``capacity`` is the total admittable rate (requests/second, or any
-    consistent unit); ``shares`` splits it across the classes.  Classes
-    missing from ``shares`` get an equal split of the remainder.  A
-    small ``headroom`` (default 1.2) over-provisions the buckets so
-    nominal jitter never rejects -- admission control exists to stop
-    *overload*, not to shape clean traffic.
+    consistent unit); ``shares`` splits it across
+    :data:`PRIORITY_CLASSES`.  Classes missing from ``shares`` get an
+    equal split of the remainder.  The buckets are over-provisioned by
+    :data:`HEADROOM` so nominal jitter never rejects -- admission
+    control exists to stop *overload*, not to shape clean traffic --
+    and hold :data:`BURST_SECONDS` of their rate.
 
     :meth:`shed` / :meth:`restore` gate whole classes closed -- the
     brownout ladder's lever: a shed class is rejected at the door for
@@ -107,41 +104,26 @@ class AdmissionController:
         clock: Callable[[], float],
         capacity: float,
         shares: Optional[Dict[str, float]] = None,
-        classes: Iterable[str] = PRIORITY_CLASSES,
-        headroom: float = 1.2,
-        burst_seconds: float = 2.0,
     ) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        if headroom < 1.0:
-            raise ValueError("headroom must be >= 1")
-        if burst_seconds <= 0:
-            raise ValueError("burst_seconds must be > 0")
         self.clock = clock
-        self.classes = tuple(classes)
-        if not self.classes:
-            raise ValueError("need at least one priority class")
-        self.headroom = headroom
-        self.burst_seconds = burst_seconds
         self._shares = self._normalize(shares or {})
         self.buckets: Dict[str, TokenBucket] = {}
         self._closed: set = set()
-        self.admitted: Dict[str, int] = {c: 0 for c in self.classes}
-        self.rejected: Dict[str, int] = {c: 0 for c in self.classes}
-        self.shed_closed: Dict[str, int] = {c: 0 for c in self.classes}
+        self.admitted: Dict[str, int] = {c: 0 for c in PRIORITY_CLASSES}
+        self.rejected: Dict[str, int] = {c: 0 for c in PRIORITY_CLASSES}
         self._probe = _obs_probe("overload.admission")
         self.capacity = 0.0
         self.set_capacity(capacity)
 
     # -- capacity ---------------------------------------------------------
     def _normalize(self, shares: Dict[str, float]) -> Dict[str, float]:
-        unknown = set(shares) - set(self.classes)
+        unknown = set(shares) - set(PRIORITY_CLASSES)
         if unknown:
             raise ValueError(f"shares for unknown classes: {sorted(unknown)}")
         if any(v < 0 for v in shares.values()):
             raise ValueError("shares must be >= 0")
         out = dict(shares)
-        missing = [c for c in self.classes if c not in out]
+        missing = [c for c in PRIORITY_CLASSES if c not in out]
         spent = sum(out.values())
         if spent > 1.0 + 1e-9:
             raise ValueError(f"shares sum to {spent} > 1")
@@ -161,9 +143,9 @@ class AdmissionController:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        for cls in self.classes:
-            rate = capacity * self._shares[cls] * self.headroom
-            burst = max(1.0, rate * self.burst_seconds)
+        for cls in PRIORITY_CLASSES:
+            rate = capacity * self._shares[cls] * HEADROOM
+            burst = max(1.0, rate * BURST_SECONDS)
             bucket = self.buckets.get(cls)
             if bucket is None:
                 self.buckets[cls] = TokenBucket(rate, burst, self.clock)
@@ -183,7 +165,6 @@ class AdmissionController:
         mix,
         capacity: float,
         clock: Callable[[], float],
-        headroom: float = 1.2,
     ) -> "AdmissionController":
         """Build a controller whose shares follow a §2 service mix.
 
@@ -197,12 +178,12 @@ class AdmissionController:
         total = sum(shares.values())
         if total > 0:
             shares = {k: v / total for k, v in shares.items()}
-        return cls(clock, capacity, shares=shares, headroom=headroom)
+        return cls(clock, capacity, shares=shares)
 
     # -- the class gates (brownout lever) ---------------------------------
     def shed(self, cls_name: str) -> None:
         """Close a class: reject its requests at the door."""
-        if cls_name not in self.classes:
+        if cls_name not in PRIORITY_CLASSES:
             raise KeyError(cls_name)
         self._closed.add(cls_name)
 
@@ -211,8 +192,8 @@ class AdmissionController:
         self._closed.discard(cls_name)
 
     # -- the decision ------------------------------------------------------
-    def admit(self, cls_name: str, cost: float = 1.0) -> bool:
-        """Admit one request of ``cls_name`` costing ``cost`` units.
+    def admit(self, cls_name: str) -> bool:
+        """Admit one request of ``cls_name`` (one token of its bucket).
 
         Rejections are cheap by design: a set lookup (class shed) or a
         bucket check.  Unknown classes are rejected, never crash -- a
@@ -225,7 +206,6 @@ class AdmissionController:
             return False
         now = self.clock()
         if cls_name in self._closed:
-            self.shed_closed[cls_name] += 1
             self.rejected[cls_name] += 1
             if p is not None:
                 p.count(f"rejected_{cls_name}")
@@ -236,7 +216,7 @@ class AdmissionController:
                     reason="class-shed",
                 )
             return False
-        if not self.buckets[cls_name].try_take(cost):
+        if not self.buckets[cls_name].try_take():
             self.rejected[cls_name] += 1
             if p is not None:
                 p.count(f"rejected_{cls_name}")
@@ -251,13 +231,3 @@ class AdmissionController:
         if p is not None:
             p.count(f"admitted_{cls_name}")
         return True
-
-    def stats(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "shares": {c: round(self._shares[c], 6) for c in self.classes},
-            "closed": sorted(self._closed),
-            "admitted": dict(self.admitted),
-            "rejected": dict(self.rejected),
-            "shed_closed": dict(self.shed_closed),
-        }

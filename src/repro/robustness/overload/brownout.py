@@ -5,8 +5,8 @@ Two complementary protections sit *behind* admission control:
 - :class:`CircuitBreaker` wraps a downstream processor (the demand
   plane's serving stage).  Consecutive failures trip it OPEN so callers
   fail fast instead of piling retries onto a struggling component; a
-  cooldown later it goes HALF_OPEN and probes with a limited number of
-  trial requests before fully CLOSING again.
+  cooldown later it goes HALF_OPEN and probes with
+  :data:`HALF_OPEN_PROBES` trial requests before fully CLOSING again.
 
 - :class:`BrownoutLadder` converts a scalar *pressure* signal (queue
   depth / capacity utilisation in [0, 1]) into graduated class
@@ -24,11 +24,28 @@ Two complementary protections sit *behind* admission control:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ...obs.probes import probe as _obs_probe
 
 __all__ = ["CircuitBreaker", "BrownoutLadder"]
+
+#: Trial requests a HALF_OPEN breaker lets through, and the successes
+#: it needs among them to close again.
+HALF_OPEN_PROBES = 2
+
+#: The brownout ladder's sheddable classes, first shed first (``p0``
+#: is never on it).
+RUNGS: Tuple[str, ...] = ("p2", "p1")
+#: Pressure at which the first rung sheds / below which it restores;
+#: each deeper rung sits :data:`RUNG_STEP` higher on both.
+SHED_THRESHOLD = 0.85
+RESTORE_THRESHOLD = 0.6
+RUNG_STEP = 0.07
+_THRESHOLDS: Dict[str, Tuple[float, float]] = {
+    cls_name: (SHED_THRESHOLD + i * RUNG_STEP, RESTORE_THRESHOLD + i * RUNG_STEP)
+    for i, cls_name in enumerate(RUNGS)
+}
 
 
 class CircuitBreaker:
@@ -47,19 +64,15 @@ class CircuitBreaker:
         clock: Callable[[], float],
         failure_threshold: int = 3,
         cooldown: float = 10.0,
-        half_open_probes: int = 2,
         name: str = "breaker",
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if cooldown <= 0:
             raise ValueError("cooldown must be > 0")
-        if half_open_probes < 1:
-            raise ValueError("half_open_probes must be >= 1")
         self.clock = clock
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
-        self.half_open_probes = half_open_probes
         self.name = name
         self._state = self.CLOSED
         self._consecutive_failures = 0
@@ -68,7 +81,6 @@ class CircuitBreaker:
         self._probe_successes = 0
         self.trips = 0
         self.fast_rejects = 0
-        self.transitions: List[Tuple[float, str]] = []
         self._obs = _obs_probe("overload.breaker", breaker=name)
 
     def _set_state(self, state: str) -> None:
@@ -76,7 +88,6 @@ class CircuitBreaker:
             return
         now = self.clock()
         self._state = state
-        self.transitions.append((now, state))
         p = self._obs
         if p is not None:
             p.count(f"to_{state.replace('-', '_')}")
@@ -100,7 +111,7 @@ class CircuitBreaker:
         if state == self.CLOSED:
             return True
         if state == self.HALF_OPEN:
-            if self._probes_in_flight < self.half_open_probes:
+            if self._probes_in_flight < HALF_OPEN_PROBES:
                 self._probes_in_flight += 1
                 return True
             self.fast_rejects += 1
@@ -113,7 +124,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         if state == self.HALF_OPEN:
             self._probe_successes += 1
-            if self._probe_successes >= self.half_open_probes:
+            if self._probe_successes >= HALF_OPEN_PROBES:
                 self._set_state(self.CLOSED)
 
     def record_failure(self) -> None:
@@ -146,14 +157,14 @@ class CircuitBreaker:
 class BrownoutLadder:
     """Pressure -> graduated service-class shedding with hysteresis.
 
-    ``rungs`` lists the sheddable classes from *first shed* to *last
-    shed* (default: ``p2`` then ``p1``; ``p0`` never appears).  Each
-    rung ``i`` sheds when pressure >= its shed threshold and restores
-    when pressure has stayed < its restore threshold for ``dwell``
-    seconds.  Thresholds are auto-spaced so deeper rungs require
-    strictly more pressure, guaranteeing shed/restore order is
-    monotone: the ladder always sheds lowest-priority-first and
-    restores highest-pressure-rung-first.
+    :data:`RUNGS` lists the sheddable classes from *first shed* to
+    *last shed* (``p2`` then ``p1``; ``p0`` never appears).  Each rung
+    sheds when pressure >= its shed threshold and restores when
+    pressure has stayed < its restore threshold for ``dwell`` seconds.
+    Deeper rungs sit :data:`RUNG_STEP` higher, so they require strictly
+    more pressure, guaranteeing shed/restore order is monotone: the
+    ladder always sheds lowest-priority-first and restores
+    highest-pressure-rung-first.
 
     Call :meth:`update` with the current pressure whenever it changes
     (per frame in the scenario runner); it returns the list of
@@ -162,37 +173,16 @@ class BrownoutLadder:
     AdmissionController` via ``shed``/``restore``.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        rungs: Sequence[str] = ("p2", "p1"),
-        shed_threshold: float = 0.85,
-        restore_threshold: float = 0.6,
-        rung_step: float = 0.07,
-        dwell: float = 5.0,
-    ) -> None:
-        if not rungs:
-            raise ValueError("need at least one rung")
-        if not (0 < restore_threshold < shed_threshold <= 1.5):
-            raise ValueError(
-                "need 0 < restore_threshold < shed_threshold"
-            )
-        if rung_step < 0 or dwell < 0:
-            raise ValueError("rung_step and dwell must be >= 0")
+    def __init__(self, clock: Callable[[], float], dwell: float) -> None:
+        if dwell < 0:
+            raise ValueError("dwell must be >= 0")
         self.clock = clock
-        self.rungs = tuple(rungs)
         self.dwell = dwell
-        self._thresholds: Dict[str, Tuple[float, float]] = {}
-        for i, cls_name in enumerate(self.rungs):
-            self._thresholds[cls_name] = (
-                shed_threshold + i * rung_step,
-                restore_threshold + i * rung_step,
-            )
         self._shed: set = set()
         #: per-class time at which pressure last rose to/above the
         #: restore threshold (restore requires dwell below it)
         self._below_since: Dict[str, Optional[float]] = {
-            c: None for c in self.rungs
+            c: None for c in RUNGS
         }
         self.shed_events = 0
         self.restore_events = 0
@@ -202,11 +192,7 @@ class BrownoutLadder:
     @property
     def shed_classes(self) -> List[str]:
         """Currently shed classes, in rung (shed) order."""
-        return [c for c in self.rungs if c in self._shed]
-
-    def level(self) -> int:
-        """How many rungs deep the brownout currently is."""
-        return len(self._shed)
+        return [c for c in RUNGS if c in self._shed]
 
     def update(self, pressure: float) -> List[Tuple[str, str]]:
         """Advance the ladder; returns ``(action, class)`` taken now."""
@@ -214,8 +200,8 @@ class BrownoutLadder:
         actions: List[Tuple[str, str]] = []
         # Shed pass: walk rungs first-shed-first so one deep pressure
         # spike sheds in priority order within a single update.
-        for cls_name in self.rungs:
-            shed_at, restore_at = self._thresholds[cls_name]
+        for cls_name in RUNGS:
+            shed_at, restore_at = _THRESHOLDS[cls_name]
             if cls_name not in self._shed:
                 if pressure >= shed_at:
                     self._shed.add(cls_name)

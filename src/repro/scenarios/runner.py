@@ -17,9 +17,10 @@ The runner assembles the *whole* stack for one mission timeline:
   campaign processes running *concurrently* in simulated time;
 - campaign faults on that control plane: configuration upsets after
   every load, uploads landing truncated, telecommand replies lost;
-- with a surge profile, the demand plane (admission, CoDel class
-  queues, deadline budgets, brownout ladder, and a circuit breaker
-  around service that trips while the shared decoder is down);
+- with a surge profile, the demand plane (admission, one bounded
+  queue per class whose heads expire at the class budget, brownout
+  ladder, and a circuit breaker around service that trips while the
+  shared decoder is down);
 - with a contact schedule, the DTN ground segment (contact scheduler,
   resumable uploads) and, when it sets ``tm_period``, the telemetry
   store-and-forward plane (solid-state recorder, TM downlink and
@@ -75,8 +76,7 @@ from ..robustness.dtn import (
 )
 from ..robustness.overload.admission import AdmissionController
 from ..robustness.overload.brownout import BrownoutLadder, CircuitBreaker
-from ..robustness.overload.deadline import Deadline
-from ..robustness.overload.queues import CoDelQueue
+from ..robustness.overload.queues import BoundedQueue
 from ..robustness.policy import RetryExhausted
 from ..robustness.transactions import TC_PORT
 from ..sim import RngRegistry, Simulator, derive_seed
@@ -191,8 +191,9 @@ class _DemandPlane:
     surge profile's arrivals pass the ingress
     :class:`~repro.robustness.overload.admission.AdmissionController`
     (shares from the mission-year service mix), admitted requests wait
-    in per-class bounded :class:`~repro.robustness.overload.queues.
-    CoDelQueue`\\ s under per-class deadline budgets, and a
+    in one :class:`~repro.robustness.overload.queues.BoundedQueue` per
+    class, a head whose sojourn reaches its class budget is shed
+    (counted ``expired``) instead of served, and a
     :class:`~repro.robustness.overload.brownout.BrownoutLadder` driven
     by an EWMA of offered load over capacity sheds/restores the low
     classes.  Serving capacity tracks the degraded-mode policy's live
@@ -205,8 +206,10 @@ class _DemandPlane:
     shed until the surge truly ends instead of flapping.
     """
 
-    #: per-class deadline budgets, in frames (tighter for lower priority)
+    #: per-class queue budgets, in frames (tighter for lower priority)
     CLASS_BUDGET_FRAMES = {"p0": 8.0, "p1": 6.0, "p2": 4.0}
+    #: per-class queue bound, in requests
+    QUEUE_CAPACITY = 64
     #: service-mix epoch the admission shares are drawn from
     MIX_YEAR = 5.0
 
@@ -228,13 +231,7 @@ class _DemandPlane:
         self.shares = self.admission.shares
         self.classes = sorted(self.shares)
         self.queues = {
-            c: CoDelQueue(
-                clock,
-                capacity=64,
-                target=fd,
-                interval=4.0 * fd,
-                name=f"demand.{c}",
-            )
+            c: BoundedQueue(self.QUEUE_CAPACITY, clock, name=f"demand.{c}")
             for c in self.classes
         }
         self.ladder = BrownoutLadder(clock, dwell=5.0 * fd)
@@ -253,7 +250,6 @@ class _DemandPlane:
 
     def step(self, frame: int, n_active: int, failing: bool) -> None:
         """One frame of arrivals, ladder control and priority service."""
-        now = self.sim.now
         cap_frame = self.surge.per_carrier_capacity * max(n_active, 0)
         cap_rate = cap_frame * self.per_sec
         if cap_rate != self.admission.capacity:
@@ -265,10 +261,9 @@ class _DemandPlane:
             n = int(self.rng.poisson(lam))
             self.arrivals[c] += n
             offered += n
-            budget_s = self.CLASS_BUDGET_FRAMES[c] * self.spec.frame_duration
             for _ in range(n):
                 if self.admission.admit(c):
-                    self.queues[c].offer(Deadline.after(now, budget_s))
+                    self.queues[c].offer(frame)
         pressure = offered / max(cap_frame, 1.0)
         self._ewma = 0.5 * pressure + 0.5 * self._ewma
         for action, c in self.ladder.update(self._ewma):
@@ -282,30 +277,24 @@ class _DemandPlane:
             q = self.queues[c]
             budget_s = self.CLASS_BUDGET_FRAMES[c] * fd
             while budget > 0 and len(q) > 0:
-                # an expired head is shed here and never reaches the
-                # protected stage, so it must not spend a breaker probe
-                local = q.head_sojourn() >= budget_s
-                if not local and not self.breaker.allow():
+                # the one expiry rule: a head that has waited its class
+                # budget is shed, not served -- it never reaches the
+                # protected stage, so it spends no breaker probe
+                expired = q.head_sojourn() >= budget_s
+                if not expired and not self.breaker.allow():
                     return  # open breaker: fail fast for the whole frame
-                got = q.poll_with_sojourn()
-                if got is None:  # CoDel shed the standing queue
-                    break
-                deadline, sojourn = got
-                if deadline.expired(now):
-                    # the class's queue budget: work already past its
-                    # budget is shed, not served
+                _, sojourn = q.poll_with_sojourn()
+                if expired:
                     self.expired[c] += 1
                     continue
                 budget -= 1
                 if failing:
                     self.failed[c] += 1
-                    if not local:
-                        self.breaker.record_failure()
+                    self.breaker.record_failure()
                 else:
                     self.served[c] += 1
                     self.sojourns.append(sojourn / fd)
-                    if not local:
-                        self.breaker.record_success()
+                    self.breaker.record_success()
 
     def summary(self) -> Dict[str, object]:
         """Flat JSON-able overload accounting for the golden metrics.
@@ -914,8 +903,8 @@ def _overload_violations(
             v.append(f"overload {c}: queue offered != admitted")
         if q["accepted"] + q["dropped"] != q["offered"]:
             v.append(f"overload {c}: accepted+dropped != offered")
-        if q["served"] + q["shed"] + q["depth"] != q["accepted"]:
-            v.append(f"overload {c}: served+shed+depth != accepted")
+        if q["served"] + q["depth"] != q["accepted"]:
+            v.append(f"overload {c}: served+depth != accepted")
         if ov["served"][c] + ov["expired"][c] + failed.get(c, 0) != q["served"]:
             v.append(f"overload {c}: served+expired+failed != queue served")
         if q["max_depth"] > q["capacity"]:

@@ -100,12 +100,12 @@ class SurgeProfile:
     ``nominal_rps`` baseline (requests per frame, split across the
     ``p0``/``p1``/``p2`` priority classes by the mission service mix).
     The runner routes the surge through the full overload-control
-    stack -- ingress admission, bounded CoDel class queues, per-class
-    deadline budgets, the brownout ladder -- with the serving capacity
-    (``per_carrier_capacity`` requests/frame per carrier) tracking the
-    degraded-mode policy's live active-carrier count, so a surge
-    composed with a rain fade sees admission capacity follow the link
-    budget down and back up.
+    stack -- ingress admission, one bounded queue per class whose heads
+    expire at the class budget, the brownout ladder -- with the serving
+    capacity (``per_carrier_capacity`` requests/frame per carrier)
+    tracking the degraded-mode policy's live active-carrier count, so a
+    surge composed with a rain fade sees admission capacity follow the
+    link budget down and back up.
     """
 
     start: int

@@ -1,7 +1,5 @@
 """Unit tests for the demand-plane overload-control primitives."""
 
-import math
-
 import pytest
 
 from repro.ncc.traffic import ServiceMix
@@ -10,8 +8,6 @@ from repro.robustness.overload import (
     BoundedQueue,
     BrownoutLadder,
     CircuitBreaker,
-    CoDelQueue,
-    Deadline,
     TokenBucket,
 )
 
@@ -29,21 +25,6 @@ class FakeClock:
         self.t += dt
 
 
-# ---------------------------------------------------------------- deadline
-class TestDeadline:
-    def test_after_and_expired(self):
-        d = Deadline.after(10.0, 5.0)
-        assert d.expires_at == 15.0
-        assert not d.expired(14.999)
-        assert d.expired(15.0)
-
-    def test_nonpositive_budget_rejected(self):
-        with pytest.raises(ValueError):
-            Deadline.after(0.0, 0.0)
-        with pytest.raises(ValueError):
-            Deadline.after(0.0, -1.0)
-
-
 # ------------------------------------------------------------ token bucket
 class TestTokenBucket:
     def test_starts_full_and_drains(self):
@@ -58,16 +39,20 @@ class TestTokenBucket:
         for _ in range(4):
             assert b.try_take()
         clk.advance(1.0)  # +2 tokens
-        assert b.tokens == pytest.approx(2.0)
+        assert b.try_take() and b.try_take()
+        assert not b.try_take()
         clk.advance(100.0)
-        assert b.tokens == pytest.approx(4.0)  # capped
+        for _ in range(4):  # capped at burst
+            assert b.try_take()
+        assert not b.try_take()
 
     def test_set_rate_keeps_tokens_but_caps(self):
         clk = FakeClock()
         b = TokenBucket(rate=1.0, burst=10.0, clock=clk)
         b.set_rate(0.5, burst=2.0)
-        assert b.tokens == pytest.approx(2.0)
         assert b.rate == 0.5
+        assert b.try_take() and b.try_take()  # 10 tokens capped at 2
+        assert not b.try_take()
 
     def test_validation(self):
         clk = FakeClock()
@@ -90,7 +75,7 @@ class TestAdmissionController:
 
     def test_overload_rejected_per_class(self):
         clk = FakeClock()
-        ac = AdmissionController(clk, capacity=3.0, burst_seconds=1.0)
+        ac = AdmissionController(clk, capacity=3.0)
         rejected = 0
         for _ in range(50):
             if not ac.admit("p2"):
@@ -104,7 +89,7 @@ class TestAdmissionController:
         ac = AdmissionController(clk, capacity=100.0)
         ac.shed("p2")
         assert not ac.admit("p2")
-        assert ac.shed_closed["p2"] == 1
+        assert ac.rejected["p2"] == 1
         ac.restore("p2")
         assert ac.admit("p2")
 
@@ -137,36 +122,26 @@ class TestAdmissionController:
         with pytest.raises(ValueError):
             AdmissionController(clk, 1.0, shares={"p0": -0.1})
 
-    def test_stats_shape(self):
-        clk = FakeClock()
-        ac = AdmissionController(clk, capacity=10.0)
-        ac.admit("p0")
-        s = ac.stats()
-        assert s["capacity"] == 10.0
-        assert s["admitted"]["p0"] == 1
-        assert s["closed"] == []
-
-
 # ------------------------------------------------------------------ queues
 class TestBoundedQueue:
     def test_offer_poll_fifo(self):
-        q = BoundedQueue(capacity=3)
+        q = BoundedQueue(3, FakeClock())
         assert q.offer("a") and q.offer("b")
-        assert q.poll() == "a"
-        assert q.poll() == "b"
-        assert q.poll() is None
+        assert q.poll_with_sojourn()[0] == "a"
+        assert q.poll_with_sojourn()[0] == "b"
+        assert q.poll_with_sojourn() is None
+        assert q.head_sojourn() is None
 
     def test_full_backpressure_and_drop_counter(self):
-        q = BoundedQueue(capacity=2)
+        q = BoundedQueue(2, FakeClock())
         assert q.offer(1) and q.offer(2)
-        assert q.full
         assert not q.offer(3)
         assert q.dropped == 1
-        assert q.depth == 2
+        assert len(q) == 2
 
     def test_sojourn_uses_clock(self):
         clk = FakeClock()
-        q = BoundedQueue(capacity=4, clock=clk)
+        q = BoundedQueue(4, clk)
         q.offer("x")
         clk.advance(2.5)
         assert q.head_sojourn() == pytest.approx(2.5)
@@ -174,77 +149,17 @@ class TestBoundedQueue:
         assert item == "x" and sojourn == pytest.approx(2.5)
 
     def test_drain_and_stats(self):
-        q = BoundedQueue(capacity=4)
+        q = BoundedQueue(4, FakeClock())
         for i in range(3):
             q.offer(i)
-        assert q.drain() == [0, 1, 2]
+        assert [q.poll_with_sojourn()[0] for _ in range(3)] == [0, 1, 2]
         s = q.stats()
         assert s["served"] == 3 and s["depth"] == 0 and s["max_depth"] == 3
+        assert s["served"] + s["depth"] == s["accepted"]
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            BoundedQueue(capacity=0)
-
-
-class TestCoDelQueue:
-    def test_under_target_never_sheds(self):
-        clk = FakeClock()
-        q = CoDelQueue(clk, capacity=16, target=0.5, interval=2.0)
-        for i in range(10):
-            q.offer(i)
-            clk.advance(0.1)  # sojourn stays < target
-            assert q.poll() == i
-        assert q.shed == 0
-
-    def test_standing_queue_sheds_from_head(self):
-        clk = FakeClock()
-        q = CoDelQueue(clk, capacity=64, target=0.5, interval=1.0)
-        # build a standing queue: items age well past target
-        for i in range(40):
-            q.offer(i)
-            clk.advance(0.2)
-        # serve slowly; sojourns are seconds >> target, so after one
-        # interval above target the control law must start shedding
-        shed_before = q.shed
-        served = []
-        for _ in range(30):
-            got = q.poll_with_sojourn()
-            if got is not None:
-                served.append(got[0])
-            clk.advance(0.3)
-        assert q.shed > shed_before
-        # survivors are still in FIFO order
-        assert served == sorted(served)
-
-    def test_recovery_resets_dropping_state(self):
-        clk = FakeClock()
-        q = CoDelQueue(clk, capacity=64, target=0.5, interval=1.0)
-        for i in range(20):
-            q.offer(i)
-            clk.advance(0.5)
-        while q.depth:
-            q.poll()
-            clk.advance(0.2)
-        # fresh traffic with low sojourn: no shedding
-        shed = q.shed
-        q.offer("fresh")
-        clk.advance(0.01)
-        assert q.poll() == "fresh"
-        assert q.shed == shed
-        assert q.stats()["dropping"] is False
-
-    def test_shed_rate_follows_sqrt_law(self):
-        # drop_next spacing must shrink as drop_count grows
-        clk = FakeClock()
-        q = CoDelQueue(clk, capacity=4, target=0.1, interval=1.0)
-        assert q.interval / math.sqrt(4) < q.interval / math.sqrt(1)
-
-    def test_param_validation(self):
-        clk = FakeClock()
-        with pytest.raises(ValueError):
-            CoDelQueue(clk, target=0.0)
-        with pytest.raises(ValueError):
-            CoDelQueue(clk, interval=-1.0)
+            BoundedQueue(0, FakeClock())
 
 
 # --------------------------------------------------------- circuit breaker
@@ -272,9 +187,7 @@ class TestCircuitBreaker:
 
     def test_half_open_probe_then_close(self):
         clk = FakeClock()
-        br = CircuitBreaker(
-            clk, failure_threshold=1, cooldown=5.0, half_open_probes=2
-        )
+        br = CircuitBreaker(clk, failure_threshold=1, cooldown=5.0)
         br.record_failure()
         assert br.state == CircuitBreaker.OPEN
         clk.advance(5.0)
@@ -303,17 +216,16 @@ class TestCircuitBreaker:
 
 # ---------------------------------------------------------------- brownout
 class TestBrownoutLadder:
-    def make(self, clk, **kw):
-        kw.setdefault("shed_threshold", 0.8)
-        kw.setdefault("restore_threshold", 0.5)
-        kw.setdefault("rung_step", 0.1)
-        kw.setdefault("dwell", 2.0)
-        return BrownoutLadder(clk, **kw)
+    """The ladder's thresholds: p2 sheds at 0.85 and restores below 0.6,
+    p1 one rung step (0.07) higher on both."""
+
+    def make(self, clk):
+        return BrownoutLadder(clk, dwell=2.0)
 
     def test_sheds_lowest_priority_first(self):
         clk = FakeClock()
         ladder = self.make(clk)
-        assert ladder.update(0.85) == [("shed", "p2")]
+        assert ladder.update(0.86) == [("shed", "p2")]
         assert ladder.shed_classes == ["p2"]
         assert ladder.update(0.95) == [("shed", "p1")]
         assert ladder.shed_classes == ["p2", "p1"]
@@ -321,14 +233,14 @@ class TestBrownoutLadder:
     def test_deep_spike_sheds_in_order_one_update(self):
         clk = FakeClock()
         ladder = self.make(clk)
-        actions = ladder.update(2.0 if False else 1.0)
+        actions = ladder.update(1.0)
         assert actions == [("shed", "p2"), ("shed", "p1")]
 
     def test_restore_requires_hysteresis_and_dwell(self):
         clk = FakeClock()
         ladder = self.make(clk)
         ladder.update(1.0)  # both shed
-        # below p2 restore (0.5) but dwell not served yet
+        # below both restore thresholds but dwell not served yet
         assert ladder.update(0.3) == []
         clk.advance(1.0)
         assert ladder.update(0.3) == []
@@ -336,12 +248,12 @@ class TestBrownoutLadder:
         # dwell (2 s) served for both rungs -> both restore
         acts = ladder.update(0.3)
         assert ("restore", "p2") in acts and ("restore", "p1") in acts
-        assert ladder.level() == 0
+        assert ladder.shed_classes == []
 
     def test_pressure_bounce_resets_dwell(self):
         clk = FakeClock()
         ladder = self.make(clk)
-        ladder.update(0.85)  # p2 shed
+        ladder.update(0.86)  # p2 shed
         ladder.update(0.3)  # dwell starts
         clk.advance(1.5)
         ladder.update(0.7)  # bounce above restore threshold: dwell resets
@@ -362,6 +274,4 @@ class TestBrownoutLadder:
     def test_validation(self):
         clk = FakeClock()
         with pytest.raises(ValueError):
-            BrownoutLadder(clk, rungs=())
-        with pytest.raises(ValueError):
-            BrownoutLadder(clk, shed_threshold=0.5, restore_threshold=0.6)
+            BrownoutLadder(clk, dwell=-1.0)

@@ -2,25 +2,30 @@
 runner, zero invariant violations.
 
 Every surge mission runs the same frame loop as the golden corpus, with
-admission, CoDel class queues, deadline budgets, the brownout ladder and
-the service circuit breaker; each is judged by
-:func:`result_violations` against the run of its clean twin
+admission, one bounded queue per class whose heads expire at the class
+budget, the brownout ladder and the service circuit breaker; each is
+judged by :func:`result_violations` against the run of its clean twin
 (:func:`nominal_twin`), which is itself checked as a clean-demand
-control.
+control.  The expiry rule itself is driven frame by frame on the
+runner's demand plane.
 """
 
 import copy
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
 from repro.scenarios import (
+    ScenarioSpec,
+    SurgeProfile,
     canonical_scenarios,
     nominal_twin,
     overload_sweep,
     result_violations,
     run_scenario,
 )
+from repro.scenarios.runner import BREAKER_THRESHOLD, _DemandPlane
 
 pytestmark = [pytest.mark.overload, pytest.mark.scenario]
 
@@ -171,11 +176,67 @@ class TestCheckerCatches:
         assert any("clean demand rejected" in m for m in msgs)
         assert any("clean demand engaged" in m for m in msgs)
 
+    def test_queue_conservation(self, pair):
+        result, twin = pair
+        queues = copy.deepcopy(result.metrics["overload"]["queues"])
+        queues["p1"]["depth"] += 1
+        msgs = result_violations(tampered(result, queues=queues), nominal=twin)
+        assert msgs == ["overload p1: served+depth != accepted"]
+
     def test_breaker_left_open(self, sweep):
         result, twin = sweep["surge-during-fdir-recovery", 1]
         breaker = dict(result.metrics["overload"]["breaker"], state="open")
         msgs = result_violations(tampered(result, breaker=breaker), nominal=twin)
         assert any("breaker ended open" in m for m in msgs)
+
+
+class _NoArrivals:
+    """Arrival stream of an idle demand plane: the test queues by hand."""
+
+    def poisson(self, lam):
+        return 0
+
+
+class TestExpiryRule:
+    """A head whose sojourn reaches its class budget is shed (counted
+    ``expired``), never served, and spends no breaker probe."""
+
+    @pytest.fixture
+    def plane(self):
+        spec = ScenarioSpec(name="expiry", surge=SurgeProfile(start=0, end=1))
+        sim = SimpleNamespace(now=0.0)
+        return _DemandPlane(spec, sim, _NoArrivals()), sim, spec.frame_duration
+
+    def test_head_at_budget_expires_younger_one_is_served(self, plane):
+        demand, sim, fd = plane
+        q = demand.queues["p2"]
+        q.offer(0)
+        sim.now = 0.5 * fd
+        q.offer(0)
+        sim.now = _DemandPlane.CLASS_BUDGET_FRAMES["p2"] * fd
+        demand.step(frame=1, n_active=3, failing=False)
+        assert demand.expired["p2"] == 1
+        assert demand.served["p2"] == 1
+        assert demand.sojourns == [pytest.approx(3.5)]
+        stats = q.stats()
+        assert stats["served"] == 2 and stats["depth"] == 0
+
+    def test_expired_heads_spend_no_half_open_probe(self, plane):
+        demand, sim, fd = plane
+        q = demand.queues["p0"]
+        for _ in range(3):  # more stale heads than half-open probes
+            q.offer(0)
+        for _ in range(BREAKER_THRESHOLD):
+            demand.breaker.record_failure()
+        sim.now = _DemandPlane.CLASS_BUDGET_FRAMES["p0"] * fd
+        assert demand.breaker.state == "half-open"
+        q.offer(1)
+        q.offer(1)
+        demand.step(frame=2, n_active=3, failing=False)
+        assert demand.expired["p0"] == 3
+        assert demand.served["p0"] == 2
+        assert demand.breaker.state == "closed"
+        assert demand.breaker.fast_rejects == 0
 
 
 class TestDeterminism:

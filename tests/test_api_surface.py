@@ -10,6 +10,11 @@ the tests use is machinery no mission runs: it must be deleted, not kept
 as a knob, unless it is the tests' own reference (see
 ``TEST_ONLY_ALLOWED``).
 
+Every import a module makes is read by that module: an import left
+behind by a deletion still costs load time and hides the dependency the
+module really has.  No linter is assumed, so this is a plain ``ast``
+walk; package ``__init__`` modules import to re-export and are left out.
+
 Importing the package must not pull in ``scipy.signal``: it costs
 about a second and 48 MB in every fresh interpreter, and the package's
 one FFT convolution (``repro.dsp.filters.fft_filter``) is built on
@@ -105,6 +110,48 @@ def test_robustness_and_ncc_names_are_used_outside_tests():
     assert {n for n in TEST_ONLY_ALLOWED if n in defs and n not in program} == set(
         TEST_ONLY_ALLOWED
     )
+
+
+def _imported_names(tree):
+    """``{bound name: line}`` of a module's imports (not ``__future__``)."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _names_read(tree):
+    """Names a module reads, attribute roots included, and the strings
+    of its ``__all__`` (a module may re-export)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {e.value for e in node.value.elts}
+    return read
+
+
+def test_every_import_is_read():
+    unused = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = _names_read(tree)
+        unused += [
+            f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in _imported_names(tree).items()
+            if name not in read
+        ]
+    assert unused == []
 
 
 def _scipy_signal_after(code: str) -> str:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dsp.modem import theoretical_ber_bpsk
+from ..dsp.special import erfcinv
 
 __all__ = [
     "transparent_cn",
@@ -78,11 +79,9 @@ def cn_for_ber(ber: float) -> float:
     Raises for ``ber`` outside ``(0, 0.5)`` -- 0.5 is the no-information
     point and 0 needs infinite C/N.
     """
-    from scipy.special import erfcinv
-
     if not 0.0 < ber < 0.5:
         raise ValueError("ber must be in (0, 0.5)")
-    ebn0 = float(erfcinv(2.0 * ber)) ** 2
+    ebn0 = erfcinv(2.0 * ber) ** 2
     return _lin_to_db(ebn0)
 
 

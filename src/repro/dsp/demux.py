@@ -22,7 +22,6 @@ and analysis are the two polyphase/FFT halves of the Fig. 2 FDM link.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as sp_fft
 
 from ..caching import cached_design, freeze
 from .filters import design_lowpass
@@ -67,7 +66,7 @@ def multiplex_carriers(baseband: np.ndarray, num_channels: int) -> np.ndarray:
     m, n = bb.shape
     table = _synthesis_taps(m)
     # v[p, q] = sum_k bb[k, p] exp(2j pi k q / M): the unscaled inverse DFT
-    v = sp_fft.ifft(bb.T, axis=1, norm="forward")
+    v = np.fft.ifft(bb.T, axis=1, norm="forward")
     out = v * table[0]
     for j in range(1, len(table)):
         out[j:] += v[:-j] * table[j]

@@ -18,8 +18,9 @@ instead of re-deriving it.  Callers needing a private mutable copy do
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-import scipy.fft as sp_fft
 
 from ..caching import cached_design, freeze
 
@@ -35,6 +36,7 @@ __all__ = [
     "PolyphaseDecimator",
     "upsample",
     "fractional_delay_filter",
+    "next_fast_len",
 ]
 
 
@@ -133,6 +135,39 @@ def srrc(beta: float, sps: int, span: int) -> np.ndarray:
     return freeze(h)
 
 
+@lru_cache(maxsize=256)
+def next_fast_len(n: int) -> int:
+    """Smallest ``2**a * 3**b * 5**c * 7**d * 11**e >= n``: a length
+    pocketfft transforms fast, and ``scipy.fft.next_fast_len(n, False)``."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    while True:
+        k = n
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
+def _fft(a: np.ndarray, nfft: int) -> np.ndarray:
+    """``fft(a, nfft)`` along the last axis, equal bit for bit to
+    ``scipy.fft.fft``: a real ``a`` is transformed as ``rfft`` plus the
+    Hermitian fill of the negative frequencies, as scipy does (numpy's
+    ``fft`` of a real array runs the complex transform, whose last bits
+    differ)."""
+    if np.iscomplexobj(a):
+        return np.fft.fft(a, nfft)
+    half = np.fft.rfft(a, nfft)
+    out = np.empty(half.shape[:-1] + (nfft,), dtype=half.dtype)
+    k = half.shape[-1]
+    out[..., :k] = half
+    # out[nfft - j] = conj(out[j]) for j = 1 .. nfft - k
+    np.conjugate(half[..., nfft - k : 0 : -1], out=out[..., k:])
+    return out
+
+
 def fft_filter(x: np.ndarray, taps: np.ndarray, spectrum=None) -> np.ndarray:
     """Full convolution of ``x`` with 1-D ``taps`` along ``x``'s last axis.
 
@@ -140,14 +175,14 @@ def fft_filter(x: np.ndarray, taps: np.ndarray, spectrum=None) -> np.ndarray:
     the fractional delay and the SRRC pulse shaper and matched filter
     run through it.  It computes ``ifft(fft(x, nfft) * fft(taps,
     nfft))[..., :n]`` with ``n = x.shape[-1] + len(taps) - 1`` and
-    ``nfft = next_fast_len(n, False)``, which is the complex path of
+    ``nfft = next_fast_len(n)``, which is the complex path of
     ``scipy.signal.fftconvolve``: for a complex 1-D ``x`` the output
     is bit-identical to ``fftconvolve(x, taps)``, and a ``(C, n)``
     stack is filtered row by row as ``fftconvolve(x, taps[None, :],
     axes=1)`` would (a stack of no rows keeps its 2-D shape).  The
     edge cases match too: no samples or no taps give an empty (float)
     array, and a length-1 operand gives the direct product
-    ``x * taps``.
+    ``x * taps``.  The transforms are ``numpy.fft``'s (see :func:`_fft`).
 
     ``spectrum``, if given, maps ``nfft`` to ``fft(taps, nfft)``: a
     cached design, so the taps are not transformed on every call.
@@ -158,10 +193,10 @@ def fft_filter(x: np.ndarray, taps: np.ndarray, spectrum=None) -> np.ndarray:
     if m == 1 or len(taps) == 1:
         return x * taps
     n = m + len(taps) - 1
-    nfft = sp_fft.next_fast_len(n, False)
-    buf = sp_fft.fft(x, nfft, axis=-1)
-    buf *= sp_fft.fft(taps, nfft) if spectrum is None else spectrum(nfft)
-    return sp_fft.ifft(buf, axis=-1, overwrite_x=True)[..., :n]
+    nfft = next_fast_len(n)
+    buf = _fft(x, nfft)
+    buf *= _fft(taps, nfft) if spectrum is None else spectrum(nfft)
+    return np.fft.ifft(buf, axis=-1, out=buf)[..., :n]
 
 
 @cached_design("dsp.srrc_spectrum", maxsize=32)
@@ -172,7 +207,7 @@ def _srrc_spectrum(
     time reverse): the FFT of the *real* taps that :func:`fft_filter`
     would otherwise compute on every call."""
     taps = srrc(beta, sps, span)
-    return freeze(sp_fft.fft(taps[::-1] if matched else taps, nfft))
+    return freeze(_fft(taps[::-1] if matched else taps, nfft))
 
 
 def srrc_filter(

@@ -8,7 +8,11 @@ demapping, and the Eb/N0 bookkeeping used throughout the benchmarks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .special import erfc
 
 __all__ = [
     "PskModem",
@@ -22,17 +26,15 @@ __all__ = [
 ]
 
 
-def qfunc(x: np.ndarray | float) -> np.ndarray | float:
+def qfunc(x: float) -> float:
     """Gaussian tail probability Q(x)."""
-    from scipy.special import erfc
-
-    return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
+    return 0.5 * erfc(float(x) / math.sqrt(2.0))
 
 
 def theoretical_ber_bpsk(ebn0_db: float) -> float:
     """Exact AWGN BER for BPSK/QPSK (per-bit): Q(sqrt(2 Eb/N0))."""
     ebn0 = 10.0 ** (ebn0_db / 10.0)
-    return float(qfunc(np.sqrt(2.0 * ebn0)))
+    return qfunc(math.sqrt(2.0 * ebn0))
 
 
 def esn0_from_ebn0(ebn0_db: float, bits_per_symbol: int, code_rate: float = 1.0) -> float:

@@ -129,7 +129,7 @@ class ResumableUploader:
         self,
         ncc,
         scheduler,
-        segment_size: int = 4096,
+        segment_size: int,
     ) -> None:
         if segment_size < 1:
             raise ValueError("segment_size must be >= 1")

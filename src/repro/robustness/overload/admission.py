@@ -21,7 +21,7 @@ restored and the bucket rates follow.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ...obs.probes import probe as _obs_probe
 
@@ -88,8 +88,8 @@ class AdmissionController:
 
     ``capacity`` is the total admittable rate (requests/second, or any
     consistent unit); ``shares`` splits it across
-    :data:`PRIORITY_CLASSES`.  Classes missing from ``shares`` get an
-    equal split of the remainder.  The buckets are over-provisioned by
+    :data:`PRIORITY_CLASSES`, one non-negative share per class, summing
+    to at most 1.  The buckets are over-provisioned by
     :data:`HEADROOM` so nominal jitter never rejects -- admission
     control exists to stop *overload*, not to shape clean traffic --
     and hold :data:`BURST_SECONDS` of their rate.
@@ -103,10 +103,20 @@ class AdmissionController:
         self,
         clock: Callable[[], float],
         capacity: float,
-        shares: Optional[Dict[str, float]] = None,
+        shares: Dict[str, float],
     ) -> None:
+        if set(shares) != set(PRIORITY_CLASSES):
+            raise ValueError(
+                f"shares must name the classes {list(PRIORITY_CLASSES)}, "
+                f"got {sorted(shares)}"
+            )
+        if any(v < 0 for v in shares.values()):
+            raise ValueError("shares must be >= 0")
+        spent = sum(shares.values())
+        if spent > 1.0 + 1e-9:
+            raise ValueError(f"shares sum to {spent} > 1")
         self.clock = clock
-        self._shares = self._normalize(shares or {})
+        self._shares = dict(shares)
         self.buckets: Dict[str, TokenBucket] = {}
         self._closed: set = set()
         self.admitted: Dict[str, int] = {c: 0 for c in PRIORITY_CLASSES}
@@ -116,23 +126,6 @@ class AdmissionController:
         self.set_capacity(capacity)
 
     # -- capacity ---------------------------------------------------------
-    def _normalize(self, shares: Dict[str, float]) -> Dict[str, float]:
-        unknown = set(shares) - set(PRIORITY_CLASSES)
-        if unknown:
-            raise ValueError(f"shares for unknown classes: {sorted(unknown)}")
-        if any(v < 0 for v in shares.values()):
-            raise ValueError("shares must be >= 0")
-        out = dict(shares)
-        missing = [c for c in PRIORITY_CLASSES if c not in out]
-        spent = sum(out.values())
-        if spent > 1.0 + 1e-9:
-            raise ValueError(f"shares sum to {spent} > 1")
-        if missing:
-            each = max(0.0, 1.0 - spent) / len(missing)
-            for c in missing:
-                out[c] = each
-        return out
-
     def set_capacity(self, capacity: float) -> None:
         """Re-derive every bucket from a fresh capacity estimate.
 

@@ -62,8 +62,8 @@ class CircuitBreaker:
     def __init__(
         self,
         clock: Callable[[], float],
-        failure_threshold: int = 3,
-        cooldown: float = 10.0,
+        failure_threshold: int,
+        cooldown: float,
         name: str = "breaker",
     ) -> None:
         if failure_threshold < 1:

@@ -36,7 +36,7 @@ class BoundedQueue:
         self,
         capacity: int,
         clock: Callable[[], float],
-        name: str = "queue",
+        name: str,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import PayloadConfig, RegenerativePayload
+from repro.core.registry import default_registry
 from repro.dsp.cdma import (
     _GOLD_PAIR_TAPS,
     _PRIMITIVE_TAPS,
     CdmaConfig,
     CdmaModem,
+    CdmaReturnBank,
     Dll,
     _interp_despread,
     acquire,
@@ -385,3 +388,52 @@ class TestCdmaModemChain:
         o2 = m2.receive(composite, 128)
         assert np.mean(o1["bits"] != b1) < 0.05
         assert np.mean(o2["bits"] != b2) < 0.05
+
+
+class TestReturnBankReceive:
+    def test_consecutive_results_do_not_alias(self):
+        """Hold one composite's results across the next composite's call."""
+        cfg = PayloadConfig(
+            num_carriers=1, fpga_rows=8, fpga_cols=8, fpga_bits_per_clb=32
+        )
+        payload = RegenerativePayload(
+            cfg, default_registry(cdma_config=CdmaConfig(sf=64))
+        )
+        payload.boot(modem="modem.cdma")
+        bank = CdmaReturnBank.for_users(8, payload.demods[0].behaviour().config)
+        rng = np.random.default_rng(1)
+        sent = [
+            [rng.integers(0, 2, 128).astype(np.uint8) for _ in range(8)]
+            for _ in range(2)
+        ]
+        first = payload.process_return_link(bank.transmit(sent[0]), 8, 128)
+        held = [
+            (b.copy(), d["symbols"].copy(), d["dll_tau"].copy())
+            for b, d in zip(first["bits"], first["diagnostics"])
+        ]
+        second = payload.process_return_link(bank.transmit(sent[1]), 8, 128)
+        for u, (bits, symbols, tau) in enumerate(held):
+            diag = first["diagnostics"][u]
+            np.testing.assert_array_equal(first["bits"][u], bits)
+            np.testing.assert_array_equal(diag["symbols"], symbols)
+            np.testing.assert_array_equal(diag["dll_tau"], tau)
+            np.testing.assert_array_equal(bits, sent[0][u])
+            np.testing.assert_array_equal(second["bits"][u], sent[1][u])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_composite_too_short_to_acquire_raises(self, n):
+        """An empty composite used to fail with an ``IndexError`` from the
+        one-row filter's empty result."""
+        bank = CdmaReturnBank.for_users(2)
+        with pytest.raises(ValueError, match="acquisition window"):
+            bank.receive(np.zeros(n, dtype=np.complex128), 32)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_burst_too_short_to_acquire_raises(self, n):
+        """The scalar and batched receivers: an empty burst used to fail
+        with an ``AxisError`` from the filter's 1-D empty result."""
+        cm = CdmaModem()
+        with pytest.raises(ValueError, match="acquisition window"):
+            cm.receive(np.zeros(n, dtype=np.complex128), 32)
+        with pytest.raises(ValueError, match="acquisition window"):
+            cm.receive_batch(np.zeros((3, n), dtype=np.complex128), 32)

@@ -25,6 +25,10 @@ class FakeClock:
         self.t += dt
 
 
+#: the equal split the controller used to apply when given no shares
+THIRDS = {"p0": 1 / 3, "p1": 1 / 3, "p2": 1 / 3}
+
+
 # ------------------------------------------------------------ token bucket
 class TestTokenBucket:
     def test_starts_full_and_drains(self):
@@ -66,7 +70,7 @@ class TestTokenBucket:
 class TestAdmissionController:
     def test_nominal_load_never_rejected(self):
         clk = FakeClock()
-        ac = AdmissionController(clk, capacity=10.0)
+        ac = AdmissionController(clk, capacity=10.0, shares=THIRDS)
         # offered exactly at the per-class share for many seconds
         for _ in range(100):
             clk.advance(0.3)  # p0 share ~3.33/s => 1 req / 0.3 s
@@ -75,7 +79,7 @@ class TestAdmissionController:
 
     def test_overload_rejected_per_class(self):
         clk = FakeClock()
-        ac = AdmissionController(clk, capacity=3.0)
+        ac = AdmissionController(clk, capacity=3.0, shares=THIRDS)
         rejected = 0
         for _ in range(50):
             if not ac.admit("p2"):
@@ -86,7 +90,7 @@ class TestAdmissionController:
 
     def test_shed_class_rejected_at_door(self):
         clk = FakeClock()
-        ac = AdmissionController(clk, capacity=100.0)
+        ac = AdmissionController(clk, capacity=100.0, shares=THIRDS)
         ac.shed("p2")
         assert not ac.admit("p2")
         assert ac.rejected["p2"] == 1
@@ -95,12 +99,12 @@ class TestAdmissionController:
 
     def test_unknown_class_rejected_not_crash(self):
         clk = FakeClock()
-        ac = AdmissionController(clk, capacity=10.0)
+        ac = AdmissionController(clk, capacity=10.0, shares=THIRDS)
         assert not ac.admit("p9")
 
     def test_set_capacity_rescales_buckets(self):
         clk = FakeClock()
-        ac = AdmissionController(clk, capacity=9.0)
+        ac = AdmissionController(clk, capacity=9.0, shares=THIRDS)
         r0 = ac.buckets["p0"].rate
         ac.set_capacity(3.0)
         assert ac.buckets["p0"].rate == pytest.approx(r0 / 3.0)
@@ -116,16 +120,18 @@ class TestAdmissionController:
     def test_share_validation(self):
         clk = FakeClock()
         with pytest.raises(ValueError):
-            AdmissionController(clk, 1.0, shares={"bogus": 1.0})
+            AdmissionController(clk, 1.0, shares={**THIRDS, "bogus": 0.0})
         with pytest.raises(ValueError):
-            AdmissionController(clk, 1.0, shares={"p0": 0.9, "p1": 0.9})
+            AdmissionController(clk, 1.0, shares={"p0": 0.5, "p1": 0.5})
         with pytest.raises(ValueError):
-            AdmissionController(clk, 1.0, shares={"p0": -0.1})
+            AdmissionController(clk, 1.0, shares={"p0": 0.9, "p1": 0.9, "p2": 0.0})
+        with pytest.raises(ValueError):
+            AdmissionController(clk, 1.0, shares={"p0": -0.1, "p1": 0.5, "p2": 0.5})
 
 # ------------------------------------------------------------------ queues
 class TestBoundedQueue:
     def test_offer_poll_fifo(self):
-        q = BoundedQueue(3, FakeClock())
+        q = BoundedQueue(3, FakeClock(), name="q")
         assert q.offer("a") and q.offer("b")
         assert q.poll_with_sojourn()[0] == "a"
         assert q.poll_with_sojourn()[0] == "b"
@@ -133,7 +139,7 @@ class TestBoundedQueue:
         assert q.head_sojourn() is None
 
     def test_full_backpressure_and_drop_counter(self):
-        q = BoundedQueue(2, FakeClock())
+        q = BoundedQueue(2, FakeClock(), name="q")
         assert q.offer(1) and q.offer(2)
         assert not q.offer(3)
         assert q.dropped == 1
@@ -141,7 +147,7 @@ class TestBoundedQueue:
 
     def test_sojourn_uses_clock(self):
         clk = FakeClock()
-        q = BoundedQueue(4, clk)
+        q = BoundedQueue(4, clk, name="q")
         q.offer("x")
         clk.advance(2.5)
         assert q.head_sojourn() == pytest.approx(2.5)
@@ -149,7 +155,7 @@ class TestBoundedQueue:
         assert item == "x" and sojourn == pytest.approx(2.5)
 
     def test_drain_and_stats(self):
-        q = BoundedQueue(4, FakeClock())
+        q = BoundedQueue(4, FakeClock(), name="q")
         for i in range(3):
             q.offer(i)
         assert [q.poll_with_sojourn()[0] for _ in range(3)] == [0, 1, 2]
@@ -159,7 +165,7 @@ class TestBoundedQueue:
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            BoundedQueue(0, FakeClock())
+            BoundedQueue(0, FakeClock(), name="q")
 
 
 # --------------------------------------------------------- circuit breaker
@@ -177,7 +183,7 @@ class TestCircuitBreaker:
 
     def test_success_resets_consecutive_count(self):
         clk = FakeClock()
-        br = CircuitBreaker(clk, failure_threshold=3)
+        br = CircuitBreaker(clk, failure_threshold=3, cooldown=10.0)
         br.record_failure()
         br.record_failure()
         br.record_success()

@@ -15,21 +15,28 @@ behind by a deletion still costs load time and hides the dependency the
 module really has.  No linter is assumed, so this is a plain ``ast``
 walk; package ``__init__`` modules import to re-export and are left out.
 
-Importing the package must not pull in ``scipy.signal``: it costs
-about a second and 48 MB in every fresh interpreter, and the package's
-one FFT convolution (``repro.dsp.filters.fft_filter``) is built on
-``scipy.fft`` instead.  Those checks run in a fresh interpreter, since
-this test process may already have imported it for other tests.
+The package needs only numpy at run time: importing it, running a
+mission or demodulating a return-link composite must not load any
+``scipy`` module (``scipy.fft`` alone costs 0.2-0.3 s and 20 MB in
+every fresh interpreter).  The FFTs are ``numpy.fft`` and the Gaussian
+tail functions are :mod:`repro.dsp.special`.  A run of return-link
+composites must not fault its pages back in on every call.  Those
+checks run in a fresh interpreter, since this test process has
+imported scipy for other tests and its allocator history is not a
+fresh one.
 """
 
 import ast
 import importlib
 import os
 import pkgutil
+import platform
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -154,18 +161,12 @@ def test_every_import_is_read():
     assert unused == []
 
 
-def _scipy_signal_after(code: str) -> str:
-    """Run ``code`` in a fresh interpreter on ``src``; return the
-    ``scipy.signal`` modules it left in ``sys.modules``, as printed."""
-    code = textwrap.dedent(code) + textwrap.dedent(
-        """
-        import sys
-        print(sorted(m for m in sys.modules if m.startswith("scipy.signal")))
-        """
-    )
+def _fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on ``src``; return the last
+    line it printed."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", textwrap.dedent(code)],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -174,9 +175,20 @@ def _scipy_signal_after(code: str) -> str:
     return out.stdout.strip().splitlines()[-1]
 
 
+def _scipy_after(code: str) -> str:
+    """The ``scipy`` modules that running ``code`` in a fresh
+    interpreter left in ``sys.modules``, as printed."""
+    return _fresh(
+        textwrap.dedent(code)
+        + "\nimport sys\n"
+        + 'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))\n'
+    )
+
+
 def test_import_leaves_out_scipy_signal():
-    """``import repro.scenarios`` and every other module of the package."""
-    loaded = _scipy_signal_after(
+    """``import repro.scenarios`` and every other module of the package
+    load neither ``scipy.signal`` nor any other ``scipy`` module."""
+    loaded = _scipy_after(
         """
         import importlib, pkgutil
         import repro, repro.scenarios
@@ -189,8 +201,9 @@ def test_import_leaves_out_scipy_signal():
 
 
 def test_mission_and_return_link_leave_out_scipy_signal():
-    """One golden mission, then one CDMA return-link composite."""
-    loaded = _scipy_signal_after(
+    """One golden mission, then one CDMA return-link composite, load
+    neither ``scipy.signal`` nor any other ``scipy`` module."""
+    loaded = _scipy_after(
         """
         import numpy as np
         from repro.core import PayloadConfig, RegenerativePayload
@@ -212,3 +225,66 @@ def test_mission_and_return_link_leave_out_scipy_signal():
         """
     )
     assert loaded == "[]"
+
+
+#: minor page faults allowed over 100 return-link composites; the
+#: return link takes about 2, and refaulted its temporaries on every
+#: composite before (about 21,000 with scipy.fft, 38,700 with numpy.fft)
+RETURN_LINK_FAULTS = 2_000
+
+
+def _glibc_dynamic_malloc() -> bool:
+    """glibc's malloc with its dynamic mmap and trim thresholds, which
+    setting any of them (or their tunables) turns off."""
+    tuned = any(k.startswith("MALLOC_") for k in os.environ)
+    tuned |= "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")
+    return platform.libc_ver()[0] == "glibc" and not tuned
+
+
+@pytest.mark.skipif(
+    not _glibc_dynamic_malloc(),
+    reason="the fault count is glibc's dynamic heap-trim behaviour",
+)
+def test_return_link_does_not_refault_its_buffers():
+    """100 composites shaped like the ``cdma-return`` benchmark (SF 64,
+    8 users, 128 bits, noise sigma 0.02) after one warm-up composite,
+    counted with ``getrusage``'s minor faults.  Assumes glibc (Linux):
+    ``repro.dsp.cdma._raise_heap_thresholds`` keeps the per-composite
+    blocks in the heap by raising its dynamic thresholds, which other
+    allocators do not have."""
+    faults = _fresh(
+        """
+        import resource
+        import numpy as np
+        from repro.core import PayloadConfig, RegenerativePayload
+        from repro.core.registry import default_registry
+        from repro.dsp.cdma import CdmaConfig, CdmaReturnBank
+
+        cfg = PayloadConfig(
+            num_carriers=1, fpga_rows=8, fpga_cols=8, fpga_bits_per_clb=32
+        )
+        payload = RegenerativePayload(
+            cfg, default_registry(cdma_config=CdmaConfig(sf=64))
+        )
+        payload.boot(modem="modem.cdma")
+        bank = CdmaReturnBank.for_users(8, payload.demods[0].behaviour().config)
+        rng = np.random.default_rng(0)
+
+        def composites(count):
+            out = []
+            for _ in range(count):
+                sent = [rng.integers(0, 2, 128).astype(np.uint8) for _ in range(8)]
+                comp = bank.transmit(sent)
+                noise = rng.standard_normal((2, len(comp)))
+                out.append(comp + 0.02 * (noise[0] + 1j * noise[1]))
+            return out
+
+        payload.process_return_link(composites(1)[0], 8, 128)
+        pool = composites(100)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for comp in pool:
+            payload.process_return_link(comp, 8, 128)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+    )
+    assert int(faults) <= RETURN_LINK_FAULTS

@@ -25,19 +25,41 @@ processes one block; :meth:`ConvolutionalCode.decode_batch` processes a
 ``(batch, n)`` stack of blocks in one trellis sweep, bit-identically to
 looping the scalar decoder (same elementwise operations, broadcast over
 the batch axis).
+
+Most blocks never reach the trellis.  Ahead of the add-compare-select
+loop each row's hard decision ``h`` gets an **exact ML certificate**:
+its GF(2) syndrome shows whether ``h`` is a codeword (``w = 0``) or one
+flip ``e_j`` away from one (``w = 1``), and the Taipale-Pursley
+optimality test (IEEE Trans. IT 1991) proves that codeword ``c`` the
+unique maximum-likelihood answer when the flipped reliability, plus a
+float rounding margin, is below the sum of the ``d_free - w`` smallest
+``|llr|`` outside the flipped set.  Any other codeword differs from
+``h`` in at least that many of those positions, so the ML path wins
+every add-compare-select on its way and the trellis would return
+exactly ``c``'s message.  Certified rows return it through a right
+inverse of the terminated generator; only the rest run the trellis, as
+a compacted batch.  See docs/performance.md, *Certified ML shortcut*.
 """
 
 from __future__ import annotations
+
+import heapq
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from ..caching import cached_design, freeze
 from ..obs.probes import probe
+from .gf2 import gf2_matmul
 
 __all__ = ["ConvolutionalCode", "UMTS_RATE_12", "UMTS_RATE_13"]
 
 #: bytes of Viterbi candidate table gathered at a time (see ``decode_batch``)
 _CAND_BYTES = 1 << 19
+
+#: unit roundoff of float64
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @cached_design("coding.conv_trellis", maxsize=32)
@@ -100,6 +122,99 @@ def _trellis_tables(generators: tuple[int, ...], constraint_length: int):
     pat = 1.0 - 2.0 * pat_bits.astype(np.float64)  # (2**n_out, n_out)
     pred_words = np.concatenate([p0idx, p1idx])
     return tuple(freeze(a) for a in (next_state, outputs, pat, pred_words))
+
+
+def _free_distance(outputs: np.ndarray, next_state: np.ndarray) -> int:
+    """Least Hamming weight of a trellis path that leaves state 0 and returns.
+
+    Dijkstra over the states, starting on the input-1 branch out of
+    state 0.  Every terminated codeword other than zero is a chain of
+    such detours, so its weight is at least this ``d_free``.
+    """
+    weight = outputs.sum(axis=2, dtype=np.int64).tolist()
+    nxt = next_state.tolist()
+    start = nxt[0][1]
+    best = {start: weight[0][1]}
+    heap = [(weight[0][1], start)]
+    while heap:
+        dist, s = heapq.heappop(heap)
+        if s == 0:
+            return dist
+        if dist > best[s]:
+            continue
+        for bit in (0, 1):
+            t, d = nxt[s][bit], dist + weight[s][bit]
+            if d < best.get(t, d + 1):
+                best[t] = d
+                heapq.heappush(heap, (d, t))
+    raise AssertionError("a feedforward trellis always returns to state 0")
+
+
+class _Certificate(NamedTuple):
+    """Tables of the exact ML certificate for one ``(code, num_bits)``."""
+
+    #: ``(n, num_bits)`` float32 right inverse: ``gf2_matmul(c, R)`` is
+    #: the message of codeword ``c``
+    right_inverse: np.ndarray
+    #: ``(num_bits, n)`` float32 terminated generator; with ``R`` it is
+    #: the syndrome former ``s = h ^ gf2_matmul(gf2_matmul(h, R), G)``
+    generator: np.ndarray
+    #: packed syndrome of the unit error ``e_j`` -> ``j``
+    single: Mapping[bytes, int]
+    d_free: int
+
+
+@cached_design("coding.conv_certificate", maxsize=32)
+def _certificate(
+    generators: tuple[int, ...], constraint_length: int, num_bits: int
+) -> Optional[_Certificate]:
+    """Certificate tables of the terminated code, or ``None`` if it has none.
+
+    A stream whose generator taps the current input maps the message
+    onto its first ``num_bits`` symbols through a unit lower-triangular
+    Toeplitz matrix; its inverse is the Toeplitz matrix of the power
+    series ``1 / g(D) mod D**num_bits``, which is the right inverse.
+    Codes with no such stream, or with ``d_free < 3`` (where one flip
+    no longer has its own syndrome), get no certificate.
+    """
+    k = constraint_length
+    n_out = len(generators)
+    next_state, outputs, _, _ = _trellis_tables(generators, k)
+    d_free = _free_distance(outputs, next_state)
+    # taps[j, d]: stream j taps the input of d steps ago
+    taps = np.array([[(g >> (k - 1 - d)) & 1 for d in range(k)] for g in generators])
+    heads = np.flatnonzero(taps[:, 0])
+    if num_bits < 1 or d_free < 3 or not len(heads):
+        return None
+    head = int(heads[0])
+    total = num_bits + k - 1
+    n = total * n_out
+
+    # q = 1 / g(D): q_0 = 1 and q_i = sum_d g_d q_{i-d}, run as an
+    # LFSR whose window bit d - 1 holds q_{i-d}
+    gmask = sum(int(taps[head, d]) << (d - 1) for d in range(1, k))
+    q, window = [1], 1
+    for _ in range(1, num_bits):
+        v = (window & gmask).bit_count() & 1
+        q.append(v)
+        window = ((window << 1) | v) & ((1 << (k - 1)) - 1)
+    lag = np.arange(num_bits)[None, :] - np.arange(num_bits)[:, None]
+    right = np.zeros((n, num_bits), dtype=np.float32)
+    head_rows = slice(head, num_bits * n_out, n_out)
+    right[head_rows] = np.where(lag >= 0, np.array(q)[np.maximum(lag, 0)], 0)
+
+    gen = np.zeros((num_bits, total, n_out), dtype=np.float32)
+    rows = np.arange(num_bits)
+    for d in range(k):
+        gen[rows, rows + d] = taps[:, d]
+    gen = gen.reshape(num_bits, n)
+
+    # syndrome of e_j: e_j itself, except on the head stream's first
+    # num_bits symbols, whose flip also changes the re-encoded message
+    syn = np.eye(n, dtype=np.uint8)
+    syn[head_rows] ^= gf2_matmul(right[head_rows], gen)
+    single = {row.tobytes(): j for j, row in enumerate(np.packbits(syn, axis=1))}
+    return _Certificate(freeze(right), freeze(gen), MappingProxyType(single), d_free)
 
 
 class ConvolutionalCode:
@@ -183,10 +298,16 @@ class ConvolutionalCode:
         """Batched terminated Viterbi decoding.
 
         ``received`` is a ``(batch, encoded_length(num_bits))`` stack of
-        code blocks (LLRs when ``soft=True``, hard bits otherwise); the
-        whole batch runs through a single vectorized trellis sweep.
+        code blocks (LLRs when ``soft=True``, hard bits otherwise).
         Returns a ``(batch, num_bits)`` uint8 array, bit-identical to
         looping :meth:`decode` over the rows.
+
+        Rows whose hard decision is a codeword, or one flip from one,
+        and passes the exact ML certificate (see the module docstring)
+        return that codeword's message without a trellis; it is the
+        message the trellis would return.  The other rows run through
+        one vectorized trellis sweep as a compacted batch.  A row with
+        a non-finite LLR never certifies.
         """
         received = np.asarray(received)
         if received.ndim != 2:
@@ -200,7 +321,70 @@ class ConvolutionalCode:
         nb = received.shape[0]
         if nb == 0:
             return np.zeros((0, num_bits), dtype=np.uint8)
-        llr = self._to_llr(received, soft).reshape(nb, total, self.n_out)
+        llr = self._to_llr(received, soft)
+        sure, decoded = self._certify(llr, num_bits)
+        rest = np.flatnonzero(~sure)
+        if len(rest):
+            decoded[rest] = self._viterbi(llr[rest], num_bits)
+
+        p = probe("perf.viterbi", code=f"k{self.k}r1_{self.n_out}")
+        if p is not None:
+            p.count("batches")
+            p.count("blocks", nb)
+            p.count("bits", nb * num_bits)
+            p.count("certified", nb - len(rest))
+        return decoded
+
+    def _certify(self, llr: np.ndarray, num_bits: int) -> tuple[np.ndarray, np.ndarray]:
+        """The exact ML certificate over a ``(batch, n)`` LLR stack.
+
+        Returns ``(sure, decoded)``: ``sure[b]`` is True when row ``b``'s
+        ML message is proven, and then ``decoded[b]`` holds it.
+        """
+        nb, n = llr.shape
+        sure = np.zeros(nb, dtype=bool)
+        cert = _certificate(self.generators, self.k, num_bits)
+        if cert is None:
+            return sure, np.empty((nb, num_bits), dtype=np.uint8)
+        hard = (llr < 0).view(np.uint8)
+        decoded = gf2_matmul(hard, cert.right_inverse)
+        syn = hard ^ gf2_matmul(decoded, cert.generator)
+        # flip[b]: where row b's one hard error sits; n when h is a
+        # codeword, -1 when it is neither
+        flip = np.full(nb, n)
+        for b in np.flatnonzero(syn.any(axis=1)):
+            flip[b] = cert.single.get(np.packbits(syn[b]).tobytes(), -1)
+
+        mag = np.abs(llr)
+        total_mag = mag.sum(axis=1)
+        rows = np.flatnonzero((flip >= 0) & np.isfinite(total_mag))
+        if not len(rows):
+            return sure, decoded
+        # the d_free - w smallest |llr| outside the flipped set: the
+        # d_free - 1 smallest, plus the d_free-th one when w = 0, or
+        # when w = 1 and the flipped one is not among them
+        d = cert.d_free
+        smallest = np.sort(np.partition(mag[rows], d - 1, axis=1)[:, :d], axis=1)
+        below, kth = smallest[:, :-1].sum(axis=1), smallest[:, -1]
+        j = flip[rows]
+        one = j < n
+        flipped = np.where(one, mag[rows, np.minimum(j, n - 1)], 0.0)
+        rest_sum = below + np.where(one, np.maximum(kth - flipped, 0.0), kth)
+        # 8 (n + 1) u sum|llr| bounds the rounding of every float path
+        # sum the trellis forms, and of the sums formed here
+        margin = 8 * (n + 1) * _UNIT_ROUNDOFF * total_mag[rows]
+        rows = rows[flipped + margin < rest_sum]
+        sure[rows] = True
+        # c = h ^ e_j, so c R = h R ^ R[j]
+        ones = rows[flip[rows] < n]
+        decoded[ones] ^= cert.right_inverse[flip[ones]].astype(np.uint8)
+        return sure, decoded
+
+    def _viterbi(self, llr: np.ndarray, num_bits: int) -> np.ndarray:
+        """The trellis sweep over a ``(batch, n)`` LLR stack."""
+        nb = llr.shape[0]
+        total = num_bits + self.k - 1
+        llr = llr.reshape(nb, total, self.n_out)
         ns = self.num_states
         half = ns // 2
 
@@ -258,14 +442,7 @@ class ConvolutionalCode:
         for t in range(total - 1, -1, -1):
             path[t] = states
             states = ((states << 1) & (ns - 1)) | choice[t, states, rows]
-        decoded = (path[:num_bits].T >> (self.k - 2)).astype(np.uint8)
-
-        p = probe("perf.viterbi", code=f"k{self.k}r1_{self.n_out}")
-        if p is not None:
-            p.count("batches")
-            p.count("blocks", nb)
-            p.count("bits", nb * num_bits)
-        return decoded
+        return (path[:num_bits].T >> (self.k - 2)).astype(np.uint8)
 
 
 #: TS 25.212 rate-1/2 code: G0 = 561, G1 = 753 (octal), K = 9.

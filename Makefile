@@ -25,8 +25,8 @@ test-fdir:  ## traffic-plane FDIR: health monitors, recovery ladder, degraded mo
 test-overload:  ## demand-plane overload control: admission, bounded queues, class budgets, brownout, overload scenario sweep
 	$(PYTHON) -m pytest -m overload tests/
 
-test-perf:  ## batched burst-processing throughput baseline + ground synthesis multiplexer gate + MF-TDMA batched==scalar suite + shared SRRC filter == fftconvolve pins + scipy-parity pins (FFT length, erfc/erfcinv/ndtri) + GF(2) bit kernels + fused trellis kernels + Viterbi ML certificate (prints tables)
-	$(PYTHON) -m pytest -m perf tests/dsp/test_tdma_batch_equivalence.py tests/dsp/test_srrc_filter.py tests/dsp/test_scipy_parity.py tests/fpga/test_edac_equivalence.py tests/coding/test_encode_equivalence.py tests/coding/test_trellis_equivalence.py tests/coding/test_viterbi_certificate.py benchmarks/bench_perf_burst_batch.py benchmarks/bench_perf_bitkernels.py benchmarks/bench_perf_trellis.py -s
+test-perf:  ## batched burst-processing throughput baseline + ground synthesis multiplexer gate + MF-TDMA batched==scalar suite + shared SRRC filter == fftconvolve pins + scipy-parity pins (FFT length, erfc/erfcinv/ndtri) + GF(2) bit kernels + fused trellis kernels + Viterbi ML certificate + turbo early stopping (prints tables)
+	$(PYTHON) -m pytest -m perf tests/dsp/test_tdma_batch_equivalence.py tests/dsp/test_srrc_filter.py tests/dsp/test_scipy_parity.py tests/fpga/test_edac_equivalence.py tests/coding/test_encode_equivalence.py tests/coding/test_trellis_equivalence.py tests/coding/test_viterbi_certificate.py tests/coding/test_turbo_early_stop.py benchmarks/bench_perf_burst_batch.py benchmarks/bench_perf_bitkernels.py benchmarks/bench_perf_trellis.py -s
 
 test-cdma-perf:  ## batched CDMA return-link engine: equivalence suite + shared SRRC filter == fftconvolve pins + scipy-parity pins + bursts/sec speedup gates + return-link front door timing and design-cache gate + DLL pull-in/jitter reference
 	$(PYTHON) -m pytest -m perf tests/dsp/test_cdma_batch_equivalence.py tests/dsp/test_srrc_filter.py tests/dsp/test_scipy_parity.py benchmarks/bench_perf_cdma_batch.py -s

@@ -18,8 +18,12 @@ implements:
   the forward and backward recursions as one fused butterfly loop:
   relabelling the backward states by 3-bit reversal gives both
   recursions the same two-predecessor structure, so one step is one
-  add and one max over a ``(2, 2, batch, 8)`` stack (see
-  ``docs/performance.md``, "Trellis kernels");
+  add and one max over a ``(2, 2, batch, 8)`` stack.  The loop's branch
+  table is one gather of each step's four distinct branch metrics
+  (``A + B``, ``A - B`` and their negations), and the LLRs add beta to
+  the loop's own ``alpha + gamma`` sums, state-major, bit-identically
+  to the step-by-step recursions (see ``docs/performance.md``,
+  "Trellis kernels");
 - early stopping: given a ``stop`` test (the transport CRC), a block is
   retired once its decision repeats and passes it, and the remaining
   blocks iterate on compacted arrays.
@@ -32,7 +36,11 @@ import numpy as np
 from ..caching import cached_design, freeze
 from ..obs.probes import probe
 
-__all__ = ["TurboCode", "umts_turbo_interleaver"]
+__all__ = ["EXT_SCALE", "TurboCode", "umts_turbo_interleaver"]
+
+#: extrinsic scaling between the half-iterations, the usual max-log-MAP
+#: compensation for the max approximation
+EXT_SCALE = 0.75
 
 # ---------------------------------------------------------------------------
 # TS 25.212 internal interleaver
@@ -233,6 +241,34 @@ for _x in range(_NSTATES):
         _FLAT_B[_j, _x] = 2 * _s + int(np.flatnonzero(_REV_NEXT[_s] == _p)[0])
 assert np.array_equal(_REV[_REV], np.arange(_NSTATES)) and _REV[0] == 0
 
+# Every branch metric is ``A x + B p`` with ``A = 0.5 (la + ls)``,
+# ``B = 0.5 lp``, ``x = 1 - 2 bit`` and ``p = 1 - 2 parity``, so a step
+# has only four: ``A + B``, ``A - B``, ``-(A - B)`` and ``-(A + B)``.
+# ``_CODE[s, b] = 2 b + parity`` numbers them in that order.  The LLR
+# extraction walks the branches bit-major: ``_LLR_CODE[b, s]`` and
+# ``_LLR_DEST[b, s]`` are the code and the ``_REV``-labelled next state
+# of the branch leaving state ``s`` on input bit ``b``.
+_CODE = 2 * np.arange(2) + _PAR
+_LLR_CODE = np.ascontiguousarray(_CODE.T)
+_LLR_DEST = np.ascontiguousarray(_REV_NEXT.T)
+
+
+@cached_design("coding.turbo_branch_index", maxsize=32)
+def _branch_index(nb: int) -> np.ndarray:
+    """Gather index of the SISO's branch table for ``nb`` batch rows.
+
+    ``_siso_batch`` keeps each step's four branch metrics in a
+    ``(direction, 4, batch)`` block, flattened; the returned **read-only**
+    ``(slot j, direction, batch, state)`` index picks, for every slot of
+    every state, the value of the branch feeding it (``_FLAT_A`` /
+    ``_FLAT_B`` through ``_CODE``).  One ``np.take`` along the flattened
+    axis then fills the loop's whole table.  Cached per batch size:
+    early stopping can shrink a batch to any size below its first.
+    """
+    code = _CODE.ravel()[np.stack([_FLAT_A, _FLAT_B], axis=1)]  # (j, direction, state)
+    code += 4 * np.arange(2)[:, None]
+    return freeze(code[:, :, None, :] * nb + np.arange(nb)[:, None])
+
 
 class TurboCode:
     """UMTS rate-1/3 PCCC turbo codec.
@@ -243,18 +279,16 @@ class TurboCode:
     x'(K+1) z2(K+1) x'(K+2) z2(K+2) x'(K+3) z2(K+3)``.
 
     Decoding is iterative max-log-MAP with ``iterations`` half-iteration
-    pairs and optional extrinsic scaling (0.75 is the usual max-log
-    compensation).
+    pairs, each extrinsic scaled by :data:`EXT_SCALE`.
     """
 
-    def __init__(self, block_length: int, iterations: int = 6, ext_scale: float = 0.75):
+    def __init__(self, block_length: int, iterations: int = 6):
         if not 40 <= block_length <= 5114:
             raise ValueError("block_length must be in [40, 5114]")
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         self.k = block_length
         self.iterations = iterations
-        self.ext_scale = ext_scale
         self.interleaver = umts_turbo_interleaver(block_length)
         self.deinterleaver = np.argsort(self.interleaver)
 
@@ -318,38 +352,43 @@ class TurboCode:
         All inputs carry a leading batch axis: ``lsys``/``lpar``/
         ``lapr`` are ``(batch, K)`` channel LLRs (positive = bit 0) and
         ``tail_sys``/``tail_par`` are ``(batch, 3)``.  Returns the
-        ``(batch, K)`` extrinsic LLRs.  The forward and (bit-reversal
-        relabelled) backward recursions share one ``K + 3``-step loop
-        of two ufunc calls each -- an add of the step's branch metrics
-        to a strided view of the previous metrics, and a max over the
-        two predecessors -- across the whole batch and all 8 states;
-        the per-bit LLR extraction is vectorized over time *and* batch.
+        ``(batch, K)`` extrinsic LLRs.
+
+        Each step has four branch metrics, ``A + B``, ``A - B``,
+        ``-(A - B)`` and ``-(A + B)`` (``A = 0.5 (la + ls)``,
+        ``B = 0.5 lp``); one ``np.take`` spreads them over the loop's
+        table.  The forward and (bit-reversal relabelled) backward
+        recursions share one ``K + 3``-step loop of two ufunc calls each
+        -- an add of the step's branch metrics to a strided view of the
+        previous metrics, and a max over the two predecessors -- across
+        the whole batch and all 8 states.  The LLRs reuse the loop's
+        operands state-major: ``alpha[s] + gamma``, plus beta at the
+        branch's destination, then a max over the 8 branches of each
+        input bit.  The outputs equal the per-state, step-by-step
+        max-log-MAP bit for bit (docs/performance.md, "Trellis
+        kernels").
         """
         nb, k = lsys.shape
         total = k + 3
-        # per-step (sys, par, apriori) with tail steps having no a priori
-        ls = np.concatenate([lsys, tail_sys], axis=1)  # (nb, total)
-        lp = np.concatenate([lpar, tail_par], axis=1)
-        la = np.concatenate([lapr, np.zeros((nb, 3))], axis=1)
+        # A and B per step; tail steps have no a priori (added as +0.0)
+        half = np.empty((2, total, nb))
+        np.add(lapr.T, lsys.T, out=half[0, :k])
+        np.add(0.0, tail_sys.T, out=half[0, k:])
+        half[1, :k] = lpar.T
+        half[1, k:] = tail_par.T
+        half *= 0.5
 
-        # gamma[t, b, s, bit]: branch metric
-        # bit value mapping: 0 -> +1, 1 -> -1; metric = 0.5*(la+ls)*x + 0.5*lp*pv
-        xsign = np.array([1.0, -1.0])  # per input bit
-        psign = 1.0 - 2.0 * _PAR  # (8, 2)
-        half_in = (0.5 * (la + ls)).T  # (total, nb)
-        half_par = (0.5 * lp).T
-        gammas = (
-            half_in[:, :, None, None] * xsign[None, None, None, :]
-            + half_par[:, :, None, None] * psign[None, None, :, :]
-        )  # (total, nb, 8, 2)
-
-        # Branch metrics of every step, gathered once into the loop's
-        # (step, pred slot j, direction, batch, state) layout; direction
-        # 1 walks time backwards and labels states by _REV.
-        flat = gammas.reshape(total, nb, 2 * _NSTATES)
-        table = np.empty((total, 2, 2, nb, _NSTATES))
-        table[:, :, 0] = np.take(flat, _FLAT_A, axis=2).transpose(0, 2, 1, 3)
-        table[:, :, 1] = np.take(flat[::-1], _FLAT_B, axis=2).transpose(0, 2, 1, 3)
+        # values[t, d, c, b]: branch metric of code c at step t of
+        # direction d (direction 1 walks time backwards), gathered into
+        # the loop's (step, pred slot j, direction, batch, state) table
+        values = np.empty((total, 2, 4, nb))
+        fwd = values[:, 0]
+        np.add(half[0], half[1], out=fwd[:, 0])
+        np.subtract(half[0], half[1], out=fwd[:, 1])
+        np.negative(fwd[:, 1::-1], out=fwd[:, 2:])
+        values[:, 1] = fwd[::-1]
+        # the index is in range by construction: "clip" only skips the check
+        table = values.reshape(total, 8 * nb).take(_branch_index(nb), axis=1, mode="clip")
 
         # metrics[i, 0] = alpha[i]; metrics[i, 1] = beta[total - i][_REV]
         metrics = np.full((total + 1, 2, nb, _NSTATES), -np.inf)
@@ -366,13 +405,15 @@ class TurboCode:
             np.add(pm, gam, out=cand)
             np.maximum(slot0, slot1, out=out)
 
-        # LLR for data steps only, all steps at once
-        alpha = metrics[:k, 0]
-        beta_next = metrics[total - 1 : 2 : -1, 1]  # beta[1 : k + 1] in _REV labels
-        m = alpha[:, :, :, None] + gammas[:k] + beta_next[:, :, _REV_NEXT]
-        llr = m[..., 0].max(axis=2) - m[..., 1].max(axis=2)  # (k, nb)
+        # LLRs of the data steps, state-major (state, step, batch):
+        # (alpha[s] + gamma(s, bit)) + beta[next(s, bit)], max over s
+        tm = metrics.transpose(1, 3, 0, 2)  # (direction, state, step, batch)
+        m = fwd[:k].transpose(1, 0, 2).take(_LLR_CODE, axis=0)  # (bit, state, step, batch)
+        np.add(tm[0, :, :k], m, out=m)
+        m += tm[1, :, total - 1 : 2 : -1].take(_LLR_DEST, axis=0)
+        best = m.max(axis=1)
         # extrinsic: remove channel systematic and a priori
-        return llr.T - lsys - lapr
+        return (best[0] - best[1]).T - lsys - lapr
 
     def decode(self, llr: np.ndarray, return_iterations: bool = False):
         """Iteratively decode channel LLRs (positive = bit 0).
@@ -444,10 +485,10 @@ class TurboCode:
         for it in range(self.iterations):
             iterations_run += len(rows)
             ext1 = self._siso_batch(lsys, lz1, apr1, t1s, t1p)
-            ext1 *= self.ext_scale
+            ext1 *= EXT_SCALE
             apr2 = ext1[:, self.interleaver]
             ext2 = self._siso_batch(lsys_i, lz2, apr2, t2s, t2p)
-            ext2 *= self.ext_scale
+            ext2 *= EXT_SCALE
             ext2_de = ext2[:, self.deinterleaver]
             apr1 = ext2_de
             if return_iterations:

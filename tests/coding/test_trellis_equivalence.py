@@ -10,13 +10,21 @@ cannot catch a kernel change.  The kernels they replaced are kept
 verbatim below (``_ref_*``); every output must match them bit for bit
 (compared as float64 bit patterns where the output is a float), on
 noisy, quantised ``{-1, 0, 1}``, all-zero and saturating inputs.
+
+The SISO builds its branch table from four values per step, ``A + B``,
+``A - B``, ``-(A - B)`` and ``-(A + B)``, where the reference forms
+``(-A) + B`` and ``(-A) + (-B)``; the two differ only in the sign of a
+zero sum.  The turbo grids add two input kinds for that: ``balanced``
+(``la + ls == +-lp`` on many steps, so ``A - B`` or ``A + B`` is exactly
+0) and ``non_finite`` (scattered ``+-inf`` and ``nan``: outputs that are
+not NaN match as bit patterns, NaN positions are equal).
 """
 
 import numpy as np
 import pytest
 
 from repro.coding import UMTS_RATE_12, UMTS_RATE_13, ConvolutionalCode, TurboCode
-from repro.coding.turbo import _NEXT, _NSTATES, _PAR
+from repro.coding.turbo import _NEXT, _NSTATES, _PAR, EXT_SCALE
 
 pytestmark = pytest.mark.perf
 
@@ -92,10 +100,10 @@ def _ref_turbo_decode_batch(code, llr, return_iterations=False):
     history = []
     for _ in range(code.iterations):
         ext1 = _ref_siso_batch(lsys, lz1, apr1, t1s, t1p)
-        ext1 *= code.ext_scale
+        ext1 *= EXT_SCALE
         apr2 = ext1[:, code.interleaver]
         ext2 = _ref_siso_batch(lsys_i, lz2, apr2, t2s, t2p)
-        ext2 *= code.ext_scale
+        ext2 *= EXT_SCALE
         ext2_de = ext2[:, code.deinterleaver]
         apr1 = ext2_de
         if return_iterations:
@@ -167,10 +175,16 @@ def _ref_viterbi_decode_batch(code, received, num_bits, soft=True):
 
 # -- inputs ------------------------------------------------------------------
 KINDS = ["noisy", "quantised", "all_zero", "saturating"]
+TURBO_KINDS = KINDS + ["non_finite", "balanced"]
 
 
 def _llrs(kind, rng, shape, clean=None):
-    """Test LLRs of one kind; ``clean`` is an optional +-1 codeword."""
+    """Test LLRs of one kind; ``clean`` is an optional +-1 codeword.
+
+    ``balanced`` draws noisy LLRs; the caller ties parity to systematic.
+    ``non_finite`` puts ``+-inf``/``nan`` at about 2 % of the entries of
+    the even rows and leaves the odd rows finite.
+    """
     if kind == "all_zero":
         return np.zeros(shape)
     if kind == "quantised":
@@ -178,40 +192,91 @@ def _llrs(kind, rng, shape, clean=None):
     if kind == "saturating":
         return 30.0 * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
     base = 2.0 * clean if clean is not None else 0.0
-    return base + 1.5 * rng.standard_normal(shape)
+    llr = base + 1.5 * rng.standard_normal(shape)
+    if kind == "non_finite":
+        hit = rng.random(shape) < 0.02
+        hit[1::2] = False
+        llr[hit] = rng.choice([np.inf, -np.inf, np.nan], hit.sum())
+    return llr
+
+
+def _tie(par, sys_, rng):
+    """Set ``par`` to ``+sys_`` or ``-sys_`` at about 60 % of the entries."""
+    hit = rng.random(par.shape) < 0.6
+    sign = np.where(rng.random(par.shape) < 0.5, 1.0, -1.0)
+    par[hit] = (sign * sys_)[hit]
+    return hit
 
 
 def _bits_equal(a, b):
+    """Same bit patterns; float NaNs need only share their positions."""
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
     if a.dtype == np.float64:
-        return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        nan = np.isnan(a)
+        return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+            a[~nan].view(np.uint64), b[~nan].view(np.uint64)
+        )
     return np.array_equal(a, b)
 
 
 # -- turbo ---------------------------------------------------------------------
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", TURBO_KINDS)
 @pytest.mark.parametrize("nb", [1, 3, 8])
 @pytest.mark.parametrize("k", [40, 56, 159, 160, 530])
 def test_siso_matches_reference(k, nb, kind):
-    rng = np.random.default_rng(1000 * k + 10 * nb + KINDS.index(kind))
+    rng = np.random.default_rng(1000 * k + 10 * nb + TURBO_KINDS.index(kind))
     args = [_llrs(kind, rng, (nb, k)) for _ in range(3)]
     args += [_llrs(kind, rng, (nb, 3)) for _ in range(2)]
-    assert _bits_equal(TurboCode._siso_batch(*args), _ref_siso_batch(*args))
+    if kind == "balanced":  # A = 0.5 (la + ls) and B = 0.5 lp tie: A == +-B
+        lsys, lpar, lapr, tail_sys, tail_par = args
+        assert _tie(lpar, lapr + lsys, rng).mean() > 0.4
+        _tie(tail_par, tail_sys, rng)
+    with np.errstate(invalid="ignore"):
+        got, ref = TurboCode._siso_batch(*args), _ref_siso_batch(*args)
+    assert _bits_equal(got, ref)
+    if kind == "non_finite" and nb > 1:
+        assert np.isfinite(ref[1::2]).all() and not np.isfinite(ref[0::2]).all()
 
 
-@pytest.mark.parametrize("kind", KINDS)
+def test_siso_empty_batch():
+    args = [np.zeros((0, 56))] * 3 + [np.zeros((0, 3))] * 2
+    got = TurboCode._siso_batch(*args)
+    assert got.shape == (0, 56)
+    assert _bits_equal(got, _ref_siso_batch(*args))
+
+
+def _tie_parity(code, llr, rng):
+    """Tie both constituents' parity LLRs to their systematic input."""
+    k = code.k
+    lsys = llr[:, 0 : 3 * k : 3]
+    tail = llr[:, 3 * k :]
+    for z, x in ((1, lsys), (2, lsys[:, code.interleaver])):
+        par = llr[:, z : 3 * k : 3].copy()
+        assert _tie(par, x, rng).mean() > 0.4
+        llr[:, z : 3 * k : 3] = par
+    for i in (0, 6):  # (x, z) pairs of each constituent's tail
+        par = tail[:, i + 1 : i + 6 : 2].copy()
+        _tie(par, tail[:, i : i + 6 : 2], rng)
+        tail[:, i + 1 : i + 6 : 2] = par
+
+
+@pytest.mark.parametrize("kind", TURBO_KINDS)
 @pytest.mark.parametrize("nb", [1, 3, 8])
 @pytest.mark.parametrize("k", [40, 56, 159, 160, 530])
 def test_turbo_decode_batch_matches_reference(k, nb, kind):
     code = TurboCode(k, iterations=3 if k > 160 else 6)
-    rng = np.random.default_rng(7 * k + nb + 100 * KINDS.index(kind))
+    rng = np.random.default_rng(7 * k + nb + 100 * TURBO_KINDS.index(kind))
     msgs = rng.integers(0, 2, (nb, k)).astype(np.uint8)
     clean = 1.0 - 2.0 * np.stack([code.encode(m) for m in msgs])
     llr = _llrs(kind, rng, clean.shape, clean)
-    assert _bits_equal(code.decode_batch(llr), _ref_turbo_decode_batch(code, llr))
-    bits, history = code.decode_batch(llr, return_iterations=True)
-    ref_bits, ref_history = _ref_turbo_decode_batch(code, llr, return_iterations=True)
+    if kind == "balanced":  # the first iteration's A == +-B, a priori 0
+        _tie_parity(code, llr, rng)
+    with np.errstate(invalid="ignore"):
+        got, ref = code.decode_batch(llr), _ref_turbo_decode_batch(code, llr)
+        bits, history = code.decode_batch(llr, return_iterations=True)
+        ref_bits, ref_history = _ref_turbo_decode_batch(code, llr, return_iterations=True)
+    assert _bits_equal(got, ref)
     assert _bits_equal(bits, ref_bits)
     assert len(history) == len(ref_history) == code.iterations
     for h, r in zip(history, ref_history):

@@ -5,7 +5,10 @@ iteration >= 2 whose hard decision repeats the previous iteration's and
 passes ``stop`` (the transport CRC, when ``TransportChain`` drives it).
 A row that is never retired runs every iteration on the same floats as
 ``stop=None``; the ``perf.turbo.iterations`` counter reports the
-iterations run, summed over blocks.
+iterations run, summed over blocks.  Compaction changes the batch size
+from one iteration to the next, and the SISO keeps one cached
+branch-table index per batch size; one test retires a row per
+iteration so the batch passes through every size from 8 down to 1.
 """
 
 import numpy as np
@@ -13,6 +16,8 @@ import pytest
 
 from repro import obs
 from repro.coding import CRC16, CodingScheme, TransportChain, TurboCode
+
+pytestmark = pytest.mark.perf
 
 
 def _never(dec):
@@ -110,6 +115,26 @@ def test_mixed_batch_equals_one_row_decodes():
         np.testing.assert_array_equal(out["bits"][i], one["bits"])
         assert bool(out["crc_ok"][i]) == one["crc_ok"]
     assert out["crc_ok"][1:5].all()
+
+
+def test_one_retirement_per_iteration_visits_every_batch_size():
+    """A ``stop`` passing only the first candidate shrinks the batch 8, 7, ..., 1."""
+    code = TurboCode(56, iterations=9)
+    rng = np.random.default_rng(9)
+    words = np.stack([code.encode(rng.integers(0, 2, 56)) for _ in range(8)])
+    llr = 2.0 * (1.0 - 2.0 * words) + 0.5 * rng.standard_normal(words.shape)
+    full, history = code.decode_batch(llr, return_iterations=True)
+    assert all(np.array_equal(h, full) for h in history)  # settled at iteration 1
+
+    def first_only(dec):
+        ok = np.zeros(len(dec), dtype=bool)
+        ok[0] = True
+        return ok
+
+    bits, total = _iterations_run(lambda: code.decode_batch(llr, stop=first_only), 56)
+    np.testing.assert_array_equal(bits, full)
+    # rows retire after iterations 2, 3, ..., 8; the last runs all 9
+    assert total == sum(range(2, 10))
 
 
 def test_all_nan_row_fails_crc_with_zero_bits():
